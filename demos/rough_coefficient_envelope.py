@@ -27,7 +27,7 @@ field = make_field(
     {"values": (0.5, 2.0), "cells": (0.25, 0.25, 0.25), "random_origin": True},
     seed=seed,
 )
-rep = measure_ellipticity(field, SamplingSpec(nx=64, nv=64, seed=0))
+rep = measure_ellipticity(field, SamplingSpec(nx=64, nv=64))
 print(f"coefficient: checkerboard, seed {seed}, measured bounds "
       f"[{rep.lambda_hat:.2f}, {rep.Lambda_hat:.2f}]")
 

@@ -3,10 +3,10 @@
 Commands: simulate | verify-bounds | g-bound | level-set | chain |
 trajectories | adjoint.  Exit codes: 0 = ran and all requested assertions
 passed, 1 = ran but a verification assertion failed, 2 = config error
-(the diagnostic names the offending field).  Every summary embeds the
-resolved config; with fixed seeds the summary is byte-stable apart from
-the timestamp field.  --threads is recorded for forward compatibility;
-the numerics are single-threaded and deterministic.
+(the diagnostic names the offending field), including a config that puts
+a functional outside its domain (nash_g.DomainError).  Every summary
+embeds the resolved config; with fixed seeds the summary is byte-stable
+apart from the timestamp field.
 """
 
 from __future__ import annotations
@@ -339,12 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", required=True, help="path to a JSON campaign config")
     ap.add_argument("--out", default=".", help="output directory (created if missing)")
-    ap.add_argument("--threads", type=int, default=1, help="reserved; recorded in the summary")
-    ap.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="assert deterministic reduction order (always on; recorded)",
-    )
     return ap
 
 
@@ -367,15 +361,13 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         summary, passed = _COMMANDS[args.command](cfg, outdir)
-    except (ConfigFileError, solver.ConfigError) as e:
+    except (ConfigFileError, solver.ConfigError, nash_g.DomainError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
     doc = {
         "command": args.command,
         "config": cfg,
-        "threads": args.threads,
-        "deterministic": True,
         "passed": bool(passed),
         "summary": summary,
         "timestamp": datetime.now(timezone.utc).isoformat(),

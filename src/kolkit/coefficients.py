@@ -1,10 +1,9 @@
 """Diffusion coefficient fields a(t, x, v) and measured ellipticity.
 
-All shipped kinds are scalar-valued (a = value * I); the matrix interface
-is kept so anisotropic fields can be added without touching callers.
-Rough kinds (checkerboard, random-piecewise) are piecewise constant on
-half-open boxes aligned to a configurable origin, so a fixed seed gives a
-bitwise reproducible field.
+All shipped kinds are scalar-valued (a = value * I).  Rough kinds
+(checkerboard, random-piecewise) are piecewise constant on half-open boxes
+aligned to a configurable origin, so a fixed seed gives a bitwise
+reproducible field.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ class SamplingSpec:
     nx: int = 32
     nv: int = 32
     directions: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         if self.directions < 16:
@@ -96,10 +94,10 @@ class CoefficientField:
     """A named coefficient field with a vectorized scalar evaluator.
 
     value(t, x, v) broadcasts over array arguments and returns the scalar
-    coefficient; matrix(t, x, v) returns the d x d matrix value * I at one
-    point.  time_key(t) is a hashable identifying a(t, ., .) as a function
-    of (x, v) (None when every t is distinct), which lets the solver cache
-    per-substep factorizations for piecewise-in-time fields.
+    coefficient (the d x d matrix is value * I).  time_key(t) is a hashable
+    identifying a(t, ., .) as a function of (x, v) (None when every t is
+    distinct), which lets a solver run reuse one factorization per time
+    slice for piecewise-in-time fields.
     """
 
     def __init__(self, kind, params, seed, d, evaluator, time_key, time_dependent):
@@ -114,10 +112,6 @@ class CoefficientField:
     def value(self, t, x, v):
         out = self._evaluator(t, x, v)
         return np.asarray(out, dtype=float)
-
-    def matrix(self, t, x, v) -> np.ndarray:
-        val = float(self.value(t, np.asarray(x, dtype=float), np.asarray(v, dtype=float)))
-        return val * np.eye(self.d)
 
     def time_key(self, t):
         return self._time_key(t)
@@ -293,21 +287,6 @@ def reversed_flipped_field(base: CoefficientField, t_total: float) -> Coefficien
     return f
 
 
-def _directions(d: int, n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    if d == 1:
-        signs = np.ones((n, 1))
-        signs[1::2, 0] = -1.0
-        return signs
-    xi = rng.standard_normal((n, d))
-    # axes first so the quotient sees every coordinate direction
-    for i in range(min(d, n)):
-        xi[i] = 0.0
-        xi[i, i] = 1.0
-    norms = np.linalg.norm(xi, axis=1, keepdims=True)
-    return xi / norms
-
-
 def measure_ellipticity(field: CoefficientField, sampling: SamplingSpec | None = None) -> EllipticityReport:
     """Measured (lambda_hat, Lambda_hat) over a sample lattice.
 
@@ -322,30 +301,12 @@ def measure_ellipticity(field: CoefficientField, sampling: SamplingSpec | None =
     T, X, V = np.meshgrid(ts, xs, vs, indexing="ij")
 
     vals = np.asarray(field.value(T, X, V), dtype=float)
-    n_samples = vals.size * sampling.directions
-
-    if field.d == 1:
-        # scalar field: both quotients equal the scalar value for every xi
-        bad = vals <= 0
-        if np.any(bad):
-            i = np.argwhere(bad)[0]
-            pt = (T[tuple(i)], X[tuple(i)], V[tuple(i)])
-            raise EllipticityViolation(
-                f"<a xi, xi> = {vals[tuple(i)]} <= 0 at sample point (t, x, v) = {pt}"
-            )
-        return EllipticityReport(float(vals.min()), float(vals.max()), n_samples)
-
-    xi = _directions(field.d, sampling.directions, sampling.seed)
-    lam = np.inf
-    Lam = -np.inf
-    for t, x, v in zip(T.ravel(), X.ravel(), V.ravel()):
-        a = field.matrix(t, np.full(field.d, x), np.full(field.d, v))
-        axi = xi @ a.T
-        quad = np.einsum("ij,ij->i", axi, xi)
-        if np.any(quad <= 0):
-            raise EllipticityViolation(
-                f"<a xi, xi> <= 0 at sample point (t, x, v) = ({t}, {x}, {v})"
-            )
-        lam = min(lam, float(np.min(quad / np.einsum("ij,ij->i", xi, xi))))
-        Lam = max(Lam, float(np.max(np.einsum("ij,ij->i", axi, axi) / quad)))
-    return EllipticityReport(lam, Lam, n_samples)
+    # a = value * I: both quotients equal the scalar value for every xi
+    bad = vals <= 0
+    if np.any(bad):
+        i = np.argwhere(bad)[0]
+        pt = (T[tuple(i)], X[tuple(i)], V[tuple(i)])
+        raise EllipticityViolation(
+            f"<a xi, xi> = {vals[tuple(i)]} <= 0 at sample point (t, x, v) = {pt}"
+        )
+    return EllipticityReport(float(vals.min()), float(vals.max()), vals.size * sampling.directions)

@@ -15,6 +15,7 @@ and coefficient seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -148,36 +149,24 @@ class SolverConfig:
 
     w0_cells is the mollification width for Dirac data in units of grid
     cells (>= 2); tail_tol is the boundary/peak ratio above which a kernel
-    estimate warns that the box is too small.  diffusion_tol is kept for
-    interface stability; the tridiagonal solve is direct.
+    estimate warns that the box is too small.
     """
 
     dt: float
-    scheme: str = "imex-split"
     transport_order: int = 3
-    diffusion_tol: float = 1e-12
     w0_cells: float = 3.0
     tail_tol: float = 1e-8
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.scheme != "imex-split":
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.transport_order not in (1, 3):
             raise ConfigError(f"transport_order must be 1 or 3, got {self.transport_order}")
         if self.w0_cells < 2:
             raise ConfigError(f"mollification width must be >= 2 cells, got {self.w0_cells}")
 
     def descriptor(self) -> dict:
-        return {
-            "dt": self.dt,
-            "scheme": self.scheme,
-            "transport_order": self.transport_order,
-            "diffusion_tol": self.diffusion_tol,
-            "w0_cells": self.w0_cells,
-            "tail_tol": self.tail_tol,
-        }
+        return dataclasses.asdict(self)
 
 
 def init_delta(center, width, grid: Grid, t: float = 0.0) -> Field:
@@ -251,17 +240,6 @@ class _TridiagFactor:
 
 
 def _diffusion_factor(field: CoefficientField, t_sub: float, grid: Grid, dt_half: float) -> _TridiagFactor:
-    # factors are reusable whenever the coefficient is piecewise constant in
-    # time; keyed by the field's own notion of "same time slice"
-    tkey = field.time_key(t_sub)
-    cache = None
-    if tkey is not None:
-        cache = field.__dict__.setdefault("_diffusion_factor_cache", {})
-        key = (tkey, float(dt_half), grid.Nx, grid.Nv, grid.Lx, grid.Lv)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-
     a = _coefficient_on_grid(field, t_sub, grid)
     ah = np.zeros((grid.Nx, grid.Nv + 1))
     al, ar = a[:, :-1], a[:, 1:]
@@ -270,13 +248,31 @@ def _diffusion_factor(field: CoefficientField, t_sub: float, grid: Grid, dt_half
     lower = -mu * ah[:, :-1]
     upper = -mu * ah[:, 1:]
     diag = 1.0 - lower - upper
-    factor = _TridiagFactor(lower, diag, upper)
+    return _TridiagFactor(lower, diag, upper)
 
-    if cache is not None:
-        if len(cache) >= 64:
-            cache.clear()
-        cache[key] = factor
-    return factor
+
+class _FactorCache:
+    """Diffusion factors of one run, whose field, grid and dt/2 are fixed.
+
+    The one slot holds the factor of the last time slice seen, as named by
+    field.time_key; a key of None (every t distinct) always rebuilds.  A run
+    visits the slices in order, so one slot rebuilds only when the slice
+    changes.
+    """
+
+    def __init__(self, field: CoefficientField, grid: Grid, dt_half: float):
+        self.field = field
+        self.grid = grid
+        self.dt_half = dt_half
+        self._key = None
+        self._factor = None
+
+    def get(self, t_sub: float) -> _TridiagFactor:
+        key = self.field.time_key(t_sub)
+        if key is None or key != self._key:
+            self._factor = _diffusion_factor(self.field, t_sub, self.grid, self.dt_half)
+            self._key = key
+        return self._factor
 
 
 def _transport_ppm(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
@@ -317,11 +313,18 @@ def _transport_upwind(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
     return f - courant * (flux - np.roll(flux, 1, axis=0))
 
 
-def step(state: Field, field: CoefficientField, config: SolverConfig) -> Field:
+def step(
+    state: Field,
+    field: CoefficientField,
+    config: SolverConfig,
+    factors: _FactorCache | None = None,
+) -> Field:
     """One Strang step: diffuse dt/2, transport dt, diffuse dt/2.
 
     The diffusion coefficient is frozen at the midpoint of each half step
-    (t + dt/4 and t + 3dt/4).
+    (t + dt/4 and t + 3dt/4).  `factors` is the run's factor cache, which
+    `evolve` passes so that a time slice is factored once; without it the
+    step factors afresh, with bitwise the same result.
     """
     grid = state.grid
     dt = config.dt
@@ -331,9 +334,10 @@ def step(state: Field, field: CoefficientField, config: SolverConfig) -> Field:
             f"for grid {grid.descriptor()}"
         )
     t = state.t
+    if factors is None:
+        factors = _FactorCache(field, grid, 0.5 * dt)
 
-    factor = _diffusion_factor(field, t + 0.25 * dt, grid, 0.5 * dt)
-    f = factor.solve(state.values)
+    f = factors.get(t + 0.25 * dt).solve(state.values)
 
     courant = (grid.v_centers * (dt / grid.dx))[None, :]
     if config.transport_order == 3:
@@ -342,8 +346,7 @@ def step(state: Field, field: CoefficientField, config: SolverConfig) -> Field:
         f = _transport_upwind(f, courant)
     np.maximum(f, 0.0, out=f)
 
-    factor = _diffusion_factor(field, t + 0.75 * dt, grid, 0.5 * dt)
-    f = factor.solve(f)
+    f = factors.get(t + 0.75 * dt).solve(f)
     if not np.all(np.isfinite(f)):
         raise SolverError(f"non-finite values after step at t={t}")
     return Field(f, t + dt, grid)
@@ -382,8 +385,9 @@ def evolve(
     if record_every:
         res.snapshots.append(state.values.copy())
         res.snapshot_times.append(state.t)
+    factors = _FactorCache(field, state.grid, 0.5 * config.dt)
     for i in range(n):
-        state = step(state, field, config)
+        state = step(state, field, config, factors)
         m = state.mass()
         res.mass_min = min(res.mass_min, m)
         res.mass_max = max(res.mass_max, m)

@@ -39,7 +39,7 @@ def simulate_cfg(**over):
 
 class TestSimulate:
     def test_runs_and_writes_outputs(self, tmp_path, capsys):
-        code, outdir = run(tmp_path, "simulate", simulate_cfg(), extra=["--threads", "3"])
+        code, outdir = run(tmp_path, "simulate", simulate_cfg())
         assert code == 0
         assert "ok" in capsys.readouterr().out
         assert (outdir / "kernel.npy").exists()
@@ -47,8 +47,6 @@ class TestSimulate:
         doc = json.loads((outdir / "summary.json").read_text())
         assert doc["command"] == "simulate"
         assert doc["passed"] is True
-        assert doc["threads"] == 3
-        assert doc["deterministic"] is True
         assert doc["config"]["t_final"] == 0.5  # resolved config embedded
         assert doc["summary"]["oracle_l1_error"] < 0.5
         assert doc["summary"]["kernel"]["mass_drift"] < 1e-6
@@ -130,6 +128,21 @@ class TestConfigErrors:
         code, _ = run(tmp_path, "simulate", cfg)
         assert code == 2
         assert "field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["level-set", "g-bound"])
+    def test_box_smaller_than_weight_is_config_error(self, tmp_path, capsys, command):
+        # a 3 x 3 box cannot hold the weight ball of radius 4 (nash_g.DomainError)
+        cfg = {
+            "grid": {"Lx": 1.5, "Lv": 1.5, "Nx": 64, "Nv": 64},
+            "solver": {"dt": 1.0 / 32, "w0_cells": 2.0, "tail_tol": 1.0},
+            "ensemble": [{"kind": "constant", "params": {"value": 1.0}}],
+            "weight_radius": 4.0,
+        }
+        code, outdir = run(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "radius 4.0" in err
+        assert not (outdir / "summary.json").exists()
 
 
 class TestChainCommand:

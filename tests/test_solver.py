@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kolkit.coefficients import make_field
 from kolkit.profiles import explicit_kernel_mollified
@@ -46,8 +47,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SolverConfig(dt=0.0)
-        with pytest.raises(ConfigError):
-            SolverConfig(dt=0.01, scheme="explicit")
         with pytest.raises(ConfigError):
             SolverConfig(dt=0.01, transport_order=2)
         with pytest.raises(ConfigError):
@@ -136,6 +135,63 @@ class TestEvolve:
             evolve(f, CONST, self.CFG, 0.7 * self.CFG.dt)
         with pytest.raises(ConfigError):
             evolve(f, CONST, self.CFG, -0.5)
+
+
+class TestFactorCache:
+    GRID = Grid(Lx=3.5, Lv=6.0, Nx=64, Nv=64)
+    CFG = SolverConfig(dt=1.0 / 64, w0_cells=2.0, tail_tol=1.0)
+
+    def test_no_hidden_cache_on_the_field(self):
+        rough = make_field(
+            "checkerboard", {"values": (0.5, 2.0), "cells": (0.25, 0.25, 0.25)}, seed=3
+        )
+        before = dict(vars(rough))
+        evolve(init_delta((0.0, 0.0), (0.3, 0.3), self.GRID), rough, self.CFG, 0.25)
+        estimate_kernel((0.0, 0.0, 0.0), 0.25, rough, self.GRID, self.CFG)
+        assert vars(rough) == before
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        nx=st.integers(16, 48),
+        nv=st.integers(16, 48),
+        kind=st.sampled_from(["checkerboard", "random-piecewise"]),
+        seed=st.integers(0, 2**31 - 1),
+        cells=st.tuples(st.floats(0.005, 0.5), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+        order=st.sampled_from([1, 3]),
+        cfl=st.floats(0.1, 1.0),
+        n_steps=st.integers(1, 12),
+    )
+    def test_shared_cache_is_transparent(self, nx, nv, kind, seed, cells, order, cfl, n_steps):
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
+        config = SolverConfig(dt=cfl * grid.dx / grid.Lv, transport_order=order)
+        rough = make_field(kind, {"cells": cells, "random_origin": True}, seed=seed)
+        state = init_delta((0.0, 0.0), (2 * grid.dx, 2 * grid.dv), grid)
+
+        builds = 0
+        value = rough.value
+
+        def counting_value(*args):
+            nonlocal builds
+            builds += 1
+            return value(*args)
+
+        rough.value = counting_value
+        res = evolve(state, rough, config, n_steps * config.dt)
+        rough.value = value
+
+        loop = state
+        for _ in range(n_steps):
+            loop = step(loop, rough, config, factors=None)
+        assert res.field.t == loop.t
+        assert res.field.values.tobytes() == loop.values.tobytes()
+
+        # one build per change of time slice over the half-step midpoints
+        keys, t = [], state.t
+        for _ in range(n_steps):
+            keys += [rough.time_key(t + 0.25 * config.dt), rough.time_key(t + 0.75 * config.dt)]
+            t = t + config.dt
+        changes = sum(i == 0 or k != keys[i - 1] for i, k in enumerate(keys))
+        assert builds == changes
 
 
 class TestKernelEstimate:
