@@ -3,8 +3,9 @@
 Commands: simulate | verify-bounds | g-bound | level-set | chain |
 trajectories | adjoint.  Exit codes: 0 = ran and all requested assertions
 passed, 1 = ran but a verification assertion failed, 2 = config error
-(the diagnostic names the offending field), including a config that puts
-a functional outside its domain (nash_g.DomainError).  Every summary
+(the diagnostic names the offending field), including an out-of-range
+value and a config that puts a functional outside its domain
+(nash_g.DomainError).  Every summary
 embeds the resolved config; with fixed seeds the summary is byte-stable
 apart from the timestamp field.
 """
@@ -82,6 +83,16 @@ def _build_field(desc, where="field"):
         )
     except ValueError as e:
         raise ConfigFileError(f"{where}: {e}") from e
+
+
+def _build_weight(cfg, grid):
+    # checked against the box here, before any member's kernel runs
+    try:
+        weight = nash_g.GWeight(R=float(cfg.get("weight_radius", 4.0)))
+        weight.values(grid)
+    except ValueError as e:
+        raise ConfigFileError(f"weight_radius: {e}") from e
+    return weight
 
 
 def _ensemble(cfg):
@@ -174,7 +185,7 @@ def _cmd_g_bound(cfg, outdir):
     config = _build_solver(cfg)
     fields = _ensemble(cfg)
     floor = float(cfg.get("floor", 1e-30))
-    weight = nash_g.GWeight(R=float(cfg.get("weight_radius", 4.0)))
+    weight = _build_weight(cfg, grid)
     rng = np.random.default_rng(int(cfg.get("source_seed", 0)))
 
     rows = []
@@ -208,7 +219,7 @@ def _cmd_level_set(cfg, outdir):
     config = _build_solver(cfg)
     fields = _ensemble(cfg)
     floor = float(cfg.get("floor", 1e-30))
-    weight = nash_g.GWeight(R=float(cfg.get("weight_radius", 4.0)))
+    weight = _build_weight(cfg, grid)
     E = cfg.get("E", [[-2.0, 2.0], [-2.0, 2.0]])
     record_every = int(cfg.get("record_every", 8))
 
@@ -236,9 +247,12 @@ def _cmd_level_set(cfg, outdir):
 
 
 def _cmd_chain(cfg, outdir):
-    p = chains.NearDiagonalParams(
-        rho0=float(cfg.get("rho0", 0.25)), c0=float(cfg.get("c0", 0.05))
-    )
+    try:
+        p = chains.NearDiagonalParams(
+            rho0=float(cfg.get("rho0", 0.25)), c0=float(cfg.get("c0", 0.05))
+        )
+    except ValueError as e:
+        raise ConfigFileError(f"rho0/c0: {e}") from e
     Xbar = _get(cfg, "Xbar", (list, int, float))
     Vbar = _get(cfg, "Vbar", (list, int, float))
     k0 = cfg.get("k0")
@@ -278,9 +292,12 @@ def _cmd_trajectories(cfg, outdir):
             raise ConfigFileError(f"config field 'family' must be straight|log-oscillatory, got {name!r}")
     except ValueError as e:
         raise ConfigFileError(f"family: {e}") from e
-    r_grid = trajectories.default_r_grid(
-        n=int(cfg.get("r_points", 1024)), r_min=float(cfg.get("r_min", 1e-6))
-    )
+    try:
+        r_grid = trajectories.default_r_grid(
+            n=int(cfg.get("r_points", 1024)), r_min=float(cfg.get("r_min", 1e-6))
+        )
+    except ValueError as e:
+        raise ConfigFileError(f"r_points/r_min: {e}") from e
     rep = trajectories.check_properties(fam, r_grid=r_grid)
     (outdir / "property_report.json").write_text(rep.to_json(indent=1))
     rep.curves_csv(outdir / "exponent_curves.csv")

@@ -73,7 +73,7 @@ class EllipticityReport:
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    """Sample lattice for ellipticity measurement plus direction count."""
+    """Sample lattice for ellipticity measurement."""
 
     t_range: tuple = (0.0, 1.0)
     x_range: tuple = (-1.0, 1.0)
@@ -81,11 +81,8 @@ class SamplingSpec:
     nt: int = 8
     nx: int = 32
     nv: int = 32
-    directions: int = 16
 
     def __post_init__(self):
-        if self.directions < 16:
-            raise ValueError(f"need at least 16 test directions, got {self.directions}")
         if min(self.nt, self.nx, self.nv) < 1:
             raise ValueError("sample counts must be positive")
 
@@ -291,8 +288,8 @@ def measure_ellipticity(field: CoefficientField, sampling: SamplingSpec | None =
     """Measured (lambda_hat, Lambda_hat) over a sample lattice.
 
     lambda_hat = min <a xi, xi>/|xi|^2 and Lambda_hat = max |a xi|^2/<a xi, xi>
-    over all sample points and test directions.  A non-positive quadratic
-    form aborts with the offending sample point in the message.
+    over all sample points.  A non-positive quadratic form aborts with the
+    offending sample point in the message.
     """
     sampling = sampling or SamplingSpec()
     ts = np.linspace(*sampling.t_range, sampling.nt)
@@ -309,4 +306,4 @@ def measure_ellipticity(field: CoefficientField, sampling: SamplingSpec | None =
         raise EllipticityViolation(
             f"<a xi, xi> = {vals[tuple(i)]} <= 0 at sample point (t, x, v) = {pt}"
         )
-    return EllipticityReport(float(vals.min()), float(vals.max()), vals.size * sampling.directions)
+    return EllipticityReport(float(vals.min()), float(vals.max()), vals.size)

@@ -164,11 +164,6 @@ class LevelSetReport:
     floor_used: float
     E: tuple
     t_window: tuple
-    eta_good: float | None = None
-    omega_measure: float | None = None
-    omega_S_measure: float | None = None
-    S: float | None = None
-    G1: float | None = None
     warnings: list = dc_field(default_factory=list)
 
     def __post_init__(self):
@@ -179,7 +174,7 @@ class LevelSetReport:
         return self.s_grid * self.measures
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "c_f": self.c_f,
             "statistic": self.statistic,
             "floor_used": self.floor_used,
@@ -192,11 +187,6 @@ class LevelSetReport:
             },
             "warnings": list(self.warnings),
         }
-        for k in ("eta_good", "omega_measure", "omega_S_measure", "S", "G1"):
-            v = getattr(self, k)
-            if v is not None:
-                d[k] = v
-        return d
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)

@@ -56,9 +56,6 @@ class PhasePoint:
     def d(self) -> int:
         return self.x.shape[0]
 
-    def as_tuple(self):
-        return (self.t, self.x.copy(), self.v.copy())
-
     def __repr__(self):
         return f"PhasePoint(t={self.t!r}, x={self.x.tolist()!r}, v={self.v.tolist()!r})"
 

@@ -37,9 +37,10 @@ __all__ = [
 class TrajectoryFamily:
     """Endpoint-linear trajectory family for a fixed time gap T = t1 - t0.
 
-    A(r), B(r) are 2d x 2d; (x(r), v(r)) = A(r) (x1, v1) + B(r) (x0, v0)
-    and t(r) = t0 + T r.  with_gap rebuilds the family for another gap
-    (needed to differentiate in the t1 endpoint).
+    (x(r), v(r)) = A(r) (x1, v1) + B(r) (x0, v0) and t(r) = t0 + T r.
+    A(r) and B(r) take a scalar or an array of r and return an array of
+    shape np.shape(r) + (2d, 2d); a result without the r axes (one matrix
+    for every r) is broadcast over them.
     """
 
     name: str
@@ -47,10 +48,6 @@ class TrajectoryFamily:
     d: int
     A: callable
     B: callable
-    with_gap: callable
-
-    def gamma_t(self, r, t0: float = 0.0):
-        return t0 + self.T * np.asarray(r, dtype=float)
 
 
 def _as_dvec(u, d):
@@ -76,17 +73,34 @@ def _endpoints(endpoints, fam):
     return float(t0), _as_dvec(x0, d), _as_dvec(v0, d), _as_dvec(x1, d), _as_dvec(v1, d)
 
 
+def _matrices(M, r, d):
+    """M(r) as an array of shape np.shape(r) + (2d, 2d)."""
+    return np.broadcast_to(M(r), np.shape(r) + (2 * d, 2 * d))
+
+
+def _gamma_xv(fam, r, x0, v0, x1, v1):
+    """(x, v) of gamma at r, each of shape np.shape(r) + (d,)."""
+    d = fam.d
+    xv = _matrices(fam.A, r, d) @ np.concatenate([x1, v1])
+    xv += _matrices(fam.B, r, d) @ np.concatenate([x0, v0])
+    return xv[..., :d], xv[..., d:]
+
+
 def eval_trajectory(fam: TrajectoryFamily, r: float, endpoints) -> PhasePoint:
     """gamma(r) for endpoints ((t0,x0,v0), (t1,x1,v1)); r must be in [0,1]."""
     r = float(r)
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"parameter r={r} outside [0, 1]")
     t0, x0, v0, x1, v1 = _endpoints(endpoints, fam)
-    end1 = np.concatenate([x1, v1])
-    end0 = np.concatenate([x0, v0])
-    xv = fam.A(r) @ end1 + fam.B(r) @ end0
-    d = fam.d
-    return PhasePoint(t=t0 + fam.T * r, x=xv[:d], v=xv[d:])
+    x, v = _gamma_xv(fam, r, x0, v0, x1, v1)
+    return PhasePoint(t=t0 + fam.T * r, x=x, v=v)
+
+
+def _kron_eye(m00, m01, m10, m11, d):
+    """kron([[m00, m01], [m10, m11]], I_d) for every r: shape r.shape + (2d, 2d)."""
+    m = np.stack([np.stack([m00, m01], -1), np.stack([m10, m11], -1)], -2)
+    out = m[..., :, None, :, None] * np.eye(d)[:, None, :]
+    return out.reshape(m.shape[:-2] + (2 * d, 2 * d))
 
 
 def straight_family(T: float, d: int = 1) -> TrajectoryFamily:
@@ -99,31 +113,24 @@ def straight_family(T: float, d: int = 1) -> TrajectoryFamily:
     T = float(T)
     if T == 0.0:
         raise ValueError("time gap T must be nonzero")
-    eye = np.eye(d)
 
     def A(r):
-        r = float(r)
-        m = np.array(
-            [
-                [3 * r**2 - 2 * r**3, T * (r**3 - r**2)],
-                [(6.0 / T) * (r - r**2), 3 * r**2 - 2 * r],
-            ]
+        r = np.asarray(r, dtype=float)
+        return _kron_eye(
+            3 * r**2 - 2 * r**3, T * (r**3 - r**2), (6.0 / T) * (r - r**2), 3 * r**2 - 2 * r, d
         )
-        return np.kron(m, eye)
 
     def B(r):
-        r = float(r)
-        m = np.array(
-            [
-                [1 - 3 * r**2 + 2 * r**3, T * (r - 2 * r**2 + r**3)],
-                [-(6.0 / T) * (r - r**2), 1 - 4 * r + 3 * r**2],
-            ]
+        r = np.asarray(r, dtype=float)
+        return _kron_eye(
+            1 - 3 * r**2 + 2 * r**3,
+            T * (r - 2 * r**2 + r**3),
+            -(6.0 / T) * (r - r**2),
+            1 - 4 * r + 3 * r**2,
+            d,
         )
-        return np.kron(m, eye)
 
-    return TrajectoryFamily(
-        name="straight", T=T, d=d, A=A, B=B, with_gap=lambda T2: straight_family(T2, d)
-    )
+    return TrajectoryFamily(name="straight", T=T, d=d, A=A, B=B)
 
 
 def _osc_coeffs(beta: float, kappa: float, T: float):
@@ -157,12 +164,13 @@ def log_oscillatory_family(T: float, d: int = 1, beta: float = 2.0, kappa: float
     if beta == 0.0:
         raise ValueError("beta must be nonzero for the oscillatory modes to span")
     solve, z = _osc_coeffs(beta, kappa, T)
-    eye = np.eye(d)
 
-    def scalar_xv(r, x0, v0, x1, v1):
+    def entries(r, x0, v0, x1, v1):
+        # (x, v) at every r for scalar endpoints; r = 0 gives (x0, v0)
         b, c, e = solve(x0, v0, x1, v1)
-        if r == 0.0:
-            return x0, v0
+        r = np.asarray(r, dtype=float)
+        at0 = r == 0.0
+        r = np.where(at0, 1.0, r)
         lr = np.log(r)
         root = np.sqrt(r)
         p = root * np.cos(beta * lr)
@@ -170,31 +178,23 @@ def log_oscillatory_family(T: float, d: int = 1, beta: float = 2.0, kappa: float
         big = r * root * np.exp(1j * beta * lr) / z  # P + iQ
         gv = v0 + b * p + c * q + e * r
         gx = x0 + T * (v0 * r + b * big.real + c * big.imag + 0.5 * e * r**2)
-        return gx, gv
+        return np.where(at0, x0, gx), np.where(at0, v0, gv)
 
-    def block(r, which):
-        cols = []
-        for unit in ((1.0, 0.0), (0.0, 1.0)):
-            if which == "A":
-                gx, gv = scalar_xv(r, 0.0, 0.0, unit[0], unit[1])
-            else:
-                gx, gv = scalar_xv(r, unit[0], unit[1], 0.0, 0.0)
-            cols.append((gx, gv))
-        m = np.array([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
-        return np.kron(m, eye)
+    def A(r):
+        (x_x, v_x), (x_v, v_v) = entries(r, 0.0, 0.0, 1.0, 0.0), entries(r, 0.0, 0.0, 0.0, 1.0)
+        return _kron_eye(x_x, x_v, v_x, v_v, d)
 
-    fam = TrajectoryFamily(
-        name=f"log-oscillatory(beta={beta}, kappa={kappa})",
-        T=T,
-        d=d,
-        A=lambda r: block(float(r), "A"),
-        B=lambda r: block(float(r), "B"),
-        with_gap=lambda T2: log_oscillatory_family(T2, d, beta, kappa),
-    )
-    return fam
+    def B(r):
+        (x_x, v_x), (x_v, v_v) = entries(r, 1.0, 0.0, 0.0, 0.0), entries(r, 0.0, 1.0, 0.0, 0.0)
+        return _kron_eye(x_x, x_v, v_x, v_v, d)
+
+    return TrajectoryFamily(name=f"log-oscillatory(beta={beta}, kappa={kappa})", T=T, d=d, A=A, B=B)
 
 
 def default_r_grid(n: int = 1024, r_min: float = 1e-6) -> np.ndarray:
+    """n log-spaced points from r_min to 1; the slopes are fitted on r <= 1e-2."""
+    if n < 64 or not 0.0 < r_min < 1e-2:
+        raise ValueError(f"need >= 64 grid points from r_min in (0, 1e-2), got {n} from {r_min}")
     return np.geomspace(r_min, 1.0, n)
 
 
@@ -286,13 +286,6 @@ def _sample_endpoints(fam, seed=12345, n=8):
     return pairs
 
 
-def _gamma_xv(fam, r, x0, v0, x1, v1):
-    end1 = np.concatenate([x1, v1])
-    end0 = np.concatenate([x0, v0])
-    xv = fam.A(r) @ end1 + fam.B(r) @ end0
-    return xv[: fam.d], xv[fam.d :]
-
-
 def check_properties(
     fam: TrajectoryFamily,
     tolerances: CheckTolerances | None = None,
@@ -315,28 +308,19 @@ def check_properties(
     d = fam.d
     warnings_list = []
 
-    det_A = np.empty(r_grid.size)
+    A = _matrices(fam.A, r_grid, d)
+    det_A = np.linalg.det(A)
+    det_B = np.linalg.det(_matrices(fam.B, r_grid, d))
     inv_col = np.full(r_grid.size, np.nan)
-    det_B = np.empty(r_grid.size)
-    for i, r in enumerate(r_grid):
-        Ar = fam.A(r)
-        det_A[i] = np.linalg.det(Ar)
-        det_B[i] = np.linalg.det(fam.B(r))
-        if abs(det_A[i]) > 1e-300:
-            inv = np.linalg.inv(Ar)
-            inv_col[i] = np.linalg.norm(inv[:, d:])
-        else:
-            warnings_list.append(f"A(r) singular at r={r:.3e}")
+    regular = np.abs(det_A) > 1e-300
+    inv_col[regular] = np.linalg.norm(np.linalg.inv(A[regular])[..., d:], axis=(-2, -1))
+    warnings_list.extend(f"A(r) singular at r={r:.3e}" for r in r_grid[~regular])
 
     # endpoint matrix conditions
-    a_ends = max(
-        float(np.abs(fam.A(0.0)).max()),
-        float(np.abs(fam.A(1.0) - np.eye(2 * d)).max()),
-    )
-    b_ends = max(
-        float(np.abs(fam.B(0.0) - np.eye(2 * d)).max()),
-        float(np.abs(fam.B(1.0)).max()),
-    )
+    ends = np.array([0.0, 1.0])
+    A01, B01 = _matrices(fam.A, ends, d), _matrices(fam.B, ends, d)
+    a_ends = max(float(np.abs(A01[0]).max()), float(np.abs(A01[1] - np.eye(2 * d)).max()))
+    b_ends = max(float(np.abs(B01[0] - np.eye(2 * d)).max()), float(np.abs(B01[1]).max()))
 
     pairs = _sample_endpoints(fam, seed=endpoint_seed)
     t0 = 0.0
@@ -360,29 +344,25 @@ def check_properties(
     kin = 0.0
     kin_int = 0.0
     eps = np.finfo(float).eps
-    interior = r_grid[(r_grid > 0) & (r_grid < 1)]
+    interior = r_grid[r_grid < 1]
+    h = np.minimum(np.minimum(np.cbrt(eps * interior), 0.5 * interior), 0.5 * (1.0 - interior))
+    mid = 0.5 * (r_grid[:-1] + r_grid[1:])
+    width = (r_grid[1:] - r_grid[:-1])[:, None]
     for (x0, v0), (x1, v1) in pairs[:3]:
-        for r in interior:
-            h = min(float(np.cbrt(eps * r)), 0.5 * r, 0.5 * (1.0 - r))
-            if h <= 0:
-                continue
-            xp, _ = _gamma_xv(fam, r + h, x0, v0, x1, v1)
-            xm, _ = _gamma_xv(fam, r - h, x0, v0, x1, v1)
-            _, vc = _gamma_xv(fam, r, x0, v0, x1, v1)
-            resid = np.linalg.norm((xp - xm) / (2 * h) - fam.T * vc)
-            kin = max(kin, float(resid))
-        ga = [_gamma_xv(fam, r, x0, v0, x1, v1) for r in r_grid]
-        for i in range(r_grid.size - 1):
-            a, b = r_grid[i], r_grid[i + 1]
-            _, vm_ = _gamma_xv(fam, 0.5 * (a + b), x0, v0, x1, v1)
-            quad = (b - a) / 6.0 * (ga[i][1] + 4.0 * vm_ + ga[i + 1][1])
-            resid = np.linalg.norm(ga[i + 1][0] - ga[i][0] - fam.T * quad)
-            kin_int = max(kin_int, float(resid))
+        xp, _ = _gamma_xv(fam, interior + h, x0, v0, x1, v1)
+        xm, _ = _gamma_xv(fam, interior - h, x0, v0, x1, v1)
+        _, vc = _gamma_xv(fam, interior, x0, v0, x1, v1)
+        resid = np.linalg.norm((xp - xm) / (2 * h[:, None]) - fam.T * vc, axis=-1)
+        kin = max(kin, float(resid.max(initial=0.0)))
+        gx, gv = _gamma_xv(fam, r_grid, x0, v0, x1, v1)
+        _, vm = _gamma_xv(fam, mid, x0, v0, x1, v1)
+        quad = width / 6.0 * (gv[:-1] + 4.0 * vm + gv[1:])
+        resid = np.linalg.norm(gx[1:] - gx[:-1] - fam.T * quad, axis=-1)
+        kin_int = max(kin_int, float(resid.max()))
 
     # asymptotic slopes on r <= 1e-2
     small = r_grid <= 1e-2
-    logr = np.log(r_grid[small])
-    ok_a = small & (np.abs(det_A) > 1e-300)
+    ok_a = small & regular
     det_slope = _fit_slope(np.log(r_grid[ok_a]), np.log(np.abs(det_A[ok_a])))
     ok_i = small & np.isfinite(inv_col) & (inv_col > 0)
     inv_slope = _fit_slope(np.log(r_grid[ok_i]), np.log(inv_col[ok_i]))
@@ -418,40 +398,35 @@ def check_properties(
     # the three property-(4) bounds: measured constants are sup ratios,
     # and the sup must not diverge as r -> 0 (slope of the running ratio)
     names = ("x_about_transport", "v_about_v0", "v_rate")
-    sups = {n: 0.0 for n in names}
     ratios = {n: np.zeros(r_grid.size) for n in names}
     absT = abs(fam.T)
+    # h = 0 only at r = 1, where vp - vm is exactly 0
+    h = np.minimum(np.minimum(1e-5, 0.5 * r_grid), 0.5 * (1.0 - r_grid))
+    h_div = np.where(h > 0, h, 1.0)[:, None]
+    root = np.sqrt(r_grid)
     for (x0s, v0s), (x1s, v1s) in pairs:
         sx = float(np.linalg.norm(x0s) + np.linalg.norm(x1s))
         sv = float(np.linalg.norm(v0s) + np.linalg.norm(v1s))
         if sx + sv == 0.0:
             continue
-        for i, r in enumerate(r_grid):
-            gx, gv = _gamma_xv(fam, r, x0s, v0s, x1s, v1s)
-            h = min(1e-5, 0.5 * r, 0.5 * (1.0 - r))
-            if h > 0:
-                _, vp = _gamma_xv(fam, r + h, x0s, v0s, x1s, v1s)
-                _, vm = _gamma_xv(fam, r - h, x0s, v0s, x1s, v1s)
-                vdot = float(np.linalg.norm((vp - vm) / (2 * h)))
-            else:
-                vdot = 0.0
-            lhs = {
-                "x_about_transport": float(
-                    np.linalg.norm(gx - x0s - r * fam.T * v0s)
-                ),
-                "v_about_v0": float(np.linalg.norm(gv - v0s)),
-                "v_rate": vdot,
-            }
-            rhs = {
-                "x_about_transport": sx * r**1.5 + absT * r**1.5 * sv,
-                "v_about_v0": (sx / absT) * np.sqrt(r) + sv * np.sqrt(r),
-                "v_rate": (sx / absT) / np.sqrt(r) + sv / np.sqrt(r),
-            }
-            for n in names:
-                if rhs[n] > 0:
-                    q = lhs[n] / rhs[n]
-                    ratios[n][i] = max(ratios[n][i], q)
-                    sups[n] = max(sups[n], q)
+        gx, gv = _gamma_xv(fam, r_grid, x0s, v0s, x1s, v1s)
+        _, vp = _gamma_xv(fam, r_grid + h, x0s, v0s, x1s, v1s)
+        _, vm = _gamma_xv(fam, r_grid - h, x0s, v0s, x1s, v1s)
+        lhs = {
+            "x_about_transport": np.linalg.norm(
+                gx - x0s - r_grid[:, None] * fam.T * v0s, axis=-1
+            ),
+            "v_about_v0": np.linalg.norm(gv - v0s, axis=-1),
+            "v_rate": np.linalg.norm((vp - vm) / (2 * h_div), axis=-1),
+        }
+        rhs = {
+            "x_about_transport": sx * r_grid**1.5 + absT * r_grid**1.5 * sv,
+            "v_about_v0": (sx / absT) * root + sv * root,
+            "v_rate": (sx / absT) / root + sv / root,
+        }
+        for n in names:
+            ratios[n] = np.fmax(ratios[n], lhs[n] / rhs[n])
+    sups = {n: float(ratios[n].max()) for n in names}
 
     margin_slopes = {}
     for n in names:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kolkit import solver
 from kolkit.cli import main
 
 BASE_GRID = {"Lx": 4.5, "Lv": 6.5, "Nx": 32, "Nv": 32}
@@ -130,8 +131,13 @@ class TestConfigErrors:
         assert "field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["level-set", "g-bound"])
-    def test_box_smaller_than_weight_is_config_error(self, tmp_path, capsys, command):
-        # a 3 x 3 box cannot hold the weight ball of radius 4 (nash_g.DomainError)
+    def test_box_smaller_than_weight_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # a 3 x 3 box cannot hold the weight ball of radius 4 (nash_g.DomainError),
+        # and the command says so before it runs any member's kernel
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("estimate_kernel ran before the weight was checked")
+
+        monkeypatch.setattr(solver, "estimate_kernel", no_kernel)
         cfg = {
             "grid": {"Lx": 1.5, "Lv": 1.5, "Nx": 64, "Nv": 64},
             "solver": {"dt": 1.0 / 32, "w0_cells": 2.0, "tail_tol": 1.0},
@@ -142,6 +148,32 @@ class TestConfigErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "radius 4.0" in err
+        assert not (outdir / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg, named",
+        [
+            ("g-bound", {"weight_radius": 2.0}, "weight_radius"),
+            ("level-set", {"weight_radius": 2.0}, "weight_radius"),
+            ("chain", {"Xbar": [0.0], "Vbar": [1.0], "rho0": 2.0}, "rho0"),
+            ("trajectories", {"family": "straight", "r_points": 32}, "r_points"),
+            ("trajectories", {"family": "straight", "r_min": 2.0}, "r_min"),
+        ],
+        ids=["g-bound", "level-set", "chain", "trajectories-r_points", "trajectories-r_min"],
+    )
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, cfg, named):
+        # each value is rejected by a library constructor with a ValueError
+        if command in ("g-bound", "level-set"):
+            cfg = {
+                "grid": dict(BASE_GRID),
+                "solver": dict(BASE_SOLVER),
+                "ensemble": [{"kind": "constant", "params": {"value": 1.0}}],
+                **cfg,
+            }
+        code, outdir = run(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
         assert not (outdir / "summary.json").exists()
 
 

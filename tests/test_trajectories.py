@@ -1,9 +1,11 @@
 """Endpoint-linear trajectory families and their measured properties."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kolkit.trajectories import (
     CheckTolerances,
@@ -58,10 +60,67 @@ class TestEvalTrajectory:
         with pytest.raises(ValueError, match="gap"):
             eval_trajectory(STRAIGHT, 0.5, ((0.0, 0.0, 0.0), (2.0, 0.0, 1.0)))
 
-    def test_with_gap_rebuilds(self):
-        fam2 = STRAIGHT.with_gap(2.0)
-        assert fam2.T == 2.0
-        eval_trajectory(fam2, 0.5, ((0.0, 0.0, 0.0), (2.0, 0.0, 1.0)))
+
+FAMILIES = {
+    "straight": lambda T, d, beta, kappa: straight_family(T, d),
+    "log-oscillatory": lambda T, d, beta, kappa: log_oscillatory_family(T, d, beta, kappa),
+}
+
+
+class TestArrayContract:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        T=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+        beta=st.floats(0.1, 8.0) | st.floats(-8.0, -0.1),
+        kappa=st.floats(-2.0, 2.0),
+        inner=st.lists(st.floats(0.0, 1.0), max_size=12),
+    )
+    def test_stack_is_kron_of_scalar_matrices(self, d, T, beta, kappa, inner):
+        # r-arrays always carry both ends, r = 0 and r = 1
+        rs = np.array([0.0, *inner, 1.0])
+        for make in FAMILIES.values():
+            fam_d, fam_1 = make(T, d, beta, kappa), make(T, 1, beta, kappa)
+            for M_d, M_1 in ((fam_d.A, fam_1.A), (fam_d.B, fam_1.B)):
+                stack = M_d(rs)
+                assert stack.shape == rs.shape + (2 * d, 2 * d)
+                assert M_d(rs.reshape(1, -1)).shape == (1, rs.size, 2 * d, 2 * d)
+                for i, r in enumerate(rs):
+                    np.testing.assert_array_equal(stack[i], np.kron(M_1(r), np.eye(d)))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_calls_do_not_grow_with_the_grid(self, name):
+        fam = FAMILIES[name](1.0, 1, 2.0, 1.0)
+        counts = []
+        for n in (256, 1024):
+            calls = [0]
+
+            def counted(M):
+                def wrapped(r):
+                    calls[0] += 1
+                    return M(r)
+
+                return wrapped
+
+            check_properties(
+                dataclasses.replace(fam, A=counted(fam.A), B=counted(fam.B)),
+                r_grid=default_r_grid(n),
+            )
+            counts.append(calls[0])
+        assert counts[0] == counts[1] <= 200
+
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_curves_match_a_per_r_loop(self, name):
+        fam = FAMILIES[name](1.3, 2, 3.0, 0.5)
+        grid = default_r_grid(128)
+        rep = check_properties(fam, r_grid=grid)
+        det_A = [np.linalg.det(fam.A(r)) for r in grid]
+        det_B = [np.linalg.det(fam.B(r)) for r in grid]
+        inv_col = [np.linalg.norm(np.linalg.inv(fam.A(r))[:, 2:]) for r in grid]
+        np.testing.assert_allclose(rep.curves["det_A"], det_A, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rep.curves["det_B"], det_B, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rep.curves["inv_column_norm"], inv_col, rtol=1e-13, atol=0)
 
 
 class TestStraightFamily:
@@ -160,6 +219,12 @@ class TestCheckPlumbing:
         assert g[-1] == 1.0
         assert np.all(np.diff(g) > 0)
 
+    @pytest.mark.parametrize("n, r_min", [(32, 1e-6), (64, 0.0), (64, 0.05), (64, 2.0)])
+    def test_default_r_grid_rejects_out_of_range(self, n, r_min):
+        # r_min >= 1e-2 would leave the slope fits without points
+        with pytest.raises(ValueError, match="r_min"):
+            default_r_grid(n, r_min)
+
     def test_report_serializes(self, straight_report, tmp_path):
         d = json.loads(straight_report.to_json())
         assert d["family"] == "straight"
@@ -177,7 +242,6 @@ class TestCheckPlumbing:
             d=1,
             A=lambda r: np.zeros((2, 2)),
             B=lambda r: np.eye(2),
-            with_gap=lambda T2: None,
         )
         rep = check_properties(dead, r_grid=default_r_grid(128))
         assert rep.warnings  # singular A recorded, not raised
