@@ -91,24 +91,22 @@ class TestArrayContract:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_calls_do_not_grow_with_the_grid(self, name):
         fam = FAMILIES[name](1.0, 1, 2.0, 1.0)
+        calls = []
+
+        def counted(M):
+            def wrapped(r):
+                calls.append(r)
+                return M(r)
+
+            return wrapped
+
+        counted_fam = dataclasses.replace(fam, A=counted(fam.A), B=counted(fam.B))
         counts = []
         for n in (256, 1024):
-            calls = [0]
-
-            def counted(M):
-                def wrapped(r):
-                    calls[0] += 1
-                    return M(r)
-
-                return wrapped
-
-            check_properties(
-                dataclasses.replace(fam, A=counted(fam.A), B=counted(fam.B)),
-                r_grid=default_r_grid(n),
-            )
-            counts.append(calls[0])
+            calls.clear()
+            check_properties(counted_fam, r_grid=default_r_grid(n))
+            counts.append(len(calls))
         assert counts[0] == counts[1] <= 200
-
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_curves_match_a_per_r_loop(self, name):
