@@ -219,9 +219,11 @@ def fit_envelope(samples, d: int) -> FitReport:
     if C1_up <= 0 or c1_low <= 0:
         raise FitError(f"fitted decay rates must be positive, got upper {C1_up}, lower {c1_low}")
 
-    # amplitudes that bracket every sample with the chosen rates
-    C0_up = float(np.max(vals * taus ** (2 * d) * np.exp(C1_up * E)))
-    c0_low = float(np.min(vals * taus ** (2 * d) * np.exp(c1_low * E)))
+    # amplitudes that bracket every sample with the chosen rates, with 1e-12
+    # headroom: upper_/lower_profile re-evaluate the binding sample in another
+    # order, which can land it 1-2 ulp outside its curve
+    C0_up = float(np.max(vals * taus ** (2 * d) * np.exp(C1_up * E))) * (1.0 + 1e-12)
+    c0_low = float(np.min(vals * taus ** (2 * d) * np.exp(c1_low * E))) * (1.0 - 1e-12)
 
     constants = ProfileConstants(C0_up=C0_up, C1_up=C1_up, c0_low=c0_low, c1_low=c1_low)
     return FitReport(

@@ -5,9 +5,11 @@ transport in x, half-step diffusion.  Transport uses a flux-form piecewise
 parabolic reconstruction with the classic monotonicity limiter, so mass is
 conserved to rounding and nonnegativity is preserved under the CFL bound
 dt <= dx / Lv.  Diffusion is backward Euler in flux form with harmonic-mean
-interface coefficients (the standard choice for discontinuous a); the
-tridiagonal systems are an M-matrix, so the solve also preserves sign and
-column sums.  x is periodic, v has zero-flux walls.
+interface coefficients (the standard choice for discontinuous a).  The
+tridiagonal system is a symmetric, strictly diagonally dominant M-matrix;
+LAPACK gttrf never pivots on it (checked), so its elimination is Thomas's,
+and the solve preserves sign and column sums.  x is periodic, v has
+zero-flux walls.
 
 Stepping is single-threaded and bit-deterministic for a fixed grid, config
 and coefficient seed.
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import CoefficientField, dilated_field
 
@@ -209,46 +212,19 @@ def _coefficient_on_grid(field: CoefficientField, t: float, grid: Grid) -> np.nd
     return vals
 
 
-class _TridiagFactor:
-    """Thomas factorization of rows (lower, diag, upper), vectorized over x."""
-
-    def __init__(self, lower, diag, upper):
-        nv = diag.shape[1]
-        cp = np.empty_like(diag)
-        inv = np.empty_like(diag)
-        inv[:, 0] = 1.0 / diag[:, 0]
-        cp[:, 0] = upper[:, 0] * inv[:, 0]
-        for j in range(1, nv):
-            denom = diag[:, j] - lower[:, j] * cp[:, j - 1]
-            inv[:, j] = 1.0 / denom
-            cp[:, j] = upper[:, j] * inv[:, j]
-        self.cp = cp
-        self.inv = inv
-        self.lower = lower
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        nv = rhs.shape[1]
-        g = np.empty_like(rhs)
-        g[:, 0] = rhs[:, 0] * self.inv[:, 0]
-        for j in range(1, nv):
-            g[:, j] = (rhs[:, j] - self.lower[:, j] * g[:, j - 1]) * self.inv[:, j]
-        out = np.empty_like(rhs)
-        out[:, nv - 1] = g[:, nv - 1]
-        for j in range(nv - 2, -1, -1):
-            out[:, j] = g[:, j] - self.cp[:, j] * out[:, j + 1]
-        return out
-
-
-def _diffusion_factor(field: CoefficientField, t_sub: float, grid: Grid, dt_half: float) -> _TridiagFactor:
+def _diffusion_factor(field: CoefficientField, t_sub: float, grid: Grid, dt_half: float) -> tuple:
+    """gttrf factors of the x-major flattened system; the v-walls decouple its x-rows."""
     a = _coefficient_on_grid(field, t_sub, grid)
     ah = np.zeros((grid.Nx, grid.Nv + 1))
     al, ar = a[:, :-1], a[:, 1:]
     ah[:, 1:-1] = 2.0 * al * ar / (al + ar)
     mu = dt_half / grid.dv**2
-    lower = -mu * ah[:, :-1]
-    upper = -mu * ah[:, 1:]
-    diag = 1.0 - lower - upper
-    return _TridiagFactor(lower, diag, upper)
+    off = -mu * ah[:, 1:].ravel()[:-1]
+    diag = (1.0 + mu * ah[:, :-1] + mu * ah[:, 1:]).ravel()
+    *lu, ipiv, info = dgttrf(off, diag, off)
+    if info != 0 or np.any(ipiv != np.arange(1, ipiv.size + 1)):
+        raise SolverError(f"diffusion factorization pivoted or failed at t={t_sub} (info={info})")
+    return (*lu, ipiv)
 
 
 class _FactorCache:
@@ -265,14 +241,16 @@ class _FactorCache:
         self.grid = grid
         self.dt_half = dt_half
         self._key = None
-        self._factor = None
+        self._lu = None
 
-    def get(self, t_sub: float) -> _TridiagFactor:
+    def solve(self, t_sub: float, rhs: np.ndarray) -> np.ndarray:
+        """Backward-Euler diffusion of rhs with the coefficient frozen at t_sub."""
         key = self.field.time_key(t_sub)
         if key is None or key != self._key:
-            self._factor = _diffusion_factor(self.field, t_sub, self.grid, self.dt_half)
+            self._lu = _diffusion_factor(self.field, t_sub, self.grid, self.dt_half)
             self._key = key
-        return self._factor
+        x, _ = dgttrs(*self._lu, rhs.reshape(-1, 1))
+        return x.reshape(rhs.shape)
 
 
 def _transport_ppm(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
@@ -337,7 +315,7 @@ def step(
     if factors is None:
         factors = _FactorCache(field, grid, 0.5 * dt)
 
-    f = factors.get(t + 0.25 * dt).solve(state.values)
+    f = factors.solve(t + 0.25 * dt, state.values)
 
     courant = (grid.v_centers * (dt / grid.dx))[None, :]
     if config.transport_order == 3:
@@ -346,7 +324,7 @@ def step(
         f = _transport_upwind(f, courant)
     np.maximum(f, 0.0, out=f)
 
-    f = factors.get(t + 0.75 * dt).solve(f)
+    f = factors.solve(t + 0.75 * dt, f)
     if not np.all(np.isfinite(f)):
         raise SolverError(f"non-finite values after step at t={t}")
     return Field(f, t + dt, grid)
@@ -499,8 +477,15 @@ def diagnostics(f: Field) -> dict:
 
 
 def remollify(f: Field, w0_cells: float) -> Field:
-    """Gaussian smoothing by w0_cells grid cells; wrap in x, clamp in v."""
-    vals = gaussian_filter(f.values, sigma=(w0_cells, w0_cells), mode=("wrap", "constant"))
+    """Gaussian smoothing by w0_cells grid cells (scipy.ndimage.gaussian_filter's
+    kernel, cut at 4 sigma); wrap in x, zero beyond the v-walls."""
+    radius = int(4.0 * w0_cells + 0.5)
+    k = np.exp(-0.5 / w0_cells**2 * np.arange(-radius, radius + 1) ** 2)
+    k /= k.sum()
+    vals = np.pad(f.values, ((radius, radius), (0, 0)), mode="wrap")
+    vals = sliding_window_view(vals, k.size, axis=0) @ k
+    vals = np.pad(vals, ((0, 0), (radius, radius)))
+    vals = sliding_window_view(vals, k.size, axis=1) @ k
     return Field(vals, f.t, f.grid)
 
 

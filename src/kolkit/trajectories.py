@@ -191,11 +191,22 @@ def log_oscillatory_family(T: float, d: int = 1, beta: float = 2.0, kappa: float
     return TrajectoryFamily(name=f"log-oscillatory(beta={beta}, kappa={kappa})", T=T, d=d, A=A, B=B)
 
 
+def _check_r_grid(r_grid: np.ndarray) -> np.ndarray:
+    # slopes are fitted on r <= 1e-2 and on each half of it: >= 8 points each
+    n_fit = int(np.count_nonzero(r_grid <= 1e-2))
+    if r_grid.size < 64 or r_grid.min() <= 0 or r_grid.max() > 1 or n_fit < 16:
+        raise ValueError(
+            f"need >= 64 grid points inside (0, 1], >= 16 in the fit range r <= 1e-2 "
+            f"(raise n or lower r_min), got {r_grid.size}, {n_fit} in the fit range"
+        )
+    return r_grid
+
+
 def default_r_grid(n: int = 1024, r_min: float = 1e-6) -> np.ndarray:
     """n log-spaced points from r_min to 1; the slopes are fitted on r <= 1e-2."""
-    if n < 64 or not 0.0 < r_min < 1e-2:
-        raise ValueError(f"need >= 64 grid points from r_min in (0, 1e-2), got {n} from {r_min}")
-    return np.geomspace(r_min, 1.0, n)
+    if not 0.0 < r_min < 1e-2:
+        raise ValueError(f"need r_min in (0, 1e-2), got {r_min}")
+    return _check_r_grid(np.geomspace(r_min, 1.0, n))
 
 
 @dataclass(frozen=True)
@@ -302,9 +313,7 @@ def check_properties(
     Singular matrices on the grid are recorded as warnings, not raised.
     """
     tol = tolerances or CheckTolerances()
-    r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    if r_grid.size < 64 or r_grid.min() <= 0 or r_grid.max() > 1:
-        raise ValueError("need >= 64 grid points inside (0, 1]")
+    r_grid = default_r_grid() if r_grid is None else _check_r_grid(np.asarray(r_grid, dtype=float))
     d = fam.d
     warnings_list = []
 

@@ -158,8 +158,16 @@ class TestConfigErrors:
             ("chain", {"Xbar": [0.0], "Vbar": [1.0], "rho0": 2.0}, "rho0"),
             ("trajectories", {"family": "straight", "r_points": 32}, "r_points"),
             ("trajectories", {"family": "straight", "r_min": 2.0}, "r_min"),
+            ("trajectories", {"family": "straight", "r_points": 64, "r_min": 0.009}, "r_min"),
         ],
-        ids=["g-bound", "level-set", "chain", "trajectories-r_points", "trajectories-r_min"],
+        ids=[
+            "g-bound",
+            "level-set",
+            "chain",
+            "trajectories-r_points",
+            "trajectories-r_min",
+            "trajectories-fit-range",
+        ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, cfg, named):
         # each value is rejected by a library constructor with a ValueError

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kolkit.phase_geometry import NormalizedGap, PhasePoint, normalize_gap
 from kolkit.profiles import (
@@ -163,6 +164,29 @@ class TestFitEnvelope:
             lo = lower_profile(rep.constants, g)
             hi = upper_profile(rep.constants, g)
             assert lo * (1 - 1e-12) <= val <= hi * (1 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sigma2=st.floats(0.5, 2.0),
+        taus=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3),
+        u0=st.floats(0.2, 0.6),
+        n_u=st.integers(3, 6),
+        noise=st.lists(st.floats(-0.05, 0.05), min_size=54, max_size=54),
+    )
+    def test_bracket_is_exact_on_random_samples(self, sigma2, taus, u0, n_u, noise):
+        # no slack: the fit must bracket its own samples as the profiles
+        # evaluate them, to the last bit.  Axis rates are >= 1/sigma2 >= 0.5
+        # over an E spread >= 1.4, so the noise cannot make one negative.
+        samples = []
+        for tau in taus:
+            for u in u0 + 0.5 * np.arange(n_u):
+                X, V = u * tau**1.5, u * np.sqrt(tau)
+                for Xi, Vi in ((X, 0.0), (0.0, V), (X, V)):
+                    val = explicit_kernel_grid(sigma2, tau, Xi, Vi) * np.exp(noise[len(samples)])
+                    samples.append((NormalizedGap.from_raw(tau, Xi, Vi), float(val)))
+        rep = fit_envelope(samples, d=1)
+        for g, val in samples:
+            assert lower_profile(rep.constants, g) <= val <= upper_profile(rep.constants, g)
 
     def test_needs_eight_samples(self):
         with pytest.raises(ValueError):

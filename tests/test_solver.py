@@ -1,14 +1,20 @@
 """Finite-volume solver: validation, conservation, kernel estimates."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.ndimage import gaussian_filter
 
+import kolkit
 from kolkit.coefficients import make_field
 from kolkit.profiles import explicit_kernel_mollified
 from kolkit.solver import (
+    _FactorCache,
     ConfigError,
     Field,
     Grid,
@@ -194,6 +200,61 @@ class TestFactorCache:
         assert builds == changes
 
 
+class TestInvariants:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        nx=st.integers(16, 48),
+        nv=st.integers(16, 48),
+        kind=st.sampled_from(["checkerboard", "random-piecewise"]),
+        seed=st.integers(0, 2**31 - 1),
+        cells=st.tuples(st.floats(0.005, 0.5), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+        order=st.sampled_from([1, 3]),
+        cfl=st.floats(0.1, 1.0),
+        n_steps=st.integers(1, 8),
+    )
+    def test_random_grids_and_fields(self, nx, nv, kind, seed, cells, order, cfl, n_steps):
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
+        config = SolverConfig(dt=cfl * grid.dx / grid.Lv, transport_order=order)
+        rough = make_field(kind, {"cells": cells, "random_origin": True}, seed=seed)
+        state = init_delta((0.0, 0.0), (2 * grid.dx, 2 * grid.dv), grid)
+
+        # the factored solve against dense per-x-row backward-Euler matrices
+        t_sub = 0.25 * config.dt
+        a = np.broadcast_to(rough.value(t_sub, *grid.meshes()), (nx, nv))
+        ah = 2.0 * a[:, :-1] * a[:, 1:] / (a[:, :-1] + a[:, 1:])
+        mu = 0.5 * config.dt / grid.dv**2
+        j = np.arange(nv)
+        dense = np.zeros((nx, nv, nv))
+        dense[:, j, j] = 1.0
+        dense[:, j[:-1], j[:-1]] += mu * ah
+        dense[:, j[1:], j[1:]] += mu * ah
+        dense[:, j[:-1], j[1:]] = dense[:, j[1:], j[:-1]] = -mu * ah
+        rhs = np.random.default_rng(seed).random((nx, nv))
+        want = np.linalg.solve(dense, rhs[..., None])[..., 0]
+        got = _FactorCache(rough, grid, 0.5 * config.dt).solve(t_sub, rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        def run():
+            factors = _FactorCache(rough, grid, 0.5 * config.dt)
+            states = [state]
+            for _ in range(n_steps):
+                states.append(step(states[-1], rough, config, factors))
+            return states[1:]
+
+        first, second = run(), run()
+        for prev, now, again in zip([state] + first, first, second):
+            assert abs(now.mass() - prev.mass()) <= 1e-12
+            assert now.min() >= 0.0
+            assert now.values.tobytes() == again.values.tobytes()
+
+    def test_import_leaves_out_scipy_ndimage(self):
+        # scipy.ndimage adds tens of MB to every process that imports kolkit
+        src = os.path.dirname(os.path.dirname(kolkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, kolkit; sys.exit('scipy.ndimage' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestKernelEstimate:
     def test_peak_matches_exact_constant_solution(self):
         grid = Grid(Lx=4.5, Lv=7.0, Nx=128, Nv=128)
@@ -264,6 +325,17 @@ class TestDiagnosticsAndRemollify:
         f = init_delta((0.0, 0.0), 0.3, g)
         rf = remollify(f, 2.0)
         assert rf.mass() == pytest.approx(f.mass(), abs=1e-9)
+
+    # (16, 16, 5.0) and (16, 24, 9.0) have kernel radii 20 and 36, beyond Nx
+    @pytest.mark.parametrize(
+        "nx, nv, w0_cells", [(64, 48, 2.0), (17, 33, 2.5), (16, 16, 5.0), (16, 24, 9.0)]
+    )
+    def test_remollify_is_gaussian_filter(self, nx, nv, w0_cells):
+        g = Grid(Lx=1.0, Lv=1.0, Nx=nx, Nv=nv)
+        vals = np.random.default_rng(nx * nv).random((nx, nv))
+        want = gaussian_filter(vals, sigma=(w0_cells, w0_cells), mode=("wrap", "constant"))
+        got = remollify(Field(vals, 0.0, g), w0_cells).values
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestChapmanKolmogorov:

@@ -217,11 +217,20 @@ class TestCheckPlumbing:
         assert g[-1] == 1.0
         assert np.all(np.diff(g) > 0)
 
-    @pytest.mark.parametrize("n, r_min", [(32, 1e-6), (64, 0.0), (64, 0.05), (64, 2.0)])
+    @pytest.mark.parametrize(
+        "n, r_min", [(32, 1e-6), (64, 0.0), (64, 0.05), (64, 2.0), (64, 0.009)]
+    )
     def test_default_r_grid_rejects_out_of_range(self, n, r_min):
-        # r_min >= 1e-2 would leave the slope fits without points
+        # r_min >= 1e-2 would leave the slope fits without points, and
+        # (64, 0.009) leaves them 2
         with pytest.raises(ValueError, match="r_min"):
             default_r_grid(n, r_min)
+
+    @pytest.mark.parametrize("r_min", [0.05, 0.2])
+    def test_check_properties_rejects_empty_fit_range(self, r_min):
+        # a caller's grid with no point at r <= 1e-2 has nothing to fit
+        with pytest.raises(ValueError, match="fit range"):
+            check_properties(STRAIGHT, r_grid=np.geomspace(r_min, 1.0, 256))
 
     def test_report_serializes(self, straight_report, tmp_path):
         d = json.loads(straight_report.to_json())
