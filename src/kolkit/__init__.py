@@ -10,171 +10,27 @@ stability, and endpoint-pinned trajectory families with critical endpoint
 sensitivity.
 """
 
-from .phase_geometry import (
-    NormalizedGap,
-    PhasePoint,
-    compose,
-    inverse,
-    normalize_gap,
-    scale_point,
-)
-from .profiles import (
-    EllipticityBounds,
-    FitError,
-    FitReport,
-    ProfileConstants,
-    explicit_kernel,
-    explicit_kernel_grid,
-    explicit_kernel_mollified,
-    fit_envelope,
-    kinetic_exponent,
-    lower_profile,
-    upper_profile,
-)
-from .coefficients import (
-    CoefficientField,
-    EllipticityReport,
-    EllipticityViolation,
-    SamplingSpec,
-    dilated_field,
-    make_field,
-    measure_ellipticity,
-    reversed_flipped_field,
-)
-from .solver import (
-    ConfigError,
-    EvolveResult,
-    Field,
-    Grid,
-    KernelEstimate,
-    SolverConfig,
-    SolverError,
-    chapman_kolmogorov_residual,
-    diagnostics,
-    estimate_kernel,
-    evolve,
-    init_delta,
-    remollify,
-    scaling_identity_residual,
-    step,
-)
-from .nash_g import (
-    DomainError,
-    GWeight,
-    GoodSetMeasures,
-    LevelSetReport,
-    SpaceTimeField,
-    adjoint_kernel_residual,
-    default_s_grid,
-    g_floor_sensitivity,
-    g_functional,
-    good_set_measures,
-    level_set_statistic,
-    log_mean_c,
-    mass_in_ball,
-)
-from .chains import (
-    ChainConstructionError,
-    ChainSpec,
-    NearDiagonalParams,
-    box_volume_factor,
-    build_chain,
-    chain_lower_bound,
-    default_k0,
-    near_diagonal_check,
-    near_diagonal_kernel_min,
-    perturbation_check,
-    validate_chain,
-    verify_chain_against_kernel,
-)
-from .trajectories import (
-    CheckTolerances,
-    PropertyReport,
-    TrajectoryFamily,
-    check_properties,
-    criticality_exponents,
-    default_r_grid,
-    eval_trajectory,
-    log_oscillatory_family,
-    straight_family,
-)
+from .phase_geometry import *
+from .profiles import *
+from .coefficients import *
+from .solver import *
+from .solver import remollify
+from .nash_g import *
+from .chains import *
+from .trajectories import *
+from . import chains, coefficients, nash_g, phase_geometry, profiles, solver, trajectories
 
 __version__ = "0.1.0"
 
+# every module's public names, so the package list cannot drift from theirs
 __all__ = [
-    "PhasePoint",
-    "NormalizedGap",
-    "compose",
-    "inverse",
-    "scale_point",
-    "normalize_gap",
-    "EllipticityBounds",
-    "ProfileConstants",
-    "FitReport",
-    "FitError",
-    "kinetic_exponent",
-    "upper_profile",
-    "lower_profile",
-    "explicit_kernel",
-    "explicit_kernel_grid",
-    "explicit_kernel_mollified",
-    "fit_envelope",
-    "CoefficientField",
-    "EllipticityReport",
-    "EllipticityViolation",
-    "SamplingSpec",
-    "make_field",
-    "measure_ellipticity",
-    "dilated_field",
-    "reversed_flipped_field",
-    "Grid",
-    "Field",
-    "SolverConfig",
-    "ConfigError",
-    "SolverError",
-    "EvolveResult",
-    "KernelEstimate",
-    "init_delta",
-    "step",
-    "evolve",
-    "estimate_kernel",
-    "diagnostics",
+    *phase_geometry.__all__,
+    *profiles.__all__,
+    *coefficients.__all__,
+    *solver.__all__,
     "remollify",
-    "chapman_kolmogorov_residual",
-    "scaling_identity_residual",
-    "DomainError",
-    "GWeight",
-    "GoodSetMeasures",
-    "LevelSetReport",
-    "SpaceTimeField",
-    "g_functional",
-    "g_floor_sensitivity",
-    "log_mean_c",
-    "default_s_grid",
-    "level_set_statistic",
-    "good_set_measures",
-    "mass_in_ball",
-    "adjoint_kernel_residual",
-    "NearDiagonalParams",
-    "ChainSpec",
-    "ChainConstructionError",
-    "default_k0",
-    "near_diagonal_check",
-    "build_chain",
-    "validate_chain",
-    "perturbation_check",
-    "box_volume_factor",
-    "chain_lower_bound",
-    "near_diagonal_kernel_min",
-    "verify_chain_against_kernel",
-    "TrajectoryFamily",
-    "CheckTolerances",
-    "PropertyReport",
-    "straight_family",
-    "log_oscillatory_family",
-    "default_r_grid",
-    "eval_trajectory",
-    "check_properties",
-    "criticality_exponents",
+    *nash_g.__all__,
+    *chains.__all__,
+    *trajectories.__all__,
     "__version__",
 ]

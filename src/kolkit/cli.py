@@ -5,15 +5,17 @@ trajectories | adjoint.  Exit codes: 0 = ran and all requested assertions
 passed, 1 = ran but a verification assertion failed, 2 = config error
 (the diagnostic names the offending field), including an out-of-range
 value and a config that puts a functional outside its domain
-(nash_g.DomainError).  Every summary
-embeds the resolved config; with fixed seeds the summary is byte-stable
-apart from the timestamp field.
+(nash_g.DomainError), 3 = numerical failure (solver.SolverError,
+profiles.FitError), whose summary records the error.  Every summary
+embeds the resolved config and is written atomically; with fixed seeds the
+summary is byte-stable apart from the timestamp field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -376,11 +378,15 @@ def main(argv=None) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    error = None
     try:
         summary, passed = _COMMANDS[args.command](cfg, outdir)
     except (ConfigFileError, solver.ConfigError, nash_g.DomainError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except (solver.SolverError, profiles.FitError) as e:
+        print(f"numerical error: {type(e).__name__}: {e}", file=sys.stderr)
+        summary, passed, error = None, False, {"type": type(e).__name__, "message": str(e)}
 
     doc = {
         "command": args.command,
@@ -389,11 +395,19 @@ def main(argv=None) -> int:
         "summary": summary,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    (outdir / "summary.json").write_text(json.dumps(doc, sort_keys=True, indent=1, default=float))
+    if error is not None:
+        doc["error"] = error
+    # a reader finds the previous summary or the whole new one, never a torn one
+    path = outdir / "summary.json"
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(doc, sort_keys=True, indent=1, default=float))
+    os.replace(tmp, path)
+    if error is not None:
+        return 3
     if not passed:
-        print(f"{args.command}: verification FAILED (see {outdir / 'summary.json'})", file=sys.stderr)
+        print(f"{args.command}: verification FAILED (see {path})", file=sys.stderr)
         return 1
-    print(f"{args.command}: ok ({outdir / 'summary.json'})")
+    print(f"{args.command}: ok ({path})")
     return 0
 
 

@@ -6,10 +6,11 @@ parabolic reconstruction with the classic monotonicity limiter, so mass is
 conserved to rounding and nonnegativity is preserved under the CFL bound
 dt <= dx / Lv.  Diffusion is backward Euler in flux form with harmonic-mean
 interface coefficients (the standard choice for discontinuous a).  The
-tridiagonal system is a symmetric, strictly diagonally dominant M-matrix;
-LAPACK gttrf never pivots on it (checked), so its elimination is Thomas's,
-and the solve preserves sign and column sums.  x is periodic, v has
-zero-flux walls.
+tridiagonal system is symmetric and strictly diagonally dominant with a
+positive diagonal, hence positive definite; LAPACK pttrf factors it as
+L D L^T with d > 0 and off-diagonals of L <= 0, so the substitutions
+preserve sign without any pivoting, and the solve keeps column sums.  x is
+periodic, v has zero-flux walls.
 
 Stepping is single-threaded and bit-deterministic for a fixed grid, config
 and coefficient seed.
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientField, dilated_field
 
@@ -213,7 +214,7 @@ def _coefficient_on_grid(field: CoefficientField, t: float, grid: Grid) -> np.nd
 
 
 def _diffusion_factor(field: CoefficientField, t_sub: float, grid: Grid, dt_half: float) -> tuple:
-    """gttrf factors of the x-major flattened system; the v-walls decouple its x-rows."""
+    """pttrf factor (d, e) of the x-major flattened system; the v-walls decouple its x-rows."""
     a = _coefficient_on_grid(field, t_sub, grid)
     ah = np.zeros((grid.Nx, grid.Nv + 1))
     al, ar = a[:, :-1], a[:, 1:]
@@ -221,10 +222,10 @@ def _diffusion_factor(field: CoefficientField, t_sub: float, grid: Grid, dt_half
     mu = dt_half / grid.dv**2
     off = -mu * ah[:, 1:].ravel()[:-1]
     diag = (1.0 + mu * ah[:, :-1] + mu * ah[:, 1:]).ravel()
-    *lu, ipiv, info = dgttrf(off, diag, off)
-    if info != 0 or np.any(ipiv != np.arange(1, ipiv.size + 1)):
-        raise SolverError(f"diffusion factorization pivoted or failed at t={t_sub} (info={info})")
-    return (*lu, ipiv)
+    d, e, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise SolverError(f"diffusion matrix is not positive definite at t={t_sub} (info={info})")
+    return d, e
 
 
 class _FactorCache:
@@ -241,54 +242,62 @@ class _FactorCache:
         self.grid = grid
         self.dt_half = dt_half
         self._key = None
-        self._lu = None
+        self._ld = None
 
     def solve(self, t_sub: float, rhs: np.ndarray) -> np.ndarray:
         """Backward-Euler diffusion of rhs with the coefficient frozen at t_sub."""
         key = self.field.time_key(t_sub)
         if key is None or key != self._key:
-            self._lu = _diffusion_factor(self.field, t_sub, self.grid, self.dt_half)
+            self._ld = _diffusion_factor(self.field, t_sub, self.grid, self.dt_half)
             self._key = key
-        x, _ = dgttrs(*self._lu, rhs.reshape(-1, 1))
+        x, _ = dpttrs(*self._ld, rhs.reshape(-1, 1))
         return x.reshape(rhs.shape)
 
 
+def _upwind_update(f: np.ndarray, courant: np.ndarray, k: int, right, left) -> np.ndarray:
+    # f - c (F_{i+1/2} - F_{i-1/2}) on Nx+1 periodic faces; `right` is each cell's flux
+    # through its right face (v >= 0 columns [k:]), `left` through its left face ([:k])
+    flux = np.empty((f.shape[0] + 1, f.shape[1]))
+    flux[1:, k:], flux[0, k:] = right, right[-1]
+    flux[:-1, :k], flux[-1, :k] = left, left[0]
+    return f - courant * (flux[1:] - flux[:-1])
+
+
 def _transport_ppm(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
-    fm1 = np.roll(f, 1, axis=0)
-    fm2 = np.roll(f, 2, axis=0)
-    fp1 = np.roll(f, -1, axis=0)
-    e = (7.0 * (fm1 + f) - (fm2 + fp1)) / 12.0
+    # two periodic ghost rows per side; the slices and e run over the faces i - 1/2, i = 0..Nx
+    p = np.concatenate((f[-2:], f, f[:2]))
+    fm2, fm1, f0, fp1 = p[:-3], p[1:-2], p[2:-1], p[3:]
+    e = (7.0 * (fm1 + f0) - (fm2 + fp1)) / 12.0
     # clamping the face value into the adjacent-cell range keeps the
     # reconstruction (and hence the update) nonnegative for |c| <= 1
-    e = np.clip(e, np.minimum(fm1, f), np.maximum(fm1, f))
-    fl = e
-    fr = np.roll(e, -1, axis=0)
+    e = np.clip(e, np.minimum(fm1, f0), np.maximum(fm1, f0))
+    fl, fr = e[:-1], e[1:]
 
     ext = (fr - f) * (f - fl) <= 0.0
     fl = np.where(ext, f, fl)
     fr = np.where(ext, f, fr)
     d = fr - fl
     f6 = 6.0 * (f - 0.5 * (fl + fr))
+    # at an extremum fl = fr = f, so d = 0 and neither overshoot test fires
     over_r = d * f6 > d * d
     over_l = d * f6 < -d * d
-    fl = np.where(over_r & ~ext, 3.0 * f - 2.0 * fr, fl)
-    fr = np.where(over_l & ~ext, 3.0 * f - 2.0 * fl, fr)
+    fl = np.where(over_r, 3.0 * f - 2.0 * fr, fl)
+    fr = np.where(over_l, 3.0 * f - 2.0 * fl, fr)
     d = fr - fl
     f6 = 6.0 * (f - 0.5 * (fl + fr))
 
-    cpos = np.maximum(courant, 0.0)
-    cneg = np.maximum(-courant, 0.0)
-    flux_pos = fr - 0.5 * cpos * (d - (1.0 - (2.0 / 3.0) * cpos) * f6)
-    flux_neg = np.roll(fl, -1, axis=0) + 0.5 * cneg * (
-        np.roll(d, -1, axis=0) + (1.0 - (2.0 / 3.0) * cneg) * np.roll(f6, -1, axis=0)
-    )
-    flux = np.where(courant >= 0.0, flux_pos, flux_neg)
-    return f - courant * (flux - np.roll(flux, 1, axis=0))
+    # v_centers ascend, so only columns [:k] move left; each half gets its own upwind flux
+    k = np.searchsorted(courant[0], 0.0)
+    cpos = np.maximum(courant[:, k:], 0.0)
+    cneg = np.maximum(-courant[:, :k], 0.0)
+    right = fr[:, k:] - 0.5 * cpos * (d[:, k:] - (1.0 - (2.0 / 3.0) * cpos) * f6[:, k:])
+    left = fl[:, :k] + 0.5 * cneg * (d[:, :k] + (1.0 - (2.0 / 3.0) * cneg) * f6[:, :k])
+    return _upwind_update(f, courant, k, right, left)
 
 
 def _transport_upwind(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
-    flux = np.where(courant >= 0.0, f, np.roll(f, -1, axis=0))
-    return f - courant * (flux - np.roll(flux, 1, axis=0))
+    k = np.searchsorted(courant[0], 0.0)
+    return _upwind_update(f, courant, k, f[:, k:], f[:, :k])
 
 
 def step(

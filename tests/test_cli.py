@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kolkit import solver
+from kolkit import profiles, solver
 from kolkit.cli import main
 
 BASE_GRID = {"Lx": 4.5, "Lv": 6.5, "Nx": 32, "Nv": 32}
@@ -183,6 +183,42 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert not (outdir / "summary.json").exists()
+
+
+class TestNumericalErrors:
+    def check_numerical_error(self, outdir, capsys, code, kind, message):
+        assert code == 3
+        assert "numerical error:" in capsys.readouterr().err
+        doc = json.loads((outdir / "summary.json").read_text())
+        assert doc["passed"] is False
+        assert doc["error"] == {"type": kind, "message": message}
+        # the summary was renamed into place; no temporary file is left beside it
+        assert not [p.name for p in outdir.iterdir() if p.name.endswith(".tmp")]
+
+    def test_solver_error_exits_3_with_summary(self, tmp_path, capsys, monkeypatch):
+        def failing_kernel(*args, **kwargs):
+            raise solver.SolverError("non-finite values after step at t=0.25")
+
+        monkeypatch.setattr(solver, "estimate_kernel", failing_kernel)
+        code, outdir = run(tmp_path, "simulate", simulate_cfg())
+        self.check_numerical_error(
+            outdir, capsys, code, "SolverError", "non-finite values after step at t=0.25"
+        )
+
+    def test_fit_error_exits_3_with_summary(self, tmp_path, capsys, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise profiles.FitError("degenerate design")
+
+        monkeypatch.setattr(profiles, "fit_envelope", failing_fit)
+        cfg = {
+            "grid": dict(BASE_GRID),
+            "solver": dict(BASE_SOLVER),
+            "field": {"kind": "constant", "params": {"value": 1.0}},
+            "taus": [0.5],
+            "sample_stride": 1,
+        }
+        code, outdir = run(tmp_path, "verify-bounds", cfg)
+        self.check_numerical_error(outdir, capsys, code, "FitError", "degenerate design")
 
 
 class TestChainCommand:

@@ -14,12 +14,16 @@ import kolkit
 from kolkit.coefficients import make_field
 from kolkit.profiles import explicit_kernel_mollified
 from kolkit.solver import (
+    _diffusion_factor,
     _FactorCache,
+    _transport_ppm,
+    _transport_upwind,
     ConfigError,
     Field,
     Grid,
     KernelEstimate,
     SolverConfig,
+    SolverError,
     chapman_kolmogorov_residual,
     diagnostics,
     estimate_kernel,
@@ -31,6 +35,44 @@ from kolkit.solver import (
 )
 
 CONST = make_field("constant", {"value": 1.0})
+
+
+def reference_ppm(f, courant):
+    """The two-branch PPM sweep that the one-branch sweep must reproduce bit for bit."""
+    fm1 = np.roll(f, 1, axis=0)
+    fm2 = np.roll(f, 2, axis=0)
+    fp1 = np.roll(f, -1, axis=0)
+    e = (7.0 * (fm1 + f) - (fm2 + fp1)) / 12.0
+    e = np.clip(e, np.minimum(fm1, f), np.maximum(fm1, f))
+    fl = e
+    fr = np.roll(e, -1, axis=0)
+
+    ext = (fr - f) * (f - fl) <= 0.0
+    fl = np.where(ext, f, fl)
+    fr = np.where(ext, f, fr)
+    d = fr - fl
+    f6 = 6.0 * (f - 0.5 * (fl + fr))
+    over_r = d * f6 > d * d
+    over_l = d * f6 < -d * d
+    fl = np.where(over_r & ~ext, 3.0 * f - 2.0 * fr, fl)
+    fr = np.where(over_l & ~ext, 3.0 * f - 2.0 * fl, fr)
+    d = fr - fl
+    f6 = 6.0 * (f - 0.5 * (fl + fr))
+
+    cpos = np.maximum(courant, 0.0)
+    cneg = np.maximum(-courant, 0.0)
+    flux_pos = fr - 0.5 * cpos * (d - (1.0 - (2.0 / 3.0) * cpos) * f6)
+    flux_neg = np.roll(fl, -1, axis=0) + 0.5 * cneg * (
+        np.roll(d, -1, axis=0) + (1.0 - (2.0 / 3.0) * cneg) * np.roll(f6, -1, axis=0)
+    )
+    flux = np.where(courant >= 0.0, flux_pos, flux_neg)
+    return f - courant * (flux - np.roll(flux, 1, axis=0))
+
+
+def reference_upwind(f, courant):
+    """The two-branch upwind sweep."""
+    flux = np.where(courant >= 0.0, f, np.roll(f, -1, axis=0))
+    return f - courant * (flux - np.roll(flux, 1, axis=0))
 
 
 class TestGrid:
@@ -246,6 +288,34 @@ class TestInvariants:
             assert abs(now.mass() - prev.mass()) <= 1e-12
             assert now.min() >= 0.0
             assert now.values.tobytes() == again.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.integers(16, 48),
+        nv=st.integers(16, 48),
+        cmax=st.floats(0.0, 1.0),
+        power=st.integers(1, 6),
+        zeros=st.floats(0.0, 0.6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_transport_matches_two_branch_reference(self, nx, nv, cmax, power, zeros, seed):
+        # odd nv puts a v = 0 column in the middle; powers and zeroed cells
+        # make steep fronts and flat patches that exercise every limiter branch
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
+        rng = np.random.default_rng(seed)
+        f = rng.random((nx, nv)) ** power
+        f[rng.random((nx, nv)) < zeros] = 0.0
+        courant = (grid.v_centers * (cmax / grid.Lv))[None, :]
+        assert np.abs(courant).max() <= 1.0
+        assert np.array_equal(_transport_ppm(f, courant), reference_ppm(f, courant))
+        assert np.array_equal(_transport_upwind(f, courant), reference_upwind(f, courant))
+
+    def test_indefinite_diffusion_matrix_is_solver_error(self):
+        # a negative half step makes the backward-Euler matrix indefinite,
+        # so pttrf reports a nonpositive pivot (info > 0)
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=16, Nv=16)
+        with pytest.raises(SolverError, match="not positive definite"):
+            _diffusion_factor(CONST, 0.0, grid, -1.0)
 
     def test_import_leaves_out_scipy_ndimage(self):
         # scipy.ndimage adds tens of MB to every process that imports kolkit
