@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from kolkit.coefficients import make_field, measure_ellipticity, SamplingSpec
+from kolkit.coefficients import make_field
 from kolkit.phase_geometry import NormalizedGap
 from kolkit.profiles import fit_envelope, kinetic_exponent, lower_profile, upper_profile
 from kolkit.solver import Grid, SolverConfig, estimate_kernel
@@ -27,9 +27,9 @@ field = make_field(
     {"values": (0.5, 2.0), "cells": (0.25, 0.25, 0.25), "random_origin": True},
     seed=seed,
 )
-rep = measure_ellipticity(field, SamplingSpec(nx=64, nv=64))
-print(f"coefficient: checkerboard, seed {seed}, measured bounds "
-      f"[{rep.lambda_hat:.2f}, {rep.Lambda_hat:.2f}]")
+# a = value * I takes only the two checkerboard values, so they are the ellipticity window
+lam, Lam = field.params["values"]
+print(f"coefficient: checkerboard, seed {seed}, ellipticity window [{lam:.2f}, {Lam:.2f}]")
 
 grid = Grid(Lx=4.5, Lv=7.0, Nx=160, Nv=160)
 cfg = SolverConfig(dt=1.0 / 160, w0_cells=2.0, tail_tol=1e-3)

@@ -1,4 +1,4 @@
-"""Diffusion coefficient fields a(t, x, v) and measured ellipticity.
+"""Diffusion coefficient fields a(t, x, v).
 
 All shipped kinds are scalar-valued (a = value * I).  Rough kinds
 (checkerboard, random-piecewise) are piecewise constant on half-open boxes
@@ -9,26 +9,17 @@ reproducible field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "CoefficientField",
-    "EllipticityReport",
-    "SamplingSpec",
-    "EllipticityViolation",
     "make_field",
-    "measure_ellipticity",
     "dilated_field",
     "reversed_flipped_field",
 ]
 
 _KINDS = ("constant", "checkerboard", "oscillatory", "random-piecewise")
-
-
-class EllipticityViolation(RuntimeError):
-    """<a xi, xi> <= 0 at a sample point."""
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -48,43 +39,6 @@ def _cell_uniform(seed: int, it, ix, iv) -> np.ndarray:
             u = idx.astype(np.int64).astype(np.uint64)
             h = _splitmix64(h ^ (u * np.uint64(0x9E3779B97F4A7C15)))
     return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    lambda_hat: float
-    Lambda_hat: float
-    sample_count: int
-
-    def __post_init__(self):
-        if not (0.0 < self.lambda_hat <= self.Lambda_hat):
-            raise ValueError(
-                f"measured bounds must satisfy 0 < lambda <= Lambda, got "
-                f"({self.lambda_hat}, {self.Lambda_hat})"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_hat": self.lambda_hat,
-            "Lambda_hat": self.Lambda_hat,
-            "sample_count": self.sample_count,
-        }
-
-
-@dataclass(frozen=True)
-class SamplingSpec:
-    """Sample lattice for ellipticity measurement."""
-
-    t_range: tuple = (0.0, 1.0)
-    x_range: tuple = (-1.0, 1.0)
-    v_range: tuple = (-1.0, 1.0)
-    nt: int = 8
-    nx: int = 32
-    nv: int = 32
-
-    def __post_init__(self):
-        if min(self.nt, self.nx, self.nv) < 1:
-            raise ValueError("sample counts must be positive")
 
 
 class CoefficientField:
@@ -282,28 +236,3 @@ def reversed_flipped_field(base: CoefficientField, t_total: float) -> Coefficien
     f.kind = "reversed-flipped"
     f.params = {"t_total": t_total, "base": base.descriptor()}
     return f
-
-
-def measure_ellipticity(field: CoefficientField, sampling: SamplingSpec | None = None) -> EllipticityReport:
-    """Measured (lambda_hat, Lambda_hat) over a sample lattice.
-
-    lambda_hat = min <a xi, xi>/|xi|^2 and Lambda_hat = max |a xi|^2/<a xi, xi>
-    over all sample points.  A non-positive quadratic form aborts with the
-    offending sample point in the message.
-    """
-    sampling = sampling or SamplingSpec()
-    ts = np.linspace(*sampling.t_range, sampling.nt)
-    xs = np.linspace(*sampling.x_range, sampling.nx)
-    vs = np.linspace(*sampling.v_range, sampling.nv)
-    T, X, V = np.meshgrid(ts, xs, vs, indexing="ij")
-
-    vals = np.asarray(field.value(T, X, V), dtype=float)
-    # a = value * I: both quotients equal the scalar value for every xi
-    bad = vals <= 0
-    if np.any(bad):
-        i = np.argwhere(bad)[0]
-        pt = (T[tuple(i)], X[tuple(i)], V[tuple(i)])
-        raise EllipticityViolation(
-            f"<a xi, xi> = {vals[tuple(i)]} <= 0 at sample point (t, x, v) = {pt}"
-        )
-    return EllipticityReport(float(vals.min()), float(vals.max()), vals.size)

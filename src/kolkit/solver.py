@@ -12,6 +12,11 @@ L D L^T with d > 0 and off-diagonals of L <= 0, so the substitutions
 preserve sign without any pivoting, and the solve keeps column sums.  x is
 periodic, v has zero-flux walls.
 
+Each run owns one stepper (`_FactorCache`, made by `evolve`): it holds the
+diffusion-factor slot and the transport sweep's courant row and scratch
+arrays, all made once per run.  A step writes into one fresh array of its
+own, so a returned Field never aliases that scratch.
+
 Stepping is single-threaded and bit-deterministic for a fixed grid, config
 and coefficient seed.
 """
@@ -199,23 +204,19 @@ def init_delta(center, width, grid: Grid, t: float = 0.0) -> Field:
     rx = (X - y) / w0x
     rv = (V - w) / w0v
     vals = np.exp(-0.5 * rx**2) * np.exp(-0.5 * rv**2)
-    vals[(np.abs(rx) > 6.0) | (np.abs(rv) > 6.0)] = 0.0
+    # a margin, so mirror cells exactly 6 widths out agree (x_centers is antisymmetric to rounding)
+    cut = 6.0 + 1e-9
+    vals[(np.abs(rx) > cut) | (np.abs(rv) > cut)] = 0.0
     vals /= vals.sum() * grid.cell_volume
     return Field(vals, t, grid)
 
 
-def _coefficient_on_grid(field: CoefficientField, t: float, grid: Grid) -> np.ndarray:
-    X, V = grid.meshes()
-    vals = np.asarray(field.value(t, X, V), dtype=float)
-    vals = np.broadcast_to(vals, (grid.Nx, grid.Nv))
-    if np.any(vals <= 0):
-        raise SolverError(f"coefficient is not positive on the grid at t={t}")
-    return vals
-
-
 def _diffusion_factor(field: CoefficientField, t_sub: float, grid: Grid, dt_half: float) -> tuple:
     """pttrf factor (d, e) of the x-major flattened system; the v-walls decouple its x-rows."""
-    a = _coefficient_on_grid(field, t_sub, grid)
+    X, V = grid.meshes()
+    a = np.broadcast_to(np.asarray(field.value(t_sub, X, V), dtype=float), (grid.Nx, grid.Nv))
+    if np.any(a <= 0):
+        raise SolverError(f"coefficient is not positive on the grid at t={t_sub}")
     ah = np.zeros((grid.Nx, grid.Nv + 1))
     al, ar = a[:, :-1], a[:, 1:]
     ah[:, 1:-1] = 2.0 * al * ar / (al + ar)
@@ -228,13 +229,128 @@ def _diffusion_factor(field: CoefficientField, t_sub: float, grid: Grid, dt_half
     return d, e
 
 
-class _FactorCache:
-    """Diffusion factors of one run, whose field, grid and dt/2 are fixed.
+class _Sweep:
+    """Conservative x-transport of (Nx, Nv) arrays by one fixed courant row.
 
-    The one slot holds the factor of the last time slice seen, as named by
-    field.time_key; a key of None (every t distinct) always rebuilds.  A run
-    visits the slices in order, so one slot rebuilds only when the slice
-    changes.
+    The split column, per-column upwind constants and scratch arrays are made
+    once and reused by each call; results go to `out` (fresh when None).
+    """
+
+    def __init__(self, courant: np.ndarray, shape: tuple):
+        nx, nv = shape
+        self.courant = courant
+        # v_centers ascend, so only columns [:k] move left; each half gets its own upwind flux
+        self.k = k = int(np.searchsorted(courant[0], 0.0))
+        cpos = np.maximum(courant[:, k:], 0.0)
+        cneg = np.maximum(-courant[:, :k], 0.0)
+        self.half_pos, self.shape_pos = 0.5 * cpos, 1.0 - (2.0 / 3.0) * cpos
+        self.half_neg, self.shape_neg = 0.5 * cneg, 1.0 - (2.0 / 3.0) * cneg
+        self.pad = np.empty((nx + 4, nv))
+        self.flux, self.lo, self.hi = (np.empty((nx + 1, nv)) for _ in range(3))
+        self.fl, self.fr, self.d, self.f6 = (np.empty(shape) for _ in range(4))
+        # cell-shaped views of two face arrays, free once the face values are clipped
+        self.t1, self.t2 = self.lo[:-1], self.hi[:-1]
+        self.m1, self.m2 = np.empty((2, *shape), dtype=bool)
+
+    def _update(self, f: np.ndarray, out) -> np.ndarray:
+        # f - c (F_{i+1/2} - F_{i-1/2}); v >= 0 cells filled flux[1:, k:], v < 0 ones flux[:-1, :k]
+        k, flux, t1 = self.k, self.flux, self.t1
+        flux[0, k:] = flux[-1, k:]
+        flux[-1, :k] = flux[0, :k]
+        np.subtract(flux[1:], flux[:-1], out=t1)
+        np.multiply(self.courant, t1, out=t1)
+        return np.subtract(f, t1, out=out)
+
+    def upwind(self, f: np.ndarray, out=None) -> np.ndarray:
+        k = self.k
+        self.flux[1:, k:], self.flux[:-1, :k] = f[:, k:], f[:, :k]
+        return self._update(f, out)
+
+    def ppm(self, f: np.ndarray, out=None) -> np.ndarray:
+        # the face values e live in flux until the fluxes overwrite them
+        k, p, e, lo, hi, fl, fr = self.k, self.pad, self.flux, self.lo, self.hi, self.fl, self.fr
+        d, f6, t1, t2, m1, m2 = self.d, self.f6, self.t1, self.t2, self.m1, self.m2
+        # two periodic ghost rows per side; the slices and e run over the faces i - 1/2, i = 0..Nx
+        p[2:-2], p[:2], p[-2:] = f, f[-2:], f[:2]
+        fm2, fm1, f0, fp1 = p[:-3], p[1:-2], p[2:-1], p[3:]
+        # e = (7 (fm1 + f0) - (fm2 + fp1)) / 12
+        np.add(fm1, f0, out=e)
+        np.multiply(7.0, e, out=e)
+        np.add(fm2, fp1, out=lo)
+        np.subtract(e, lo, out=e)
+        np.divide(e, 12.0, out=e)
+        # clamping the face value into the adjacent-cell range keeps the
+        # reconstruction (and hence the update) nonnegative for |c| <= 1
+        np.minimum(fm1, f0, out=lo)
+        np.maximum(fm1, f0, out=hi)
+        np.clip(e, lo, hi, out=e)
+        fl[...], fr[...] = e[:-1], e[1:]
+
+        # ext = (fr - f) (f - fl) <= 0
+        np.subtract(fr, f, out=t1)
+        np.subtract(f, fl, out=t2)
+        np.multiply(t1, t2, out=t1)
+        np.less_equal(t1, 0.0, out=m1)
+        np.copyto(fl, f, where=m1)
+        np.copyto(fr, f, where=m1)
+        self._parabola(f)
+        # at an extremum fl = fr = f, so d = 0 and neither overshoot test fires:
+        # over_r = d f6 > d d, over_l = d f6 < -d d
+        np.multiply(d, f6, out=t1)
+        np.multiply(d, d, out=t2)
+        np.greater(t1, t2, out=m1)
+        np.negative(t2, out=t2)
+        np.less(t1, t2, out=m2)
+        # fl = 3 f - 2 fr where over_r, then fr = 3 f - 2 fl where over_l
+        np.multiply(3.0, f, out=t1)
+        np.multiply(2.0, fr, out=t2)
+        np.subtract(t1, t2, out=t2)
+        np.copyto(fl, t2, where=m1)
+        np.multiply(2.0, fl, out=t2)
+        np.subtract(t1, t2, out=t2)
+        np.copyto(fr, t2, where=m2)
+        self._parabola(f)
+
+        # right = fr - (c/2) (d - (1 - 2c/3) f6) on columns [k:], into flux[1:, k:]
+        r = t1[:, k:]
+        np.multiply(self.shape_pos, f6[:, k:], out=r)
+        np.subtract(d[:, k:], r, out=r)
+        np.multiply(self.half_pos, r, out=r)
+        np.subtract(fr[:, k:], r, out=self.flux[1:, k:])
+        # left = fl + (|c|/2) (d + (1 - 2|c|/3) f6) on columns [:k], into flux[:-1, :k]
+        q = t1[:, :k]
+        np.multiply(self.shape_neg, f6[:, :k], out=q)
+        np.add(d[:, :k], q, out=q)
+        np.multiply(self.half_neg, q, out=q)
+        np.add(fl[:, :k], q, out=self.flux[:-1, :k])
+        return self._update(f, out)
+
+    def _parabola(self, f: np.ndarray) -> None:
+        # d = fr - fl, f6 = 6 (f - (fl + fr) / 2)
+        fl, fr, d, f6 = self.fl, self.fr, self.d, self.f6
+        np.subtract(fr, fl, out=d)
+        np.add(fl, fr, out=f6)
+        np.multiply(0.5, f6, out=f6)
+        np.subtract(f, f6, out=f6)
+        np.multiply(6.0, f6, out=f6)
+
+
+def _transport_ppm(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
+    return _Sweep(courant, f.shape).ppm(f)
+
+
+def _transport_upwind(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
+    return _Sweep(courant, f.shape).upwind(f)
+
+
+class _FactorCache:
+    """The stepper of one run, whose field, grid and dt = 2 dt_half are fixed.
+
+    The factor slot holds the diffusion factor of the last time slice seen,
+    as named by field.time_key; a key of None (every t distinct) always
+    rebuilds.  A run visits the slices in order, so one slot rebuilds only
+    when the slice changes.  The transport sweep, with its courant row and
+    scratch arrays, is made here once and serves every step of the run.
     """
 
     def __init__(self, field: CoefficientField, grid: Grid, dt_half: float):
@@ -243,61 +359,17 @@ class _FactorCache:
         self.dt_half = dt_half
         self._key = None
         self._ld = None
+        courant = (grid.v_centers * (2.0 * dt_half / grid.dx))[None, :]
+        self.sweep = _Sweep(courant, (grid.Nx, grid.Nv))
 
-    def solve(self, t_sub: float, rhs: np.ndarray) -> np.ndarray:
-        """Backward-Euler diffusion of rhs with the coefficient frozen at t_sub."""
+    def solve(self, t_sub: float, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Backward-Euler diffusion of rhs, coefficient frozen at t_sub; overwrite may reuse rhs."""
         key = self.field.time_key(t_sub)
         if key is None or key != self._key:
             self._ld = _diffusion_factor(self.field, t_sub, self.grid, self.dt_half)
             self._key = key
-        x, _ = dpttrs(*self._ld, rhs.reshape(-1, 1))
+        x, _ = dpttrs(*self._ld, rhs.reshape(-1, 1), overwrite_b=overwrite)
         return x.reshape(rhs.shape)
-
-
-def _upwind_update(f: np.ndarray, courant: np.ndarray, k: int, right, left) -> np.ndarray:
-    # f - c (F_{i+1/2} - F_{i-1/2}) on Nx+1 periodic faces; `right` is each cell's flux
-    # through its right face (v >= 0 columns [k:]), `left` through its left face ([:k])
-    flux = np.empty((f.shape[0] + 1, f.shape[1]))
-    flux[1:, k:], flux[0, k:] = right, right[-1]
-    flux[:-1, :k], flux[-1, :k] = left, left[0]
-    return f - courant * (flux[1:] - flux[:-1])
-
-
-def _transport_ppm(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
-    # two periodic ghost rows per side; the slices and e run over the faces i - 1/2, i = 0..Nx
-    p = np.concatenate((f[-2:], f, f[:2]))
-    fm2, fm1, f0, fp1 = p[:-3], p[1:-2], p[2:-1], p[3:]
-    e = (7.0 * (fm1 + f0) - (fm2 + fp1)) / 12.0
-    # clamping the face value into the adjacent-cell range keeps the
-    # reconstruction (and hence the update) nonnegative for |c| <= 1
-    e = np.clip(e, np.minimum(fm1, f0), np.maximum(fm1, f0))
-    fl, fr = e[:-1], e[1:]
-
-    ext = (fr - f) * (f - fl) <= 0.0
-    fl = np.where(ext, f, fl)
-    fr = np.where(ext, f, fr)
-    d = fr - fl
-    f6 = 6.0 * (f - 0.5 * (fl + fr))
-    # at an extremum fl = fr = f, so d = 0 and neither overshoot test fires
-    over_r = d * f6 > d * d
-    over_l = d * f6 < -d * d
-    fl = np.where(over_r, 3.0 * f - 2.0 * fr, fl)
-    fr = np.where(over_l, 3.0 * f - 2.0 * fl, fr)
-    d = fr - fl
-    f6 = 6.0 * (f - 0.5 * (fl + fr))
-
-    # v_centers ascend, so only columns [:k] move left; each half gets its own upwind flux
-    k = np.searchsorted(courant[0], 0.0)
-    cpos = np.maximum(courant[:, k:], 0.0)
-    cneg = np.maximum(-courant[:, :k], 0.0)
-    right = fr[:, k:] - 0.5 * cpos * (d[:, k:] - (1.0 - (2.0 / 3.0) * cpos) * f6[:, k:])
-    left = fl[:, :k] + 0.5 * cneg * (d[:, :k] + (1.0 - (2.0 / 3.0) * cneg) * f6[:, :k])
-    return _upwind_update(f, courant, k, right, left)
-
-
-def _transport_upwind(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
-    k = np.searchsorted(courant[0], 0.0)
-    return _upwind_update(f, courant, k, f[:, k:], f[:, :k])
 
 
 def step(
@@ -309,9 +381,10 @@ def step(
     """One Strang step: diffuse dt/2, transport dt, diffuse dt/2.
 
     The diffusion coefficient is frozen at the midpoint of each half step
-    (t + dt/4 and t + 3dt/4).  `factors` is the run's factor cache, which
-    `evolve` passes so that a time slice is factored once; without it the
-    step factors afresh, with bitwise the same result.
+    (t + dt/4 and t + 3dt/4).  `factors` is the run's stepper, which
+    `evolve` passes so that a time slice is factored once and the sweep's
+    scratch arrays are made once; without it the step builds its own, with
+    bitwise the same result.
     """
     grid = state.grid
     dt = config.dt
@@ -324,19 +397,15 @@ def step(
     if factors is None:
         factors = _FactorCache(field, grid, 0.5 * dt)
 
+    # the first solve makes the step's own array; every later stage writes into it
     f = factors.solve(t + 0.25 * dt, state.values)
-
-    courant = (grid.v_centers * (dt / grid.dx))[None, :]
-    if config.transport_order == 3:
-        f = _transport_ppm(f, courant)
-    else:
-        f = _transport_upwind(f, courant)
+    (factors.sweep.ppm if config.transport_order == 3 else factors.sweep.upwind)(f, out=f)
     np.maximum(f, 0.0, out=f)
-
-    f = factors.solve(t + 0.75 * dt, f)
-    if not np.all(np.isfinite(f)):
-        raise SolverError(f"non-finite values after step at t={t}")
-    return Field(f, t + dt, grid)
+    f = factors.solve(t + 0.75 * dt, f, overwrite=True)
+    try:
+        return Field(f, t + dt, grid)
+    except ValueError:
+        raise SolverError(f"non-finite values after step at t={t}") from None
 
 
 @dataclass
@@ -367,6 +436,8 @@ def evolve(
     n = int(round(span / config.dt))
     if abs(n * config.dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ConfigError(f"dt={config.dt} does not divide the time span {span}")
+    if record_every is not None and record_every < 1:
+        raise ConfigError(f"record_every must be >= 1, got {record_every}")
 
     res = EvolveResult(state, mass_min=state.mass(), mass_max=state.mass(), min_value=state.min())
     if record_every:

@@ -159,6 +159,8 @@ class TestConfigErrors:
             ("trajectories", {"family": "straight", "r_points": 32}, "r_points"),
             ("trajectories", {"family": "straight", "r_min": 2.0}, "r_min"),
             ("trajectories", {"family": "straight", "r_points": 64, "r_min": 0.009}, "r_min"),
+            ("level-set", {"record_every": 0}, "record_every"),
+            ("level-set", {"record_every": -3}, "record_every"),
         ],
         ids=[
             "g-bound",
@@ -167,6 +169,8 @@ class TestConfigErrors:
             "trajectories-r_points",
             "trajectories-r_min",
             "trajectories-fit-range",
+            "level-set-record_every-0",
+            "level-set-record_every-negative",
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, cfg, named):

@@ -1,17 +1,11 @@
-"""Coefficient field construction, ellipticity measurement, wrappers."""
+"""Coefficient field construction and wrappers."""
 
 import json
 
 import numpy as np
 import pytest
 
-from kolkit.coefficients import (
-    SamplingSpec,
-    dilated_field,
-    make_field,
-    measure_ellipticity,
-    reversed_flipped_field,
-)
+from kolkit.coefficients import dilated_field, make_field, reversed_flipped_field
 
 RNG = np.random.default_rng(7331)
 
@@ -90,25 +84,6 @@ class TestMakeField:
         g = make_field(desc["kind"], desc["params"], seed=desc["seed"])
         t, x, v = random_pts()
         assert np.array_equal(f.value(t, x, v), g.value(t, x, v))
-
-
-class TestEllipticity:
-    def test_constant_window_is_tight(self):
-        rep = measure_ellipticity(make_field("constant", {"value": 1.0}))
-        assert rep.lambda_hat == pytest.approx(1.0)
-        assert rep.Lambda_hat == pytest.approx(1.0)
-
-    def test_checkerboard_window(self):
-        # scalar coefficient: both quotients equal the field value
-        f = make_field("checkerboard", {"values": (0.5, 2.0), "cells": (0.25, 0.25, 0.25)})
-        rep = measure_ellipticity(f, SamplingSpec(nx=64, nv=64))
-        assert rep.lambda_hat == pytest.approx(0.5, abs=1e-12)
-        assert rep.Lambda_hat == pytest.approx(2.0, abs=1e-12)
-
-    def test_report_serializes(self):
-        rep = measure_ellipticity(make_field("constant"))
-        d = rep.to_dict()
-        assert set(d) >= {"lambda_hat", "Lambda_hat"}
 
 
 class TestWrappers:

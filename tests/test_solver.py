@@ -12,6 +12,7 @@ from scipy.ndimage import gaussian_filter
 
 import kolkit
 from kolkit.coefficients import make_field
+from kolkit.nash_g import adjoint_kernel_residual
 from kolkit.profiles import explicit_kernel_mollified
 from kolkit.solver import (
     _diffusion_factor,
@@ -184,6 +185,16 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             evolve(f, CONST, self.CFG, -0.5)
 
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_record_every_must_be_positive(self, record_every):
+        f = init_delta((0.0, 0.0), (0.3, 0.3), self.GRID)
+        with pytest.raises(ConfigError, match="record_every"):
+            evolve(f, CONST, self.CFG, 8 * self.CFG.dt, record_every=record_every)
+        with pytest.raises(ConfigError, match="record_every"):
+            estimate_kernel(
+                (0.0, 0.0, 0.0), 0.25, CONST, self.GRID, self.CFG, record_every=record_every
+            )
+
 
 class TestFactorCache:
     GRID = Grid(Lx=3.5, Lv=6.0, Nx=64, Nv=64)
@@ -323,6 +334,85 @@ class TestInvariants:
         env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, kolkit; sys.exit('scipy.ndimage' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestStepper:
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_reused_scratch_never_leaks_into_results(self, order):
+        # every field a shared stepper returned must survive the later steps untouched
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=37, Nv=29)
+        config = SolverConfig(dt=0.9 * grid.dx / grid.Lv, transport_order=order)
+        rough = make_field(
+            "random-piecewise", {"cells": (0.01, 0.3, 0.3), "random_origin": True}, seed=5
+        )
+        start = init_delta((0.1, -0.2), (2 * grid.dx, 2 * grid.dv), grid)
+        factors = _FactorCache(rough, grid, 0.5 * config.dt)
+        shared, fresh = [start], [start]
+        for _ in range(12):
+            shared.append(step(shared[-1], rough, config, factors))
+            fresh.append(step(fresh[-1], rough, config, factors=None))
+
+        scratch = [a for a in vars(factors.sweep).values() if isinstance(a, np.ndarray)]
+        assert len(scratch) >= 10
+        for prev, now, want in zip(shared, shared[1:], fresh[1:]):
+            assert now.t == want.t
+            assert now.values.tobytes() == want.values.tobytes()
+            assert not np.shares_memory(now.values, prev.values)
+            assert not any(np.shares_memory(now.values, a) for a in scratch)
+
+
+# a source offset in cells: whole numbers land on cell centers, where the cut bites
+CELL_OFFSET = st.one_of(st.integers(-6, 6).map(float), st.floats(-6.0, 6.0))
+
+
+class TestUpwindDuality:
+    FIELDS = {
+        "constant": {"value": 1.0},
+        "oscillatory": {"freq_t": 1.0},
+        "checkerboard": {"random_origin": True},
+        "random-piecewise": {"random_origin": True},
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nx=st.integers(16, 48),
+        nv=st.integers(16, 48),
+        kind=st.sampled_from(sorted(FIELDS)),
+        seed=st.integers(0, 2**31 - 1),
+        cells=st.tuples(st.floats(0.005, 0.5), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+        cfl=st.floats(0.1, 1.0),
+        n_steps=st.integers(4, 32),
+        eval_at=st.one_of(
+            st.just((0.0, 0.0)), st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+        ),
+        offsets=st.lists(st.tuples(CELL_OFFSET, CELL_OFFSET), min_size=1, max_size=3),
+    )
+    def test_exact_on_random_grids_and_fields(
+        self, nx, nv, kind, seed, cells, cfl, n_steps, eval_at, offsets
+    ):
+        # a bump centered on a cell center (the origin when nx is odd) has cells
+        # exactly 6 widths out on both sides, where init_delta cuts
+        grid = Grid(Lx=3.0, Lv=4.0, Nx=nx, Nv=nv)
+        config = SolverConfig(
+            dt=cfl * grid.dx / grid.Lv, transport_order=1, w0_cells=2.0, tail_tol=1.0
+        )
+        params = dict(self.FIELDS[kind])
+        if kind in ("checkerboard", "random-piecewise"):
+            params["cells"] = cells
+        field = make_field(kind, params, seed=seed)
+
+        # bumps of width 2 cells must sit 4 widths inside the box; the sources lie
+        # within 6 cells of the evaluation point, so both sides read well above 0
+        room = np.array([grid.Lx - 8 * grid.dx, grid.Lv - 8 * grid.dv])
+        center = np.array(eval_at) * room
+        points = [
+            tuple(np.clip(center + np.array(o) * (grid.dx, grid.dv), -room, room)) for o in offsets
+        ]
+        t0 = 0.25
+        res = adjoint_kernel_residual(
+            field, points, grid, config, tuple(center), t0=t0, t1=t0 + n_steps * config.dt
+        )
+        assert res["residual"] < 1e-12
 
 
 class TestKernelEstimate:
