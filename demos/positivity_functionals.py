@@ -17,12 +17,7 @@
 import numpy as np
 
 from kolkit.coefficients import make_field
-from kolkit.nash_g import (
-    SpaceTimeField,
-    g_functional,
-    level_set_statistic,
-    log_mean_c,
-)
+from kolkit.nash_g import g_functional, level_set_statistic, log_mean_c
 from kolkit.solver import Grid, SolverConfig, estimate_kernel
 
 GRID = Grid(Lx=4.5, Lv=7.0, Nx=128, Nv=128)
@@ -38,8 +33,7 @@ for seed in SEEDS:
     )
     est = estimate_kernel((0.0, 0.0, 0.0), 1.0, field, GRID, CFG, record_every=8)
     g_vals.append(g_functional(est.field))
-    stf = SpaceTimeField.from_snapshots(est._snapshots, est._snapshot_times, GRID)
-    rep = level_set_statistic(stf, log_mean_c(est.field))
+    rep = level_set_statistic(est.history, log_mean_c(est.field))
     stats.append(rep.statistic)
     print(f"seed {seed}: G = {g_vals[-1]:+.4f}   sup_s s|levels| = {stats[-1]:.4f}")
 

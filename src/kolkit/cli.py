@@ -231,9 +231,8 @@ def _cmd_level_set(cfg, outdir):
         est = solver.estimate_kernel(
             (0.0, 0.0, 0.0), 1.0, f, grid, config, record_every=record_every
         )
-        stf = nash_g.SpaceTimeField.from_snapshots(est._snapshots, est._snapshot_times, grid)
         c = nash_g.log_mean_c(est.field, weight, floor)
-        rep = nash_g.level_set_statistic(stf, c, E=E, floor=floor)
+        rep = nash_g.level_set_statistic(est.history, c, E=E, floor=floor)
         stats.append({"seed": f.seed, "c_f": c, "statistic": rep.statistic})
         if best is None or rep.statistic > best[1].statistic:
             best = (f.seed, rep)

@@ -51,14 +51,13 @@ class CoefficientField:
     slice for piecewise-in-time fields.
     """
 
-    def __init__(self, kind, params, seed, d, evaluator, time_key, time_dependent):
+    def __init__(self, kind, params, seed, d, evaluator, time_key):
         self.kind = kind
         self.params = dict(params)
         self.seed = int(seed)
         self.d = int(d)
         self._evaluator = evaluator
         self._time_key = time_key
-        self.time_dependent = bool(time_dependent)
 
     def value(self, t, x, v):
         out = self._evaluator(t, x, v)
@@ -120,7 +119,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         def evaluator(t, x, v, a0=a0):
             return np.broadcast_to(a0, np.broadcast(np.asarray(t), np.asarray(x), np.asarray(v)).shape).copy()
 
-        return CoefficientField(kind, params, seed, d, evaluator, lambda t: 0, False)
+        return CoefficientField(kind, params, seed, d, evaluator, lambda t: 0)
 
     if kind == "oscillatory":
         base = float(params.get("base", 1.0))
@@ -140,10 +139,8 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
                 mod = mod * np.cos(2 * np.pi * ft * np.asarray(t, dtype=float))
             return base + amp * mod
 
-        tdep = ft != 0.0
-        return CoefficientField(
-            kind, params, seed, d, evaluator, (lambda t: None) if tdep else (lambda t: 0), tdep
-        )
+        time_key = (lambda t: None) if ft != 0.0 else (lambda t: 0)
+        return CoefficientField(kind, params, seed, d, evaluator, time_key)
 
     cells = tuple(float(c) for c in params.get("cells", (0.25, 0.25, 0.25)))
     if any(c <= 0 for c in cells):
@@ -173,7 +170,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         def time_key(t, ct=ct, ot=ot):
             return int(np.floor((float(t) - ot) / ct))
 
-        return CoefficientField(kind, params, seed, d, evaluator, time_key, True)
+        return CoefficientField(kind, params, seed, d, evaluator, time_key)
 
     # random-piecewise
     vmin, vmax = (float(u) for u in params.get("values_range", (0.5, 2.0)))
@@ -189,7 +186,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
     def time_key(t, ct=ct, ot=ot):
         return int(np.floor((float(t) - ot) / ct))
 
-    return CoefficientField(kind, params, seed, d, evaluator, time_key, True)
+    return CoefficientField(kind, params, seed, d, evaluator, time_key)
 
 
 def dilated_field(base: CoefficientField, r: float) -> CoefficientField:
@@ -209,9 +206,7 @@ def dilated_field(base: CoefficientField, r: float) -> CoefficientField:
         k = base.time_key(r * r * float(t))
         return None if k is None else ("dilated", k)
 
-    f = CoefficientField(
-        base.kind, base.params, base.seed, base.d, evaluator, time_key, base.time_dependent
-    )
+    f = CoefficientField(base.kind, base.params, base.seed, base.d, evaluator, time_key)
     f.kind = "dilated"
     f.params = {"r": r, "base": base.descriptor()}
     return f
@@ -230,9 +225,7 @@ def reversed_flipped_field(base: CoefficientField, t_total: float) -> Coefficien
         k = base.time_key(t_total - float(s))
         return None if k is None else ("reversed", k)
 
-    f = CoefficientField(
-        base.kind, base.params, base.seed, base.d, evaluator, time_key, base.time_dependent
-    )
+    f = CoefficientField(base.kind, base.params, base.seed, base.d, evaluator, time_key)
     f.kind = "reversed-flipped"
     f.params = {"t_total": t_total, "base": base.descriptor()}
     return f

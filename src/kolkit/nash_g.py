@@ -15,13 +15,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .coefficients import CoefficientField, reversed_flipped_field
-from .solver import ConfigError, Field, Grid, SolverConfig, estimate_kernel, init_delta
+from .solver import (
+    ConfigError, DomainError, Field, Grid, SolverConfig, SpaceTimeField, estimate_kernel, init_delta
+)
 
 __all__ = [
     "GWeight",
     "LevelSetReport",
     "GoodSetMeasures",
-    "SpaceTimeField",
     "DomainError",
     "g_functional",
     "g_floor_sensitivity",
@@ -32,10 +33,6 @@ __all__ = [
     "adjoint_kernel_residual",
     "default_s_grid",
 ]
-
-
-class DomainError(ValueError):
-    """Input outside the functional's domain (zero slice, bad offset)."""
 
 
 @dataclass(frozen=True)
@@ -109,38 +106,6 @@ def g_floor_sensitivity(kernel_slice: Field, weight: GWeight | None = None, floo
 def log_mean_c(f: Field, weight: GWeight | None = None, floor: float = 1e-30) -> float:
     """Same weighted log integral, applied to supersolution snapshots."""
     return _weighted_log(f, weight or GWeight(), floor)
-
-
-@dataclass
-class SpaceTimeField:
-    """Stack of density snapshots on one grid; values shape (Nt, Nx, Nv)."""
-
-    values: np.ndarray
-    times: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.times = np.asarray(self.times, dtype=float)
-        if self.values.ndim != 3 or self.values.shape[0] != self.times.size:
-            raise ValueError(
-                f"need one time stamp per snapshot, got values {self.values.shape} "
-                f"and {self.times.size} times"
-            )
-        if self.values.shape[1:] != (self.grid.Nx, self.grid.Nv):
-            raise ValueError("snapshot shape does not match the grid")
-        if self.times.size >= 2 and np.any(np.diff(self.times) <= 0):
-            raise ValueError("snapshot times must be strictly increasing")
-
-    @classmethod
-    def from_snapshots(cls, snapshots, times, grid: Grid) -> "SpaceTimeField":
-        return cls(np.stack(snapshots), np.asarray(times, dtype=float), grid)
-
-    def window(self, t_lo: float, t_hi: float) -> "SpaceTimeField":
-        keep = (self.times >= t_lo - 1e-12) & (self.times <= t_hi + 1e-12)
-        if not np.any(keep):
-            raise DomainError(f"no snapshots inside the window [{t_lo}, {t_hi}]")
-        return SpaceTimeField(self.values[keep], self.times[keep], self.grid)
 
 
 def _time_weights(times: np.ndarray) -> np.ndarray:
@@ -343,10 +308,11 @@ def adjoint_kernel_residual(
     adjoint_vals = [bump_read(adj.field, (-y, w)) for (y, w) in pts]
     adjoint_mass = adj.field.mass()
 
-    rel = []
-    for a, b in zip(forward_vals, adjoint_vals):
-        denom = 0.5 * (abs(a) + abs(b))
-        rel.append(abs(a - b) / denom if denom > 0 else np.inf)
+    # equal reads (both 0 included) agree exactly; otherwise the denominator is positive
+    rel = [
+        0.0 if a == b else abs(a - b) / (0.5 * (abs(a) + abs(b)))
+        for a, b in zip(forward_vals, adjoint_vals)
+    ]
     return {
         "residual": float(max(rel)),
         "points": pts,

@@ -17,7 +17,6 @@ import numpy as np
 from .phase_geometry import NormalizedGap, PhasePoint, normalize_gap
 
 __all__ = [
-    "EllipticityBounds",
     "ProfileConstants",
     "FitReport",
     "FitError",
@@ -33,22 +32,6 @@ __all__ = [
 
 class FitError(RuntimeError):
     """Degenerate design matrix or otherwise unusable sample set."""
-
-
-@dataclass(frozen=True)
-class EllipticityBounds:
-    """Ellipticity window 0 < lam <= Lam.
-
-    lam is the infimum of <a xi, xi>/|xi|^2; Lam the supremum of the
-    nonsymmetric quotient |a xi|^2 / <a xi, xi>.
-    """
-
-    lam: float
-    Lam: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lam <= self.Lam and np.isfinite(self.Lam)):
-            raise ValueError(f"need 0 < lam <= Lam, got ({self.lam}, {self.Lam})")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ diffusion-factor slot and the transport sweep's courant row and scratch
 arrays, all made once per run.  A step writes into one fresh array of its
 own, so a returned Field never aliases that scratch.
 
+With record_every=k a run also keeps its space-time history, one
+`SpaceTimeField` (`EvolveResult.history`, `KernelEstimate.history`) holding
+the initial state, every k-th step and the final state; each recorded state
+is copied once, into the history's own array.
+
 Stepping is single-threaded and bit-deterministic for a fixed grid, config
 and coefficient seed.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +43,7 @@ from .coefficients import CoefficientField, dilated_field
 __all__ = [
     "Grid",
     "Field",
+    "SpaceTimeField",
     "SolverConfig",
     "KernelEstimate",
     "EvolveResult",
@@ -59,6 +65,10 @@ class ConfigError(ValueError):
 
 class SolverError(RuntimeError):
     """Numerical failure inside a step."""
+
+
+class DomainError(ValueError):
+    """Input outside the functional's domain (zero slice, bad offset)."""
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,38 @@ class Field:
             + f[i0, j0 + 1] * (1 - wx) * wv
             + f[i1, j0 + 1] * wx * wv
         )
+
+
+@dataclass
+class SpaceTimeField:
+    """Stack of density snapshots on one grid; values shape (Nt, Nx, Nv)."""
+
+    values: np.ndarray
+    times: np.ndarray
+    grid: Grid
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        self.times = np.asarray(self.times, dtype=float)
+        if self.values.ndim != 3 or self.values.shape[0] != self.times.size:
+            raise ValueError(
+                f"need one time stamp per snapshot, got values {self.values.shape} "
+                f"and {self.times.size} times"
+            )
+        if self.values.shape[1:] != (self.grid.Nx, self.grid.Nv):
+            raise ValueError("snapshot shape does not match the grid")
+        if self.times.size >= 2 and np.any(np.diff(self.times) <= 0):
+            raise ValueError("snapshot times must be strictly increasing")
+
+    @classmethod
+    def from_snapshots(cls, snapshots, times, grid: Grid) -> "SpaceTimeField":
+        return cls(np.stack(snapshots), np.asarray(times, dtype=float), grid)
+
+    def window(self, t_lo: float, t_hi: float) -> "SpaceTimeField":
+        keep = (self.times >= t_lo - 1e-12) & (self.times <= t_hi + 1e-12)
+        if not np.any(keep):
+            raise DomainError(f"no snapshots inside the window [{t_lo}, {t_hi}]")
+        return SpaceTimeField(self.values[keep], self.times[keep], self.grid)
 
 
 @dataclass(frozen=True)
@@ -414,8 +456,7 @@ class EvolveResult:
     mass_min: float
     mass_max: float
     min_value: float
-    snapshots: list = dc_field(default_factory=list)
-    snapshot_times: list = dc_field(default_factory=list)
+    history: SpaceTimeField | None = None
 
 
 def evolve(
@@ -427,8 +468,8 @@ def evolve(
 ) -> EvolveResult:
     """Step from state.t to t_final; dt must divide the span.
 
-    record_every=k stores a copy of the state every k steps (including the
-    initial and final states).
+    record_every=k keeps the run's history: the initial state, every k-th
+    step and the final state once, copied into one SpaceTimeField.
     """
     span = t_final - state.t
     if span < 0:
@@ -439,21 +480,28 @@ def evolve(
     if record_every is not None and record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
 
+    grid = state.grid
+    marks = {*range(0, n, record_every), n} if record_every else set()
+    rows, times = np.empty((len(marks), grid.Nx, grid.Nv)), []
+
+    def record(i: int, f: Field) -> None:
+        if i in marks:
+            rows[len(times)] = f.values
+            times.append(f.t)
+
     res = EvolveResult(state, mass_min=state.mass(), mass_max=state.mass(), min_value=state.min())
-    if record_every:
-        res.snapshots.append(state.values.copy())
-        res.snapshot_times.append(state.t)
-    factors = _FactorCache(field, state.grid, 0.5 * config.dt)
-    for i in range(n):
+    record(0, state)
+    factors = _FactorCache(field, grid, 0.5 * config.dt)
+    for i in range(1, n + 1):
         state = step(state, field, config, factors)
         m = state.mass()
         res.mass_min = min(res.mass_min, m)
         res.mass_max = max(res.mass_max, m)
         res.min_value = min(res.min_value, state.min())
-        if record_every and ((i + 1) % record_every == 0 or i + 1 == n):
-            res.snapshots.append(state.values.copy())
-            res.snapshot_times.append(state.t)
+        record(i, state)
     res.field = state
+    if record_every:
+        res.history = SpaceTimeField(rows, times, grid)
     return res
 
 
@@ -471,6 +519,16 @@ class KernelEstimate:
     mass_drift: float
     min_value: float
     boundary_peak_ratio: float
+    history: SpaceTimeField | None = None
+
+    # read-only list views of history, still read by tests/test_acceptance.py and perfbench
+    @property
+    def _snapshots(self) -> list:
+        return [] if self.history is None else list(self.history.values)
+
+    @property
+    def _snapshot_times(self) -> list:
+        return [] if self.history is None else self.history.times.tolist()
 
     def density(self, xq, vq) -> np.ndarray:
         return self.field.interp(xq, vq)
@@ -529,7 +587,7 @@ def estimate_kernel(
             f"(tolerance {config.tail_tol:.0e}); enlarge the box",
             stacklevel=2,
         )
-    est = KernelEstimate(
+    return KernelEstimate(
         field=res.field,
         source=(s, y, w),
         t=t_final,
@@ -540,10 +598,8 @@ def estimate_kernel(
         mass_drift=max(abs(res.mass_min - 1.0), abs(res.mass_max - 1.0)),
         min_value=res.min_value,
         boundary_peak_ratio=ratio,
+        history=res.history,
     )
-    est._snapshots = res.snapshots
-    est._snapshot_times = res.snapshot_times
-    return est
 
 
 def diagnostics(f: Field) -> dict:

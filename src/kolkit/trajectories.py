@@ -28,7 +28,6 @@ __all__ = [
     "log_oscillatory_family",
     "eval_trajectory",
     "check_properties",
-    "criticality_exponents",
     "default_r_grid",
 ]
 
@@ -494,9 +493,3 @@ def check_properties(
         curves={"det_A": det_A, "inv_column_norm": inv_col, "det_B": det_B},
         warnings=warnings_list,
     )
-
-
-def criticality_exponents(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) -> tuple:
-    """(det A slope, inverse-velocity-column slope) as r -> 0."""
-    rep = check_properties(fam, r_grid=r_grid)
-    return rep.det_A_exponent, rep.inv_column_exponent

@@ -22,7 +22,7 @@ class TestMakeField:
         f = make_field("constant", {"value": 1.5})
         t, x, v = random_pts()
         assert np.all(f.value(t, x, v) == 1.5)
-        assert not f.time_dependent
+        assert f.time_key(0.0) == f.time_key(5.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

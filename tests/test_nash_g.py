@@ -218,6 +218,20 @@ class TestDuality:
         )
         assert out["residual"] < 5e-2
 
+    def test_reads_that_are_both_zero_agree(self):
+        # bumps 3 apart in x (half the period) lie beyond what 4 upwind steps
+        # reach, so both reads of the first point are exactly 0
+        grid = Grid(Lx=3.0, Lv=5.0, Nx=64, Nv=64)
+        cfg = SolverConfig(dt=1.0 / 64, w0_cells=2.0, transport_order=1, tail_tol=1.0)
+        out = adjoint_kernel_residual(
+            make_field("constant"), [(1.5, 0.0), (0.0, 0.0)], grid, cfg,
+            eval_point=(-1.5, 0.0), t0=1.0, t1=1.0625,
+        )
+        assert out["forward"][0] == out["adjoint"][0] == 0.0
+        assert out["forward"][1] > 0.0
+        assert out["relative_errors"][0] == 0.0
+        assert out["residual"] < 1e-12
+
     def test_time_ordering(self):
         cfg = SolverConfig(dt=1.0 / 64, w0_cells=2.0, tail_tol=1.0)
         with pytest.raises(ConfigError):

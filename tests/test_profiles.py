@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from kolkit.phase_geometry import NormalizedGap, PhasePoint, normalize_gap
 from kolkit.profiles import (
-    EllipticityBounds,
     FitError,
     ProfileConstants,
     explicit_kernel,
@@ -124,13 +123,6 @@ class TestProfileShapes:
     def test_constants_must_be_positive(self):
         with pytest.raises(ValueError):
             ProfileConstants(C0_up=1.0, C1_up=0.0, c0_low=0.1, c1_low=1.0)
-
-    def test_ellipticity_window_validated(self):
-        EllipticityBounds(lam=0.5, Lam=2.0)
-        with pytest.raises(ValueError):
-            EllipticityBounds(lam=2.0, Lam=0.5)
-        with pytest.raises(ValueError):
-            EllipticityBounds(lam=0.0, Lam=1.0)
 
 
 def axis_samples(sigma2=1.0, taus=(0.5, 1.0, 2.0)):

@@ -1,5 +1,6 @@
 """Finite-volume solver: validation, conservation, kernel estimates."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from kolkit.solver import (
     KernelEstimate,
     SolverConfig,
     SolverError,
+    SpaceTimeField,
     chapman_kolmogorov_residual,
     diagnostics,
     estimate_kernel,
@@ -175,8 +177,8 @@ class TestEvolve:
     def test_record_every(self):
         f = init_delta((0.0, 0.0), (0.3, 0.3), self.GRID)
         res = evolve(f, CONST, self.CFG, 8 * self.CFG.dt, record_every=4)
-        assert len(res.snapshots) == 3  # initial, step 4, step 8
-        assert res.snapshot_times == pytest.approx([0.0, 4 * self.CFG.dt, 8 * self.CFG.dt])
+        assert res.history.values.shape == (3, 64, 64)  # initial, step 4, step 8
+        assert res.history.times.tolist() == pytest.approx([0.0, 4 * self.CFG.dt, 8 * self.CFG.dt])
 
     def test_span_must_be_step_multiple(self):
         f = init_delta((0.0, 0.0), (0.3, 0.3), self.GRID)
@@ -359,6 +361,57 @@ class TestStepper:
             assert now.values.tobytes() == want.values.tobytes()
             assert not np.shares_memory(now.values, prev.values)
             assert not any(np.shares_memory(now.values, a) for a in scratch)
+
+
+class TestHistory:
+    GRID = Grid(Lx=2.0, Lv=3.0, Nx=37, Nv=29)
+    CFG = SolverConfig(dt=0.9 * GRID.dx / GRID.Lv, w0_cells=2.0, tail_tol=1.0)
+    ROUGH = make_field(
+        "random-piecewise", {"cells": (0.01, 0.3, 0.3), "random_origin": True}, seed=5
+    )
+
+    @pytest.mark.parametrize(
+        "n, every", [(10, 1), (10, 3), (10, 10), (10, 15), (0, 3)], ids=lambda p: str(p)
+    )
+    def test_history_is_the_recorded_steps(self, n, every):
+        start = init_delta((0.1, -0.2), (2 * self.GRID.dx, 2 * self.GRID.dv), self.GRID)
+        res = evolve(start, self.ROUGH, self.CFG, start.t + n * self.CFG.dt, record_every=every)
+
+        states = [start]
+        for _ in range(n):
+            states.append(step(states[-1], self.ROUGH, self.CFG, factors=None))
+        # the initial state, every k-th step, and the final state once
+        want = [s for i, s in enumerate(states) if i % every == 0 or i == n]
+        hist = res.history
+        assert hist.times.tolist() == [s.t for s in want]
+        assert hist.times[-1] == res.field.t
+        assert hist.values.tobytes() == np.stack([s.values for s in want]).tobytes()
+        assert not np.shares_memory(hist.values, start.values)
+        assert not np.shares_memory(hist.values, res.field.values)
+
+    def test_no_history_unless_asked(self):
+        start = init_delta((0.1, -0.2), (2 * self.GRID.dx, 2 * self.GRID.dv), self.GRID)
+        assert evolve(start, self.ROUGH, self.CFG, 4 * self.CFG.dt).history is None
+        est = estimate_kernel((0.0, 0.0, 0.0), 4 * self.CFG.dt, self.ROUGH, self.GRID, self.CFG)
+        assert est.history is None
+        assert est._snapshots == [] and est._snapshot_times == []
+
+    def test_estimate_carries_only_its_fields(self):
+        est = estimate_kernel(
+            (0.0, 0.0, 0.0), 20 * self.CFG.dt, self.ROUGH, self.GRID, self.CFG, record_every=8
+        )
+        assert set(vars(est)) == {f.name for f in dataclasses.fields(KernelEstimate)}
+        assert isinstance(est.history, SpaceTimeField)
+        with pytest.raises(AttributeError):
+            est._snapshots = []
+
+    def test_list_views_rebuild_the_history(self):
+        est = estimate_kernel(
+            (0.0, 0.0, 0.0), 20 * self.CFG.dt, self.ROUGH, self.GRID, self.CFG, record_every=8
+        )
+        back = SpaceTimeField.from_snapshots(est._snapshots, est._snapshot_times, self.GRID)
+        assert back.values.tobytes() == est.history.values.tobytes()
+        assert back.times.tobytes() == est.history.times.tobytes()
 
 
 # a source offset in cells: whole numbers land on cell centers, where the cut bites

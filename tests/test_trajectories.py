@@ -11,7 +11,6 @@ from kolkit.trajectories import (
     CheckTolerances,
     TrajectoryFamily,
     check_properties,
-    criticality_exponents,
     default_r_grid,
     eval_trajectory,
     log_oscillatory_family,
@@ -159,7 +158,8 @@ class TestStraightFamily:
         assert not f["critical"]
 
     def test_criticality_exponents_helper(self):
-        det_slope, inv_slope = criticality_exponents(STRAIGHT, default_r_grid(256))
+        rep = check_properties(STRAIGHT, r_grid=default_r_grid(256))
+        det_slope, inv_slope = rep.det_A_exponent, rep.inv_column_exponent
         assert det_slope == pytest.approx(4.0, abs=0.03)
         assert inv_slope == pytest.approx(-2.0, abs=0.03)
 
