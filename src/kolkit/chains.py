@@ -97,8 +97,8 @@ class ChainSpec:
         object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
         object.__setattr__(self, "vs", np.asarray(self.vs, dtype=float))
         object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=float)))
-        if self.xs.shape != self.vs.shape or self.xs.shape[0] != self.k + 1:
-            raise ValueError("centre arrays must both have shape (k+1, d)")
+        if self.xs.shape != self.vs.shape or self.xs.ndim != 2 or len(self.xs) != self.k + 1 or not self.d:
+            raise ValueError("centre arrays must both have shape (k+1, d) with d >= 1")
         if not (0.0 < self.eta <= self.rho0 / 4.0 + 1e-15):
             raise ValueError(f"eta must lie in (0, rho0/4], got {self.eta}")
         if abs(self.dt * self.k - 1.0) > 1e-12:
@@ -115,7 +115,8 @@ class ChainSpec:
     def times(self) -> np.ndarray:
         return np.arange(self.k + 1) * self.dt
 
-    def to_dict(self, max_nodes: int = 65536) -> dict:
+    def _fields(self, max_nodes: int) -> dict:
+        # to_dict's content with the centres kept as (n, d) arrays
         stride = 1
         n = self.k + 1
         if n > max_nodes:
@@ -132,14 +133,33 @@ class ChainSpec:
             "mu": self.mu.tolist(),
             "node_stride": stride,
             "node_indices_truncated": stride > 1,
-            "centres": {
-                "x": self.xs[idx].tolist(),
-                "v": self.vs[idx].tolist(),
-            },
+            "centres": {"x": self.xs[idx], "v": self.vs[idx]},
         }
 
+    def to_dict(self, max_nodes: int = 65536) -> dict:
+        doc = self._fields(max_nodes)
+        doc["centres"] = {key: a.tolist() for key, a in doc["centres"].items()}
+        return doc
+
     def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
+        """Byte-identical to json.dumps(self.to_dict(), sort_keys=True, **kw) for
+        json.JSONEncoder's keywords, but the centres are laid out with
+        str.join: json's C encoder does not run when there is an indent."""
+        doc = self._fields(65536)
+        centres = doc["centres"]
+        doc["centres"] = {key: f"<{key}>" for key in centres}
+        enc = json.JSONEncoder(sort_keys=True, **kw)
+        text = enc.encode(doc)
+        ind = " " * enc.indent if isinstance(enc.indent, int) else enc.indent
+        # the arrays open at depth 2, their rows at 3, the numbers at 4
+        nl2, nl3, nl4 = ("" if ind is None else "\n" + ind * depth for depth in (2, 3, 4))
+        sep = enc.item_separator
+        for key, a in centres.items():
+            nums = json.dumps(a.ravel().tolist(), allow_nan=enc.allow_nan)[1:-1].split(", ")
+            rows = map((sep + nl4).join, zip(*[iter(nums)] * a.shape[1]))
+            body = (nl3 + "]" + sep + nl3 + "[" + nl4).join(rows)
+            text = text.replace(f'"<{key}>"', f"[{nl3}[{nl4}{body}{nl3}]{nl2}]", 1)
+        return text
 
 
 def _increment_extremes(Xbar, Vbar, mu, k):
@@ -298,10 +318,15 @@ def perturbation_check(
     per-coordinate extremes are corners; those are checked exactly, plus
     samples_per_step random interior points per node with a fixed seed.
     For d > 1 the corner screen uses the conservative radius eta sqrt(d).
+
+    Memory: the two (S, k+1, d) draws, S = samples_per_step, shifted in
+    place, plus a few (k+1, d) temporaries while one sample is checked.
     """
     eta = chain.eta if eta is None else float(eta)
     if eta < 0:
         raise ValueError(f"tube radius must be nonnegative, got {eta}")
+    if samples_per_step < 0:
+        raise ValueError(f"samples_per_step must be nonnegative, got {samples_per_step}")
     xs, vs, k, dt, rho0 = chain.xs, chain.vs, chain.k, chain.dt, chain.rho0
 
     # eta = 0 and k = 1 need no special casing: the perturbation radii
@@ -323,16 +348,20 @@ def perturbation_check(
     if samples_per_step > 0:
         rng = np.random.default_rng(seed)
         shape = (samples_per_step, k + 1, chain.d)
-        ux = rng.uniform(-1.0, 1.0, shape) * (eta * dt**1.5) * free[None, :, None]
-        uv = rng.uniform(-1.0, 1.0, shape) * (eta * np.sqrt(dt)) * free[None, :, None]
-        xi = xs[None] + ux
-        et = vs[None] + uv
-        dv = np.linalg.norm(et[:, 1:] - et[:, :-1], axis=2)
-        if np.any(dv > rho0 * np.sqrt(dt) * (1.0 + rtol)):
-            return False
-        dxr = np.linalg.norm(xi[:, 1:] - xi[:, :-1] - dt * et[:, :-1], axis=2)
-        if np.any(dxr > rho0 * dt**1.5 * (1.0 + rtol)):
-            return False
+        # free is 0 or 1, so scaling by (radius * free) rounds as radius then free
+        xi = rng.uniform(-1.0, 1.0, shape)
+        xi *= (eta * dt**1.5) * free[:, None]
+        xi += xs
+        et = rng.uniform(-1.0, 1.0, shape)
+        et *= (eta * np.sqrt(dt)) * free[:, None]
+        et += vs
+        for x, v in zip(xi, et):
+            dv = np.linalg.norm(v[1:] - v[:-1], axis=1)
+            if np.any(dv > rho0 * np.sqrt(dt) * (1.0 + rtol)):
+                return False
+            dxr = np.linalg.norm(x[1:] - x[:-1] - dt * v[:-1], axis=1)
+            if np.any(dxr > rho0 * dt**1.5 * (1.0 + rtol)):
+                return False
     return True
 
 

@@ -41,7 +41,8 @@ def _get(cfg, path, kinds=None, required=True, default=None):
                 raise ConfigFileError(f"missing required config field '{path}'")
             return default
         cur = cur[part]
-    if kinds is not None and not isinstance(cur, kinds):
+    # no typed field takes true/false, which isinstance would count as ints
+    if kinds is not None and (not isinstance(cur, kinds) or isinstance(cur, bool)):
         names = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
         raise ConfigFileError(f"config field '{path}' must be {names}, got {type(cur).__name__}")
     return cur
@@ -257,11 +258,15 @@ def _cmd_chain(cfg, outdir):
     Xbar = _get(cfg, "Xbar", (list, int, float))
     Vbar = _get(cfg, "Vbar", (list, int, float))
     k0 = cfg.get("k0")
+    samples = _get(cfg, "samples_per_step", int, required=False, default=8)
     try:
         chain = chains.build_chain(Xbar, Vbar, p, k0=None if k0 is None else float(k0))
     except (ValueError, chains.ChainConstructionError) as e:
         raise ConfigFileError(f"chain target: {e}") from e
-    ok = chains.perturbation_check(chain, samples_per_step=int(cfg.get("samples_per_step", 8)))
+    try:
+        ok = chains.perturbation_check(chain, samples_per_step=samples)
+    except ValueError as e:
+        raise ConfigFileError(f"samples_per_step: {e}") from e
     log_bound = chains.chain_lower_bound(chain, p, log=True)
     (outdir / "chain.json").write_text(chain.to_json(indent=1))
     summary = {
@@ -280,9 +285,9 @@ def _cmd_chain(cfg, outdir):
 
 def _cmd_trajectories(cfg, outdir):
     name = str(cfg.get("family", "straight"))
-    T = float(cfg.get("T", 1.0))
-    d = int(cfg.get("d", 1))
     try:
+        T = float(_get(cfg, "T", (int, float), required=False, default=1.0))
+        d = _get(cfg, "d", int, required=False, default=1)
         if name == "straight":
             fam = trajectories.straight_family(T, d)
         elif name == "log-oscillatory":

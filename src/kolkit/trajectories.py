@@ -48,6 +48,10 @@ class TrajectoryFamily:
     A: callable
     B: callable
 
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"dimension d must be at least 1, got {self.d}")
+
 
 def _as_dvec(u, d):
     u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -1,9 +1,11 @@
 """Chain construction, validation, perturbation tubes, kernel bounds."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kolkit.chains import (
     ChainConstructionError,
@@ -24,6 +26,52 @@ from kolkit.phase_geometry import PhasePoint
 from kolkit.solver import Grid, SolverConfig, estimate_kernel
 
 P = NearDiagonalParams()  # rho0 = 0.25, c0 = 0.05
+
+
+def reference_perturbation_check(chain, samples_per_step=8, eta=None, seed=0, rtol=1e-12):
+    """The all-samples-at-once check whose verdicts the per-sample loop must keep."""
+    eta = chain.eta if eta is None else float(eta)
+    xs, vs, k, dt, rho0 = chain.xs, chain.vs, chain.k, chain.dt, chain.rho0
+    rad = eta * np.sqrt(chain.d)
+    free = np.ones(k + 1)
+    free[0] = free[-1] = 0.0
+
+    inc = np.linalg.norm(vs[1:] - vs[:-1], axis=1)
+    v_worst = inc + rad * np.sqrt(dt) * (free[:-1] + free[1:])
+    if np.any(v_worst > rho0 * np.sqrt(dt) * (1.0 + rtol)):
+        return False
+
+    resid = np.linalg.norm(xs[1:] - xs[:-1] - dt * vs[:-1], axis=1)
+    x_worst = resid + rad * dt**1.5 * (free[:-1] + free[1:]) + dt * rad * np.sqrt(dt) * free[:-1]
+    if np.any(x_worst > rho0 * dt**1.5 * (1.0 + rtol)):
+        return False
+
+    if samples_per_step > 0:
+        rng = np.random.default_rng(seed)
+        shape = (samples_per_step, k + 1, chain.d)
+        ux = rng.uniform(-1.0, 1.0, shape) * (eta * dt**1.5) * free[None, :, None]
+        uv = rng.uniform(-1.0, 1.0, shape) * (eta * np.sqrt(dt)) * free[None, :, None]
+        xi = xs[None] + ux
+        et = vs[None] + uv
+        dv = np.linalg.norm(et[:, 1:] - et[:, :-1], axis=2)
+        if np.any(dv > rho0 * np.sqrt(dt) * (1.0 + rtol)):
+            return False
+        dxr = np.linalg.norm(xi[:, 1:] - xi[:, :-1] - dt * et[:, :-1], axis=2)
+        if np.any(dxr > rho0 * dt**1.5 * (1.0 + rtol)):
+            return False
+    return True
+
+
+# a target in d = 1 or 2 with |Xbar|, |Vbar| <= 1 per coordinate, and a small
+# starting count so the chains stay short
+TARGETS = st.integers(1, 2).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+        st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+        st.floats(1.0, 64.0),
+    )
+)
+JSON_KW = [{}, {"indent": 1}, {"indent": 2}, {"indent": "\t"}, {"separators": (",", ":")}]
 
 
 class TestParams:
@@ -138,6 +186,27 @@ class TestChainSpec:
         assert small["centres"]["x"][-1] == c.xs[-1].tolist()
         json.loads(c.to_json())  # round trips
 
+    @settings(max_examples=60, deadline=None)
+    @given(target=TARGETS, kw=st.sampled_from(JSON_KW))
+    @example(target=([0.0], [0.1], 1.0), kw={"indent": 1})  # k = 1
+    @example(target=([0.0, 0.0], [0.05, -0.1], 1.0), kw={"indent": 2})  # k = 1, d = 2
+    def test_json_is_json_dumps_of_the_dict(self, target, kw):
+        c = build_chain(*target[:2], P, k0=target[2])
+        assert c.to_json(**kw) == json.dumps(c.to_dict(), sort_keys=True, **kw)
+
+    @pytest.mark.parametrize("indent", [None, 1, 2])
+    def test_truncated_json_is_json_dumps_of_the_dict(self, indent):
+        c = build_chain([0.0], [4.0], P)  # k = 65536: one node over the cap
+        want = json.dumps(c.to_dict(), sort_keys=True, indent=indent)
+        assert json.loads(want)["node_stride"] == 2
+        assert c.to_json(indent=indent) == want
+
+    @pytest.mark.parametrize("shape", [(2, 0), (2,), (2, 1, 1)])
+    def test_centres_need_two_axes_and_a_dimension(self, shape):
+        xs = np.zeros(shape)
+        with pytest.raises(ValueError, match="shape"):
+            ChainSpec(k=1, dt=1.0, xs=xs, vs=xs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
+
 
 class TestPerturbations:
     def test_default_tube_radius_passes(self):
@@ -157,6 +226,39 @@ class TestPerturbations:
         c = build_chain([0.0], [0.1], P, k0=1.0)
         with pytest.raises(ValueError):
             perturbation_check(c, eta=-0.1)
+
+    def test_negative_sample_count_rejected(self):
+        c = build_chain([0.0], [0.1], P, k0=1.0)
+        with pytest.raises(ValueError, match="samples_per_step"):
+            perturbation_check(c, samples_per_step=-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        target=TARGETS,
+        samples=st.sampled_from([0, 1, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        # tube radius relative to the default rho0/4: below, at and above it
+        scale=st.sampled_from([0.0, 0.5, 1.0, 1.5, 4.0]),
+    )
+    def test_verdicts_match_reference(self, target, samples, seed, scale):
+        c = build_chain(*target[:2], P, k0=target[2])
+        eta = scale * P.rho0 / 4.0
+        got = perturbation_check(c, samples_per_step=samples, eta=eta, seed=seed)
+        assert got == reference_perturbation_check(c, samples_per_step=samples, eta=eta, seed=seed)
+
+    def test_peak_memory_is_a_few_draws(self):
+        c = build_chain([0.0], [10.0], P)  # k = 409,600, the longest benchmark chain
+        samples = 8
+        draw = samples * (c.k + 1) * c.d * 8  # bytes in one (S, k+1, d) array
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert perturbation_check(c, samples_per_step=samples)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the all-samples-at-once check peaked at about 9.6 draws
+        assert peak <= 4 * draw
 
 
 class TestLowerBound:

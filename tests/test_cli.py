@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from kolkit import profiles, solver
+from kolkit import chains, nash_g, profiles, solver
 from kolkit.cli import main
+from kolkit.coefficients import make_field
 
 BASE_GRID = {"Lx": 4.5, "Lv": 6.5, "Nx": 32, "Nv": 32}
 BASE_SOLVER = {"dt": 1.0 / 32, "w0_cells": 2.0, "tail_tol": 1.0}
@@ -161,6 +162,13 @@ class TestConfigErrors:
             ("trajectories", {"family": "straight", "r_points": 64, "r_min": 0.009}, "r_min"),
             ("level-set", {"record_every": 0}, "record_every"),
             ("level-set", {"record_every": -3}, "record_every"),
+            ("chain", {"Xbar": [0.0], "Vbar": [1.0], "samples_per_step": "many"}, "samples_per_step"),
+            ("chain", {"Xbar": [0.0], "Vbar": [1.0], "samples_per_step": -5}, "samples_per_step"),
+            ("chain", {"Xbar": [0.0], "Vbar": [1.0], "samples_per_step": True}, "samples_per_step"),
+            ("trajectories", {"family": "straight", "T": "one"}, "'T'"),
+            ("trajectories", {"family": "straight", "d": "two"}, "'d'"),
+            ("trajectories", {"family": "straight", "d": 0}, "dimension d"),
+            ("trajectories", {"family": "straight", "d": True}, "'d'"),
         ],
         ids=[
             "g-bound",
@@ -171,10 +179,18 @@ class TestConfigErrors:
             "trajectories-fit-range",
             "level-set-record_every-0",
             "level-set-record_every-negative",
+            "chain-samples_per_step-string",
+            "chain-samples_per_step-negative",
+            "chain-samples_per_step-bool",
+            "trajectories-T-string",
+            "trajectories-d-string",
+            "trajectories-d-0",
+            "trajectories-d-bool",
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, cfg, named):
-        # each value is rejected by a library constructor with a ValueError
+        # each value is rejected by a library constructor with a ValueError,
+        # or by its config field's type
         if command in ("g-bound", "level-set"):
             cfg = {
                 "grid": dict(BASE_GRID),
@@ -234,8 +250,10 @@ class TestChainCommand:
         assert doc["summary"]["k"] == 1021
         assert doc["summary"]["perturbation_check"] is True
         assert doc["summary"]["log_lower_bound"] < 0
-        nodes = json.loads((outdir / "chain.json").read_text())
-        assert len(nodes["centres"]["x"]) == 1022
+        text = (outdir / "chain.json").read_text()
+        assert len(json.loads(text)["centres"]["x"]) == 1022
+        want = chains.build_chain([0.0], [1.0], chains.NearDiagonalParams(), k0=16.0)
+        assert text == json.dumps(want.to_dict(), sort_keys=True, indent=1)
 
     def test_unreachable_target(self, tmp_path, capsys):
         cfg = {"Xbar": [0.0], "Vbar": [40.0], "k0": 1}
@@ -330,9 +348,30 @@ class TestEnsembleCommands:
         code, outdir = run(tmp_path, "level-set", cfg)
         assert code == 0
         doc = json.loads((outdir / "summary.json").read_text())
-        assert np.isfinite(doc["summary"]["max_statistic"])
+        assert doc["summary"]["max_statistic"] == self.library_level_set_statistic(cfg)
         curve = (outdir / "level_set_curve.csv").read_text().splitlines()
         assert curve[0] == "s,measure,s_times_measure"
+
+    @staticmethod
+    def library_level_set_statistic(cfg):
+        # the same statistic on states from a plain step loop, so a history
+        # row that evolve leaves unwritten shows as a different number
+        grid = solver.Grid(**cfg["grid"])
+        config = solver.SolverConfig(**cfg["solver"])
+        (desc,) = cfg["ensemble"]
+        field = make_field(desc["kind"], params=desc["params"], seed=desc["seed"])
+        w0 = (config.w0_cells * grid.dx, config.w0_cells * grid.dv)
+        states = [solver.init_delta((0.0, 0.0), w0, grid)]
+        for _ in range(round(1.0 / config.dt)):
+            states.append(solver.step(states[-1], field, config, factors=None))
+        kept = states[:: cfg["record_every"]]
+        history = solver.SpaceTimeField.from_snapshots(
+            [s.values for s in kept], [s.t for s in kept], grid
+        )
+        weight = nash_g.GWeight(R=4.0)
+        c = nash_g.log_mean_c(states[-1], weight, 1e-30)
+        rep = nash_g.level_set_statistic(history, c, E=[[-2.0, 2.0], [-2.0, 2.0]], floor=1e-30)
+        return rep.statistic
 
     def test_verify_bounds(self, tmp_path):
         cfg = {
