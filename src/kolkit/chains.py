@@ -314,10 +314,11 @@ def perturbation_check(
 
     Interior node j may move within the box |xi_j - x_j| <= eta dt^{3/2},
     |eta_j - v_j| <= eta sqrt(dt) (per coordinate); the endpoints stay
-    fixed.  Both inequalities are affine in the perturbations, so the
-    per-coordinate extremes are corners; those are checked exactly, plus
-    samples_per_step random interior points per node with a fixed seed.
-    For d > 1 the corner screen uses the conservative radius eta sqrt(d).
+    fixed.  A box point lies within rad = eta sqrt(d) of its centre, so by the
+    triangle inequality each perturbed increment is at most the centre one plus
+    the radii of the nodes it moves (and dt times a velocity radius): the corner
+    screen bounds every point of the box, and samples_per_step random interior
+    points per node (fixed seed) only re-confirm it in floating point.
 
     Memory: the two (S, k+1, d) draws, S = samples_per_step, shifted in
     place, plus a few (k+1, d) temporaries while one sample is checked.

@@ -66,9 +66,9 @@ def _build_solver(cfg) -> solver.SolverConfig:
     try:
         return solver.SolverConfig(
             dt=float(_get(s, "dt", (int, float))),
-            transport_order=int(s.get("transport_order", 3)),
-            w0_cells=float(s.get("w0_cells", 3.0)),
-            tail_tol=float(s.get("tail_tol", 1e-8)),
+            transport_order=_get(s, "transport_order", int, required=False, default=3),
+            w0_cells=float(_get(s, "w0_cells", (int, float), required=False, default=3.0)),
+            tail_tol=float(_get(s, "tail_tol", (int, float), required=False, default=1e-8)),
         )
     except solver.ConfigError as e:
         raise ConfigFileError(f"solver: {e}") from e
@@ -115,15 +115,20 @@ def _cmd_simulate(cfg, outdir):
     if len(source) != 3:
         raise ConfigFileError("config field 'source' must be [s, y, w]")
     t_final = float(_get(cfg, "t_final", (int, float)))
+    mass_tol = float(_get(cfg, "mass_drift_tol", (int, float), required=False, default=1e-6))
+    oracle_tol = float(_get(cfg, "oracle_tol", (int, float), required=False, default=0.02))
+    fmt = _get(cfg, "export", str, required=False, default="npy")
+    if fmt not in ("npy", "csv"):
+        raise ConfigFileError(f"config field 'export' must be npy|csv, got {fmt!r}")
 
     est = solver.estimate_kernel(source, t_final, field, grid, config)
-    est.save(outdir / "kernel", fmt=str(cfg.get("export", "npy")))
+    est.save(outdir / "kernel", fmt=fmt)
     diag = solver.diagnostics(est.field)
     summary = {
         "kernel": est.sidecar(),
         "diagnostics": diag,
     }
-    passed = est.mass_drift <= float(cfg.get("mass_drift_tol", 1e-6)) and est.min_value >= 0.0
+    passed = est.mass_drift <= mass_tol and est.min_value >= 0.0
 
     if field.kind == "constant":
         sig2 = field.params["value"]
@@ -134,7 +139,7 @@ def _cmd_simulate(cfg, outdir):
         oracle = profiles.explicit_kernel_mollified(sig2, tau, Xn, Vn, est.w0[0], est.w0[1])
         err = float(np.abs(est.field.values - oracle).sum() * grid.cell_volume)
         summary["oracle_l1_error"] = err
-        passed = passed and err <= float(cfg.get("oracle_tol", 0.02))
+        passed = passed and err <= oracle_tol
     return summary, passed
 
 
@@ -143,9 +148,11 @@ def _cmd_verify_bounds(cfg, outdir):
     config = _build_solver(cfg)
     field = _build_field(_get(cfg, "field", dict))
     taus = [float(t) for t in _get(cfg, "taus", list)]
-    d = int(cfg.get("d", 1))
-    e_max = float(cfg.get("E_max", 8.0))
-    stride = int(cfg.get("sample_stride", 8))
+    d = _get(cfg, "d", int, required=False, default=1)
+    e_max = float(_get(cfg, "E_max", (int, float), required=False, default=8.0))
+    stride = _get(cfg, "sample_stride", int, required=False, default=8)
+    if stride < 1:
+        raise ConfigFileError(f"config field 'sample_stride' must be >= 1, got {stride}")
 
     rows = []
     for tau in taus:
@@ -187,9 +194,10 @@ def _cmd_g_bound(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     fields = _ensemble(cfg)
-    floor = float(cfg.get("floor", 1e-30))
+    floor = float(_get(cfg, "floor", (int, float), required=False, default=1e-30))
+    floor_tol = float(_get(cfg, "floor_delta_tol", (int, float), required=False, default=1e-3))
     weight = _build_weight(cfg, grid)
-    rng = np.random.default_rng(int(cfg.get("source_seed", 0)))
+    rng = np.random.default_rng(_get(cfg, "source_seed", int, required=False, default=0))
 
     rows = []
     for f in fields:
@@ -211,9 +219,7 @@ def _cmd_g_bound(cfg, outdir):
         "max_floor_delta": max(r["floor_delta"] for r in rows),
         "floor": floor,
     }
-    passed = all(np.isfinite(g_values)) and summary["max_floor_delta"] <= float(
-        cfg.get("floor_delta_tol", 1e-3)
-    )
+    passed = all(np.isfinite(g_values)) and summary["max_floor_delta"] <= floor_tol
     return summary, passed
 
 
@@ -221,10 +227,10 @@ def _cmd_level_set(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     fields = _ensemble(cfg)
-    floor = float(cfg.get("floor", 1e-30))
+    floor = float(_get(cfg, "floor", (int, float), required=False, default=1e-30))
     weight = _build_weight(cfg, grid)
     E = cfg.get("E", [[-2.0, 2.0], [-2.0, 2.0]])
-    record_every = int(cfg.get("record_every", 8))
+    record_every = _get(cfg, "record_every", int, required=False, default=8)
 
     stats = []
     best = None
@@ -324,22 +330,17 @@ def _cmd_adjoint(cfg, outdir):
     field = _build_field(_get(cfg, "field", dict))
     points = _get(cfg, "points", list)
     eval_point = cfg.get("eval_point", [0.0, 0.0])
-    res = nash_g.adjoint_kernel_residual(
-        field,
-        points,
-        grid,
-        config,
-        eval_point=eval_point,
-        t0=float(cfg.get("t0", 1.0)),
-        t1=float(cfg.get("t1", 2.0)),
-    )
+    t0 = float(_get(cfg, "t0", (int, float), required=False, default=1.0))
+    t1 = float(_get(cfg, "t1", (int, float), required=False, default=2.0))
+    tolerance = float(_get(cfg, "tolerance", (int, float), required=False, default=0.05))
+    res = nash_g.adjoint_kernel_residual(field, points, grid, config, eval_point=eval_point, t0=t0, t1=t1)
     with open(outdir / "adjoint_points.csv", "w") as fh:
         fh.write("y,w,forward,adjoint,relative_error\n")
         for (y, w), a, b, r in zip(
             res["points"], res["forward"], res["adjoint"], res["relative_errors"]
         ):
             fh.write(f"{y},{w},{a},{b},{r}\n")
-    passed = res["residual"] <= float(cfg.get("tolerance", 0.05))
+    passed = res["residual"] <= tolerance
     return res, passed
 
 

@@ -3,12 +3,13 @@
 All shipped kinds are scalar-valued (a = value * I).  Rough kinds
 (checkerboard, random-piecewise) are piecewise constant on half-open boxes
 aligned to a configurable origin, so a fixed seed gives a bitwise
-reproducible field.
+reproducible field.  Each hash round runs at its own cell index's shape.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -25,14 +26,14 @@ _KINDS = ("constant", "checkerboard", "oscillatory", "random-piecewise")
 def _splitmix64(z: np.ndarray) -> np.ndarray:
     # stateless integer hash; lets piecewise-random fields be evaluated at
     # arbitrary points without carrying RNG state
-    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64, copy=False)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
 def _cell_uniform(seed: int, it, ix, iv) -> np.ndarray:
-    # one uniform in [0, 1) per lattice cell, mixing the seed with the indices
+    # one uniform in [0, 1) per lattice cell, mixing the seed with the indices as h broadcasts
     h = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
         for idx in (it, ix, iv):
@@ -150,11 +151,11 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
     ot, ox, ov = origin
 
     def cell_index(t, x, v):
-        # half-open boxes [o + i*c, o + (i+1)*c)
+        # half-open boxes [o + i*c, o + (i+1)*c); each index keeps its argument's shape
         it = np.floor((np.asarray(t, dtype=float) - ot) / ct).astype(np.int64)
         ix = np.floor((np.asarray(x, dtype=float) - ox) / cx).astype(np.int64)
         iv = np.floor((np.asarray(v, dtype=float) - ov) / cv).astype(np.int64)
-        return np.broadcast_arrays(it, ix, iv)
+        return it, ix, iv
 
     if kind == "checkerboard":
         lo, hi = (float(u) for u in params.get("values", (0.5, 2.0)))
@@ -168,7 +169,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
             return np.where(parity == 0, lo, hi).astype(float)
 
         def time_key(t, ct=ct, ot=ot):
-            return int(np.floor((float(t) - ot) / ct))
+            return math.floor((float(t) - ot) / ct)
 
         return CoefficientField(kind, params, seed, d, evaluator, time_key)
 
@@ -184,7 +185,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         return vmin + (vmax - vmin) * u
 
     def time_key(t, ct=ct, ot=ot):
-        return int(np.floor((float(t) - ot) / ct))
+        return math.floor((float(t) - ot) / ct)
 
     return CoefficientField(kind, params, seed, d, evaluator, time_key)
 

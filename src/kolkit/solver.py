@@ -253,24 +253,6 @@ def init_delta(center, width, grid: Grid, t: float = 0.0) -> Field:
     return Field(vals, t, grid)
 
 
-def _diffusion_factor(field: CoefficientField, t_sub: float, grid: Grid, dt_half: float) -> tuple:
-    """pttrf factor (d, e) of the x-major flattened system; the v-walls decouple its x-rows."""
-    X, V = grid.meshes()
-    a = np.broadcast_to(np.asarray(field.value(t_sub, X, V), dtype=float), (grid.Nx, grid.Nv))
-    if np.any(a <= 0):
-        raise SolverError(f"coefficient is not positive on the grid at t={t_sub}")
-    ah = np.zeros((grid.Nx, grid.Nv + 1))
-    al, ar = a[:, :-1], a[:, 1:]
-    ah[:, 1:-1] = 2.0 * al * ar / (al + ar)
-    mu = dt_half / grid.dv**2
-    off = -mu * ah[:, 1:].ravel()[:-1]
-    diag = (1.0 + mu * ah[:, :-1] + mu * ah[:, 1:]).ravel()
-    d, e, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
-    if info != 0:
-        raise SolverError(f"diffusion matrix is not positive definite at t={t_sub} (info={info})")
-    return d, e
-
-
 class _Sweep:
     """Conservative x-transport of (Nx, Nv) arrays by one fixed courant row.
 
@@ -391,8 +373,8 @@ class _FactorCache:
     The factor slot holds the diffusion factor of the last time slice seen,
     as named by field.time_key; a key of None (every t distinct) always
     rebuilds.  A run visits the slices in order, so one slot rebuilds only
-    when the slice changes.  The transport sweep, with its courant row and
-    scratch arrays, is made here once and serves every step of the run.
+    when the slice changes.  The factor-build arrays and the transport sweep,
+    with its courant row and scratch arrays, are made here once for the run.
     """
 
     def __init__(self, field: CoefficientField, grid: Grid, dt_half: float):
@@ -401,14 +383,44 @@ class _FactorCache:
         self.dt_half = dt_half
         self._key = None
         self._ld = None
+        # x-major interface harmonic means (zero at the v-walls), pttrf's diagonal,
+        # and its off-diagonal with one spare entry
+        n = grid.Nx * grid.Nv
+        self.ah, self.diag, self.off = np.zeros(n + 1), np.empty(n), np.empty(n)
         courant = (grid.v_centers * (2.0 * dt_half / grid.dx))[None, :]
         self.sweep = _Sweep(courant, (grid.Nx, grid.Nv))
+
+    def _diffusion_factor(self, t_sub: float) -> tuple:
+        """pttrf factor (d, e) of the x-major flattened system; the v-walls decouple its x-rows."""
+        grid, ah, diag, off = self.grid, self.ah, self.diag, self.off
+        a = np.broadcast_to(self.field.value(t_sub, *grid.meshes()), (grid.Nx, grid.Nv)).ravel()
+        if (a <= 0).any():
+            raise SolverError(f"coefficient is not positive on the grid at t={t_sub}")
+        # ah = 2 al ar / (al + ar) in flat order, sum held in diag; pairs across x-rows are walls
+        al, ar, hm = a[:-1], a[1:], ah[1:-1]
+        np.add(al, ar, out=diag[:-1])
+        np.multiply(2.0, al, out=hm)
+        np.multiply(hm, ar, out=hm)
+        np.divide(hm, diag[:-1], out=hm)
+        ah[grid.Nv :: grid.Nv] = 0.0
+        # diag = 1 + mu ahl + mu ahr, mu ahr held in off; then off = -mu ahr (-0.0 at the walls)
+        mu = self.dt_half / grid.dv**2
+        np.multiply(mu, ah[:-1], out=diag)
+        np.add(1.0, diag, out=diag)
+        np.multiply(mu, ah[1:], out=off)
+        np.add(diag, off, out=diag)
+        np.multiply(-mu, ah[1:], out=off)
+        d, e, info = dpttrf(diag, off[:-1], overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise SolverError(f"diffusion matrix is not positive definite at t={t_sub} (info={info})")
+        return d, e
 
     def solve(self, t_sub: float, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Backward-Euler diffusion of rhs, coefficient frozen at t_sub; overwrite may reuse rhs."""
         key = self.field.time_key(t_sub)
         if key is None or key != self._key:
-            self._ld = _diffusion_factor(self.field, t_sub, self.grid, self.dt_half)
+            self._key = None  # a build that raises leaves the slot empty, not half-overwritten
+            self._ld = self._diffusion_factor(t_sub)
             self._key = key
         x, _ = dpttrs(*self._ld, rhs.reshape(-1, 1), overwrite_b=overwrite)
         return x.reshape(rhs.shape)

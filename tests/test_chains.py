@@ -246,6 +246,15 @@ class TestPerturbations:
         got = perturbation_check(c, samples_per_step=samples, eta=eta, seed=seed)
         assert got == reference_perturbation_check(c, samples_per_step=samples, eta=eta, seed=seed)
 
+    @settings(max_examples=60, deadline=None)
+    @given(target=TARGETS, eta=st.floats(0.0, P.rho0), seed=st.integers(0, 2**32 - 1))
+    def test_samples_never_change_the_screen_verdict(self, target, eta, seed):
+        # the corner screen bounds every point of the box (triangle inequality),
+        # so the random samples can only re-confirm a verdict it passed
+        c = build_chain(*target[:2], P, k0=target[2])
+        screen = perturbation_check(c, samples_per_step=0, eta=eta)
+        assert perturbation_check(c, samples_per_step=8, eta=eta, seed=seed) == screen
+
     def test_peak_memory_is_a_few_draws(self):
         c = build_chain([0.0], [10.0], P)  # k = 409,600, the longest benchmark chain
         samples = 8

@@ -169,6 +169,27 @@ class TestConfigErrors:
             ("trajectories", {"family": "straight", "d": "two"}, "'d'"),
             ("trajectories", {"family": "straight", "d": 0}, "dimension d"),
             ("trajectories", {"family": "straight", "d": True}, "'d'"),
+            ("simulate", {"mass_drift_tol": "tight"}, "'mass_drift_tol'"),
+            ("simulate", {"oracle_tol": "loose"}, "'oracle_tol'"),
+            ("simulate", {"oracle_tol": True}, "'oracle_tol'"),
+            ("simulate", {"export": "xlsx"}, "'export'"),
+            ("simulate", {"export": 1}, "'export'"),
+            ("verify-bounds", {"d": "two"}, "'d'"),
+            ("verify-bounds", {"d": True}, "'d'"),
+            ("verify-bounds", {"E_max": "big"}, "'E_max'"),
+            ("verify-bounds", {"sample_stride": "8"}, "'sample_stride'"),
+            ("verify-bounds", {"sample_stride": 0}, "'sample_stride'"),
+            ("adjoint", {"t0": "one"}, "'t0'"),
+            ("adjoint", {"t1": False}, "'t1'"),
+            ("adjoint", {"tolerance": "tight"}, "'tolerance'"),
+            ("simulate", {"solver": {**BASE_SOLVER, "transport_order": "3"}}, "'transport_order'"),
+            ("simulate", {"solver": {**BASE_SOLVER, "w0_cells": "2"}}, "'w0_cells'"),
+            ("simulate", {"solver": {**BASE_SOLVER, "tail_tol": None}}, "'tail_tol'"),
+            ("g-bound", {"floor_delta_tol": "1e-3"}, "'floor_delta_tol'"),
+            ("g-bound", {"floor": "tiny"}, "'floor'"),
+            ("g-bound", {"source_seed": 1.5}, "'source_seed'"),
+            ("level-set", {"floor": True}, "'floor'"),
+            ("level-set", {"record_every": "8"}, "'record_every'"),
         ],
         ids=[
             "g-bound",
@@ -186,11 +207,41 @@ class TestConfigErrors:
             "trajectories-d-string",
             "trajectories-d-0",
             "trajectories-d-bool",
+            "simulate-mass_drift_tol-string",
+            "simulate-oracle_tol-string",
+            "simulate-oracle_tol-bool",
+            "simulate-export-xlsx",
+            "simulate-export-number",
+            "verify-bounds-d-string",
+            "verify-bounds-d-bool",
+            "verify-bounds-E_max-string",
+            "verify-bounds-sample_stride-string",
+            "verify-bounds-sample_stride-0",
+            "adjoint-t0-string",
+            "adjoint-t1-bool",
+            "adjoint-tolerance-string",
+            "simulate-transport_order-string",
+            "simulate-w0_cells-string",
+            "simulate-tail_tol-null",
+            "g-bound-floor_delta_tol-string",
+            "g-bound-floor-string",
+            "g-bound-source_seed-float",
+            "level-set-floor-bool",
+            "level-set-record_every-string",
         ],
     )
-    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, cfg, named):
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, monkeypatch, command, cfg, named):
         # each value is rejected by a library constructor with a ValueError,
-        # or by its config field's type
+        # or by its config field's type; gate settings are read before any
+        # kernel runs (record_every alone is checked by the first kernel run)
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the solver ran before the config was checked")
+
+        if command != "level-set":
+            monkeypatch.setattr(solver, "estimate_kernel", no_solver)
+            monkeypatch.setattr(nash_g, "adjoint_kernel_residual", no_solver)
+        if command in ("simulate", "verify-bounds", "adjoint"):
+            cfg = {**simulate_cfg(), "taus": [0.5], "points": [[0.3, -0.4]], **cfg}
         if command in ("g-bound", "level-set"):
             cfg = {
                 "grid": dict(BASE_GRID),
@@ -203,6 +254,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert not (outdir / "summary.json").exists()
+        assert not list(outdir.glob("kernel*"))
 
 
 class TestNumericalErrors:

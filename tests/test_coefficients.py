@@ -4,10 +4,51 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kolkit.coefficients import dilated_field, make_field, reversed_flipped_field
+from kolkit.solver import Grid
 
 RNG = np.random.default_rng(7331)
+
+
+def _reference_splitmix64(z):
+    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_value(desc, t, x, v):
+    """The broadcast evaluator that the per-shape hash rounds must reproduce bit for bit.
+
+    desc is a field descriptor; the three cell indices are broadcast to one
+    shape before any hash round or parity sum, and wrappers map their
+    arguments as dilated_field and reversed_flipped_field do.
+    """
+    kind, p = desc["kind"], desc["params"]
+    t, x, v = (np.asarray(u, dtype=float) for u in (t, x, v))
+    if kind == "dilated":
+        r = p["r"]
+        return reference_value(p["base"], r * r * t, r**3 * x, r * v)
+    if kind == "reversed-flipped":
+        return reference_value(p["base"], p["t_total"] - t, -x, v)
+    (ct, cx, cv), (ot, ox, ov) = p["cells"], p["origin"]
+    it = np.floor((t - ot) / ct).astype(np.int64)
+    ix = np.floor((x - ox) / cx).astype(np.int64)
+    iv = np.floor((v - ov) / cv).astype(np.int64)
+    it, ix, iv = np.broadcast_arrays(it, ix, iv)
+    if kind == "checkerboard":
+        lo, hi = p["values"]
+        return np.asarray(np.where(((it + ix + iv) & 1) == 0, lo, hi).astype(float), dtype=float)
+    h = np.uint64(desc["seed"] & 0xFFFFFFFFFFFFFFFF)
+    with np.errstate(over="ignore"):
+        for idx in (it, ix, iv):
+            u = idx.astype(np.int64).astype(np.uint64)
+            h = _reference_splitmix64(h ^ (u * np.uint64(0x9E3779B97F4A7C15)))
+    u = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    vmin, vmax = p["values_range"]
+    return np.asarray(vmin + (vmax - vmin) * u, dtype=float)
 
 
 def random_pts(n=500, box=4.0, tmax=2.0):
@@ -131,3 +172,45 @@ class TestWrappers:
         t, x, v = random_pts()
         assert np.all(dilated_field(base, 3.0).value(t, x, v) == 2.0)
         assert np.all(reversed_flipped_field(base, 5.0).value(t, x, v) == 2.0)
+
+
+def _arguments(case, rng, scale, n, m):
+    # the argument shapes a caller passes: points, point lists, grids and time lists
+    def draw(*shape):
+        return rng.uniform(-scale, scale, shape)
+
+    if case == "scalars":
+        return float(draw()), float(draw()), float(draw())
+    if case == "vectors":
+        return draw(n), draw(n), draw(n)
+    if case == "meshes":
+        grid = Grid(Lx=scale, Lv=scale, Nx=16 + n, Nv=16 + m)
+        return float(draw()), *grid.meshes()
+    if case == "full":
+        return draw(n, m), draw(n, m), draw(n, m)
+    return draw(n), float(draw()), float(draw())  # t list at one point
+
+
+class TestPerShapeEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["checkerboard", "random-piecewise"]),
+        wrap=st.sampled_from(["direct", "dilated", "reversed"]),
+        case=st.sampled_from(["scalars", "vectors", "meshes", "full", "t-list"]),
+        cells=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+        scale=st.sampled_from([0.5, 4.0, 1e3, 1e6]),
+        n=st.integers(1, 9),
+        m=st.integers(1, 9),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_matches_broadcast_reference(self, kind, wrap, case, cells, scale, n, m, seed):
+        # negative and large coordinates land in negative and far cells
+        f = make_field(kind, {"cells": cells, "random_origin": True}, seed=seed)
+        if wrap == "dilated":
+            f = dilated_field(f, 1.7)
+        elif wrap == "reversed":
+            f = reversed_flipped_field(f, 2.0)
+        t, x, v = _arguments(case, np.random.default_rng(seed), scale, n, m)
+        got, want = f.value(t, x, v), reference_value(f.descriptor(), t, x, v)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)

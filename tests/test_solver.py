@@ -9,14 +9,15 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dpttrf
 from scipy.ndimage import gaussian_filter
 
 import kolkit
+import kolkit.solver as solver_module
 from kolkit.coefficients import make_field
 from kolkit.nash_g import adjoint_kernel_residual
 from kolkit.profiles import explicit_kernel_mollified
 from kolkit.solver import (
-    _diffusion_factor,
     _FactorCache,
     _transport_ppm,
     _transport_upwind,
@@ -76,6 +77,21 @@ def reference_upwind(f, courant):
     """The two-branch upwind sweep."""
     flux = np.where(courant >= 0.0, f, np.roll(f, -1, axis=0))
     return f - courant * (flux - np.roll(flux, 1, axis=0))
+
+
+def reference_factor(field, t_sub, grid, dt_half):
+    """The allocating factor build that the stepper's in-place build must reproduce bit for bit."""
+    X, V = grid.meshes()
+    a = np.broadcast_to(np.asarray(field.value(t_sub, X, V), dtype=float), (grid.Nx, grid.Nv))
+    ah = np.zeros((grid.Nx, grid.Nv + 1))
+    al, ar = a[:, :-1], a[:, 1:]
+    ah[:, 1:-1] = 2.0 * al * ar / (al + ar)
+    mu = dt_half / grid.dv**2
+    off = -mu * ah[:, 1:].ravel()[:-1]
+    diag = (1.0 + mu * ah[:, :-1] + mu * ah[:, 1:]).ravel()
+    d, e, info = dpttrf(diag, off)
+    assert info == 0
+    return d, e
 
 
 class TestGrid:
@@ -328,7 +344,7 @@ class TestInvariants:
         # so pttrf reports a nonpositive pivot (info > 0)
         grid = Grid(Lx=2.0, Lv=3.0, Nx=16, Nv=16)
         with pytest.raises(SolverError, match="not positive definite"):
-            _diffusion_factor(CONST, 0.0, grid, -1.0)
+            _FactorCache(CONST, grid, -1.0).solve(0.0, np.ones((grid.Nx, grid.Nv)))
 
     def test_import_leaves_out_scipy_ndimage(self):
         # scipy.ndimage adds tens of MB to every process that imports kolkit
@@ -356,11 +372,69 @@ class TestStepper:
 
         scratch = [a for a in vars(factors.sweep).values() if isinstance(a, np.ndarray)]
         assert len(scratch) >= 10
+        # the factor-build arrays, which pttrf overwrites in place with the factor
+        factor = [factors.ah, factors.diag, factors.off]
+        d, e = factors._ld
+        assert np.shares_memory(d, factors.diag) and np.shares_memory(e, factors.off)
         for prev, now, want in zip(shared, shared[1:], fresh[1:]):
             assert now.t == want.t
             assert now.values.tobytes() == want.values.tobytes()
             assert not np.shares_memory(now.values, prev.values)
-            assert not any(np.shares_memory(now.values, a) for a in scratch)
+            assert not any(np.shares_memory(now.values, a) for a in scratch + factor)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.integers(16, 48),
+        nv=st.integers(16, 48),
+        kind=st.sampled_from(["checkerboard", "random-piecewise", "oscillatory"]),
+        seed=st.integers(0, 2**31 - 1),
+        dt_half=st.floats(1e-4, 0.1),
+        t_sub=st.floats(-2.0, 2.0),
+    )
+    def test_factor_matches_allocating_reference(self, nx, nv, kind, seed, dt_half, t_sub):
+        # every entry, down to the -0.0 coupling across each v-wall, over two builds in one stepper
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
+        params = {"freq_t": 1.0} if kind == "oscillatory" else {"random_origin": True}
+        field = make_field(kind, params, seed=seed)
+        factors = _FactorCache(field, grid, dt_half)
+        for t in (t_sub, t_sub + 1.0):
+            got, want = factors._diffusion_factor(t), reference_factor(field, t, grid, dt_half)
+            assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
+            assert np.signbit(got[1][nv - 1 :: nv]).all()
+
+    @pytest.mark.parametrize("failure", ["nonpositive coefficient", "pttrf"])
+    def test_failed_build_empties_the_slot(self, monkeypatch, failure):
+        # a build that raises may have overwritten the factor arrays in part,
+        # so the stepper must rebuild even for the slice it held before
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=24, Nv=20)
+        rough = make_field("random-piecewise", {"cells": (0.5, 0.3, 0.3)}, seed=5)
+        good, bad = 0.25, 0.75  # two time slices
+        rhs = np.random.default_rng(1).random((grid.Nx, grid.Nv))
+        want = _FactorCache(rough, grid, 0.01).solve(good, rhs)
+
+        builds, failing, real_dpttrf, value = [], [], solver_module.dpttrf, rough.value
+
+        def dpttrf(d, e, **kw):
+            # the real factorization, in place, reported as failed while failing is set
+            builds.append(1)
+            d, e, info = real_dpttrf(d, e, **kw)
+            return d, e, 1 if failing else info
+
+        monkeypatch.setattr(solver_module, "dpttrf", dpttrf)
+        if failure == "nonpositive coefficient":
+            monkeypatch.setattr(rough, "value", lambda t, x, v: value(t, x, v) * (-1.0 if t == bad else 1.0))
+
+        factors = _FactorCache(rough, grid, 0.01)
+        assert factors.solve(good, rhs).tobytes() == want.tobytes()
+        if failure == "pttrf":
+            failing.append(True)
+        with pytest.raises(SolverError):
+            factors.solve(bad, rhs)
+        failing.clear()
+        assert factors._key is None
+        n = len(builds)
+        assert factors.solve(good, rhs).tobytes() == want.tobytes()
+        assert len(builds) == n + 1
 
 
 class TestHistory:
