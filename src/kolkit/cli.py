@@ -33,29 +33,43 @@ class ConfigFileError(Exception):
     """Config is malformed; message names the field."""
 
 
-def _get(cfg, path, kinds=None, required=True, default=None):
-    cur = cfg
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            if required:
-                raise ConfigFileError(f"missing required config field '{path}'")
-            return default
-        cur = cur[part]
-    # no typed field takes true/false, which isinstance would count as ints
-    if kinds is not None and (not isinstance(cur, kinds) or isinstance(cur, bool)):
-        names = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
-        raise ConfigFileError(f"config field '{path}' must be {names}, got {type(cur).__name__}")
-    return cur
+# the Python types and JSON name of each kind; true/false, which isinstance counts as ints, match none
+_TYPES = {float: (int, float), int: int, str: str, dict: dict, list: list}
+_NAMES = {float: "number", int: "integer", str: "string", dict: "object", list: "list"}
+
+
+def _typed(value, kind, name):
+    """value checked against kind and returned, a float kind as a float.  A kind
+    is a key of _TYPES; [k1, ..., kn], a list of exactly those kinds; [k, ...],
+    a list of any length; or a tuple of kinds, the first whose JSON type fits."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    outer = [list if isinstance(k, list) else k for k in kinds]
+    fits = [k for k, o in zip(kinds, outer) if isinstance(value, _TYPES[o]) and not isinstance(value, bool)]
+    if not fits:
+        got = _NAMES[type(value)] if isinstance(value, (list, dict)) else json.dumps(value)
+        raise ConfigFileError(f"config field '{name}' must be {' or '.join(map(_NAMES.get, outer))}, got {got}")
+    if isinstance(fits[0], list):
+        kinds = fits[0][:1] * len(value) if fits[0][-1] is ... else fits[0]
+        if len(kinds) != len(value):
+            raise ConfigFileError(f"config field '{name}' must have {len(kinds)} entries, got {len(value)}")
+        return [_typed(v, k, f"{name}[{i}]") for i, (v, k) in enumerate(zip(value, kinds))]
+    return float(value) if fits[0] is float else value
+
+
+def _get(cfg, path, kind, default=...):
+    """cfg[path] read as kind (see _typed); a field without a default is required."""
+    if path not in cfg:
+        if default is ...:
+            raise ConfigFileError(f"missing required config field '{path}'")
+        return default
+    return _typed(cfg[path], kind, path)
 
 
 def _build_grid(cfg) -> solver.Grid:
     g = _get(cfg, "grid", dict)
     try:
         return solver.Grid(
-            Lx=float(_get(g, "Lx", (int, float))),
-            Lv=float(_get(g, "Lv", (int, float))),
-            Nx=int(_get(g, "Nx", int)),
-            Nv=int(_get(g, "Nv", int)),
+            Lx=_get(g, "Lx", float), Lv=_get(g, "Lv", float), Nx=_get(g, "Nx", int), Nv=_get(g, "Nv", int)
         )
     except solver.ConfigError as e:
         raise ConfigFileError(f"grid: {e}") from e
@@ -65,33 +79,31 @@ def _build_solver(cfg) -> solver.SolverConfig:
     s = _get(cfg, "solver", dict)
     try:
         return solver.SolverConfig(
-            dt=float(_get(s, "dt", (int, float))),
-            transport_order=_get(s, "transport_order", int, required=False, default=3),
-            w0_cells=float(_get(s, "w0_cells", (int, float), required=False, default=3.0)),
-            tail_tol=float(_get(s, "tail_tol", (int, float), required=False, default=1e-8)),
+            dt=_get(s, "dt", float),
+            transport_order=_get(s, "transport_order", int, 3),
+            w0_cells=_get(s, "w0_cells", float, 3.0),
+            tail_tol=_get(s, "tail_tol", float, 1e-8),
         )
     except solver.ConfigError as e:
         raise ConfigFileError(f"solver: {e}") from e
 
 
 def _build_field(desc, where="field"):
-    if not isinstance(desc, dict):
-        raise ConfigFileError(f"config field '{where}' must be a field descriptor object")
     try:
         return make_field(
             _get(desc, "kind", str),
-            params=desc.get("params", {}),
-            seed=int(desc.get("seed", 0)),
-            d=int(desc.get("d", 1)),
+            params=_get(desc, "params", dict, {}),
+            seed=_get(desc, "seed", int, 0),
+            d=_get(desc, "d", int, 1),
         )
-    except ValueError as e:
+    except (ConfigFileError, ValueError) as e:
         raise ConfigFileError(f"{where}: {e}") from e
 
 
 def _build_weight(cfg, grid):
     # checked against the box here, before any member's kernel runs
     try:
-        weight = nash_g.GWeight(R=float(cfg.get("weight_radius", 4.0)))
+        weight = nash_g.GWeight(R=_get(cfg, "weight_radius", float, 4.0))
         weight.values(grid)
     except ValueError as e:
         raise ConfigFileError(f"weight_radius: {e}") from e
@@ -99,10 +111,10 @@ def _build_weight(cfg, grid):
 
 
 def _ensemble(cfg):
-    ens = _get(cfg, "ensemble", (dict, list))
+    ens = _get(cfg, "ensemble", (dict, [dict, ...]))
     if isinstance(ens, list):
         return [_build_field(d, f"ensemble[{i}]") for i, d in enumerate(ens)]
-    seeds = _get(ens, "seeds", list)
+    seeds = _get(ens, "seeds", [int, ...])
     base = {k: v for k, v in ens.items() if k != "seeds"}
     return [_build_field({**base, "seed": s}, f"ensemble(seed={s})") for s in seeds]
 
@@ -111,13 +123,11 @@ def _cmd_simulate(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     field = _build_field(_get(cfg, "field", dict))
-    source = tuple(float(c) for c in _get(cfg, "source", list))
-    if len(source) != 3:
-        raise ConfigFileError("config field 'source' must be [s, y, w]")
-    t_final = float(_get(cfg, "t_final", (int, float)))
-    mass_tol = float(_get(cfg, "mass_drift_tol", (int, float), required=False, default=1e-6))
-    oracle_tol = float(_get(cfg, "oracle_tol", (int, float), required=False, default=0.02))
-    fmt = _get(cfg, "export", str, required=False, default="npy")
+    source = tuple(_get(cfg, "source", [float, float, float]))
+    t_final = _get(cfg, "t_final", float)
+    mass_tol = _get(cfg, "mass_drift_tol", float, 1e-6)
+    oracle_tol = _get(cfg, "oracle_tol", float, 0.02)
+    fmt = _get(cfg, "export", str, "npy")
     if fmt not in ("npy", "csv"):
         raise ConfigFileError(f"config field 'export' must be npy|csv, got {fmt!r}")
 
@@ -147,10 +157,10 @@ def _cmd_verify_bounds(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     field = _build_field(_get(cfg, "field", dict))
-    taus = [float(t) for t in _get(cfg, "taus", list)]
-    d = _get(cfg, "d", int, required=False, default=1)
-    e_max = float(_get(cfg, "E_max", (int, float), required=False, default=8.0))
-    stride = _get(cfg, "sample_stride", int, required=False, default=8)
+    taus = _get(cfg, "taus", [float, ...])
+    d = _get(cfg, "d", int, 1)
+    e_max = _get(cfg, "E_max", float, 8.0)
+    stride = _get(cfg, "sample_stride", int, 8)
     if stride < 1:
         raise ConfigFileError(f"config field 'sample_stride' must be >= 1, got {stride}")
 
@@ -194,10 +204,10 @@ def _cmd_g_bound(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     fields = _ensemble(cfg)
-    floor = float(_get(cfg, "floor", (int, float), required=False, default=1e-30))
-    floor_tol = float(_get(cfg, "floor_delta_tol", (int, float), required=False, default=1e-3))
+    floor = _get(cfg, "floor", float, 1e-30)
+    floor_tol = _get(cfg, "floor_delta_tol", float, 1e-3)
     weight = _build_weight(cfg, grid)
-    rng = np.random.default_rng(_get(cfg, "source_seed", int, required=False, default=0))
+    rng = np.random.default_rng(_get(cfg, "source_seed", int, 0))
 
     rows = []
     for f in fields:
@@ -227,10 +237,10 @@ def _cmd_level_set(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     fields = _ensemble(cfg)
-    floor = float(_get(cfg, "floor", (int, float), required=False, default=1e-30))
+    floor = _get(cfg, "floor", float, 1e-30)
     weight = _build_weight(cfg, grid)
-    E = cfg.get("E", [[-2.0, 2.0], [-2.0, 2.0]])
-    record_every = _get(cfg, "record_every", int, required=False, default=8)
+    E = _get(cfg, "E", [[float, float], [float, float]], [[-2.0, 2.0], [-2.0, 2.0]])
+    record_every = _get(cfg, "record_every", int, 8)
 
     stats = []
     best = None
@@ -255,18 +265,16 @@ def _cmd_level_set(cfg, outdir):
 
 
 def _cmd_chain(cfg, outdir):
+    Xbar = _get(cfg, "Xbar", (float, [float, ...]))
+    Vbar = _get(cfg, "Vbar", (float, [float, ...]))
+    k0 = _get(cfg, "k0", float, None)
+    samples = _get(cfg, "samples_per_step", int, 8)
     try:
-        p = chains.NearDiagonalParams(
-            rho0=float(cfg.get("rho0", 0.25)), c0=float(cfg.get("c0", 0.05))
-        )
+        p = chains.NearDiagonalParams(rho0=_get(cfg, "rho0", float, 0.25), c0=_get(cfg, "c0", float, 0.05))
     except ValueError as e:
         raise ConfigFileError(f"rho0/c0: {e}") from e
-    Xbar = _get(cfg, "Xbar", (list, int, float))
-    Vbar = _get(cfg, "Vbar", (list, int, float))
-    k0 = cfg.get("k0")
-    samples = _get(cfg, "samples_per_step", int, required=False, default=8)
     try:
-        chain = chains.build_chain(Xbar, Vbar, p, k0=None if k0 is None else float(k0))
+        chain = chains.build_chain(Xbar, Vbar, p, k0=k0)
     except (ValueError, chains.ChainConstructionError) as e:
         raise ConfigFileError(f"chain target: {e}") from e
     try:
@@ -290,32 +298,30 @@ def _cmd_chain(cfg, outdir):
 
 
 def _cmd_trajectories(cfg, outdir):
-    name = str(cfg.get("family", "straight"))
+    name = _get(cfg, "family", str, "straight")
+    T = _get(cfg, "T", float, 1.0)
+    d = _get(cfg, "d", int, 1)
+    beta = _get(cfg, "beta", float, 2.0)
+    kappa = _get(cfg, "kappa", float, 1.0)
+    r_points = _get(cfg, "r_points", int, 1024)
+    r_min = _get(cfg, "r_min", float, 1e-6)
+    required = _get(cfg, "require_flags", [str, ...], ["endpoints"])
     try:
-        T = float(_get(cfg, "T", (int, float), required=False, default=1.0))
-        d = _get(cfg, "d", int, required=False, default=1)
         if name == "straight":
             fam = trajectories.straight_family(T, d)
         elif name == "log-oscillatory":
-            fam = trajectories.log_oscillatory_family(
-                T, d, beta=float(cfg.get("beta", 2.0)), kappa=float(cfg.get("kappa", 1.0))
-            )
+            fam = trajectories.log_oscillatory_family(T, d, beta=beta, kappa=kappa)
         else:
             raise ConfigFileError(f"config field 'family' must be straight|log-oscillatory, got {name!r}")
     except ValueError as e:
         raise ConfigFileError(f"family: {e}") from e
     try:
-        r_grid = trajectories.default_r_grid(
-            n=int(cfg.get("r_points", 1024)), r_min=float(cfg.get("r_min", 1e-6))
-        )
+        r_grid = trajectories.default_r_grid(n=r_points, r_min=r_min)
     except ValueError as e:
         raise ConfigFileError(f"r_points/r_min: {e}") from e
     rep = trajectories.check_properties(fam, r_grid=r_grid)
     (outdir / "property_report.json").write_text(rep.to_json(indent=1))
     rep.curves_csv(outdir / "exponent_curves.csv")
-    required = cfg.get("require_flags", ["endpoints"])
-    if not isinstance(required, list):
-        raise ConfigFileError("config field 'require_flags' must be a list of flag names")
     for flag in required:
         if flag not in rep.pass_flags:
             raise ConfigFileError(f"require_flags: unknown flag {flag!r}")
@@ -328,11 +334,11 @@ def _cmd_adjoint(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     field = _build_field(_get(cfg, "field", dict))
-    points = _get(cfg, "points", list)
-    eval_point = cfg.get("eval_point", [0.0, 0.0])
-    t0 = float(_get(cfg, "t0", (int, float), required=False, default=1.0))
-    t1 = float(_get(cfg, "t1", (int, float), required=False, default=2.0))
-    tolerance = float(_get(cfg, "tolerance", (int, float), required=False, default=0.05))
+    points = _get(cfg, "points", [[float, float], ...])
+    eval_point = _get(cfg, "eval_point", [float, float], [0.0, 0.0])
+    t0 = _get(cfg, "t0", float, 1.0)
+    t1 = _get(cfg, "t1", float, 2.0)
+    tolerance = _get(cfg, "tolerance", float, 0.05)
     res = nash_g.adjoint_kernel_residual(field, points, grid, config, eval_point=eval_point, t0=t0, t1=t1)
     with open(outdir / "adjoint_points.csv", "w") as fh:
         fh.write("y,w,forward,adjoint,relative_error\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -87,10 +88,19 @@ def _jsonable(obj):
     return obj
 
 
+def _param(params, name, default, n=1):
+    """params[name] as a float (n = 1) or a tuple of n floats; ValueError naming it otherwise."""
+    raw = params.get(name, default)
+    items = tuple(raw) if n > 1 and isinstance(raw, (list, tuple, np.ndarray)) else (raw,)
+    if len(items) != n or not all(isinstance(u, numbers.Real) and not isinstance(u, bool) for u in items):
+        raise ValueError(f"field parameter {name!r} must be {n} number{'s' * (n > 1)}, got {raw!r}")
+    return float(raw) if n == 1 else tuple(float(u) for u in items)
+
+
 def _origin(params, rng, cells):
     if params.get("random_origin", False):
         return tuple(float(rng.uniform(0.0, c)) for c in cells)
-    return tuple(float(o) for o in params.get("origin", (0.0, 0.0, 0.0)))
+    return _param(params, "origin", (0.0, 0.0, 0.0), 3)
 
 
 def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1) -> CoefficientField:
@@ -112,7 +122,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
     rng = np.random.default_rng(seed)
 
     if kind == "constant":
-        a0 = float(params.get("value", 1.0))
+        a0 = _param(params, "value", 1.0)
         if a0 <= 0:
             raise ValueError(f"constant coefficient must be positive, got {a0}")
         params = {"value": a0}
@@ -123,11 +133,11 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         return CoefficientField(kind, params, seed, d, evaluator, lambda t: 0)
 
     if kind == "oscillatory":
-        base = float(params.get("base", 1.0))
-        amp = float(params.get("amplitude", 0.5))
-        fx = float(params.get("freq_x", 1.0))
-        fv = float(params.get("freq_v", 1.0))
-        ft = float(params.get("freq_t", 0.0))
+        base = _param(params, "base", 1.0)
+        amp = _param(params, "amplitude", 0.5)
+        fx = _param(params, "freq_x", 1.0)
+        fv = _param(params, "freq_v", 1.0)
+        ft = _param(params, "freq_t", 0.0)
         if base - abs(amp) <= 0:
             raise ValueError(f"oscillatory field loses ellipticity: base {base}, amplitude {amp}")
         params = {"base": base, "amplitude": amp, "freq_x": fx, "freq_v": fv, "freq_t": ft}
@@ -143,7 +153,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         time_key = (lambda t: None) if ft != 0.0 else (lambda t: 0)
         return CoefficientField(kind, params, seed, d, evaluator, time_key)
 
-    cells = tuple(float(c) for c in params.get("cells", (0.25, 0.25, 0.25)))
+    cells = _param(params, "cells", (0.25, 0.25, 0.25), 3)
     if any(c <= 0 for c in cells):
         raise ValueError(f"cell sizes must be positive, got {cells}")
     origin = _origin(params, rng, cells)
@@ -158,7 +168,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         return it, ix, iv
 
     if kind == "checkerboard":
-        lo, hi = (float(u) for u in params.get("values", (0.5, 2.0)))
+        lo, hi = _param(params, "values", (0.5, 2.0), 2)
         if not (0 < lo <= hi):
             raise ValueError(f"checkerboard values must satisfy 0 < lo <= hi, got ({lo}, {hi})")
         params = {"values": [lo, hi], "cells": list(cells), "origin": list(origin)}
@@ -174,7 +184,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         return CoefficientField(kind, params, seed, d, evaluator, time_key)
 
     # random-piecewise
-    vmin, vmax = (float(u) for u in params.get("values_range", (0.5, 2.0)))
+    vmin, vmax = _param(params, "values_range", (0.5, 2.0), 2)
     if not (0 < vmin <= vmax):
         raise ValueError(f"values_range must satisfy 0 < vmin <= vmax, got ({vmin}, {vmax})")
     params = {"values_range": [vmin, vmax], "cells": list(cells), "origin": list(origin)}

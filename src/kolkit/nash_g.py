@@ -9,7 +9,6 @@ epsilon; healthy kernels must be insensitive to halving it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -152,9 +151,6 @@ class LevelSetReport:
             },
             "warnings": list(self.warnings),
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
     def curve_csv(self, path) -> None:
         data = np.column_stack([self.s_grid, self.measures, self.products()])

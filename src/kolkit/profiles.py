@@ -9,7 +9,6 @@ it is the oracle every envelope fit is calibrated against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -65,9 +64,6 @@ class FitReport:
         out = asdict(self)
         out["warnings"] = list(self.warnings)
         return out
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
 
 def kinetic_exponent(gap: NormalizedGap) -> float:

@@ -359,14 +359,6 @@ class _Sweep:
         np.multiply(6.0, f6, out=f6)
 
 
-def _transport_ppm(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
-    return _Sweep(courant, f.shape).ppm(f)
-
-
-def _transport_upwind(f: np.ndarray, courant: np.ndarray) -> np.ndarray:
-    return _Sweep(courant, f.shape).upwind(f)
-
-
 class _FactorCache:
     """The stepper of one run, whose field, grid and dt = 2 dt_half are fixed.
 

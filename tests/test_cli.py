@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kolkit import chains, nash_g, profiles, solver
+from kolkit import chains, nash_g, profiles, solver, trajectories
 from kolkit.cli import main
 from kolkit.coefficients import make_field
 
@@ -77,6 +77,16 @@ class TestSimulate:
         # the run still documents itself
         doc = json.loads((outdir / "summary.json").read_text())
         assert doc["passed"] is False
+
+
+# values that pass their field's type and are rejected by the first run that
+# takes them: record_every by the first kernel run, samples_per_step by the
+# perturbation check of a built chain
+CHECKED_BY_FIRST_RUN = {
+    "level-set-record_every-0",
+    "level-set-record_every-negative",
+    "chain-samples_per_step-negative",
+}
 
 
 class TestConfigErrors:
@@ -190,6 +200,23 @@ class TestConfigErrors:
             ("g-bound", {"source_seed": 1.5}, "'source_seed'"),
             ("level-set", {"floor": True}, "'floor'"),
             ("level-set", {"record_every": "8"}, "'record_every'"),
+            ("g-bound", {"weight_radius": None}, "'weight_radius'"),
+            ("g-bound", {"ensemble": [{"kind": "constant", "seed": None}]}, "'seed'"),
+            ("g-bound", {"ensemble": [{"kind": "constant", "params": [1]}]}, "'params'"),
+            ("simulate", {"source": [0, "a", 0]}, "'source[1]'"),
+            ("simulate", {"source": [0.0, 0.0]}, "'source'"),
+            ("verify-bounds", {"taus": [None]}, "'taus[0]'"),
+            ("level-set", {"E": "abc"}, "'E'"),
+            ("level-set", {"E": [[-2.0, 2.0]]}, "'E'"),
+            ("adjoint", {"points": [[0.3, "x"]]}, "'points[0][1]'"),
+            ("adjoint", {"eval_point": 5}, "'eval_point'"),
+            ("chain", {"Xbar": [0.0], "Vbar": [1.0], "rho0": None}, "'rho0'"),
+            ("trajectories", {"family": "log-oscillatory", "beta": None}, "'beta'"),
+            ("trajectories", {"family": "straight", "require_flags": [[1]]}, "'require_flags[0]'"),
+            ("trajectories", {"family": "straight", "r_points": 100.7}, "'r_points'"),
+            ("g-bound", {"ensemble": {"kind": "constant", "seeds": [1.5]}}, "'seeds[0]'"),
+            ("g-bound", {"ensemble": [{"kind": "constant", "params": {"value": None}}]}, "'value'"),
+            ("g-bound", {"ensemble": [{"kind": "checkerboard", "params": {"cells": 0.5}}]}, "'cells'"),
         ],
         ids=[
             "g-bound",
@@ -228,18 +255,39 @@ class TestConfigErrors:
             "g-bound-source_seed-float",
             "level-set-floor-bool",
             "level-set-record_every-string",
+            "g-bound-weight_radius-null",
+            "g-bound-seed-null",
+            "g-bound-params-list",
+            "simulate-source-string",
+            "simulate-source-length",
+            "verify-bounds-taus-null",
+            "level-set-E-string",
+            "level-set-E-shape",
+            "adjoint-points-string",
+            "adjoint-eval_point-number",
+            "chain-rho0-null",
+            "trajectories-beta-null",
+            "trajectories-require_flags-nested",
+            "trajectories-r_points-float",
+            "g-bound-seeds-float",
+            "g-bound-field-value-null",
+            "g-bound-field-cells-number",
         ],
     )
-    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, monkeypatch, command, cfg, named):
-        # each value is rejected by a library constructor with a ValueError,
-        # or by its config field's type; gate settings are read before any
-        # kernel runs (record_every alone is checked by the first kernel run)
+    def test_out_of_range_value_is_config_error(
+        self, tmp_path, capsys, monkeypatch, request, command, cfg, named
+    ):
+        # each value is rejected by its config field's type, or by a library
+        # constructor with a ValueError; every field is read before any kernel
+        # runs, a chain is built or a trajectory family is checked
         def no_solver(*args, **kwargs):
             raise AssertionError("the solver ran before the config was checked")
 
-        if command != "level-set":
+        if request.node.callspec.id not in CHECKED_BY_FIRST_RUN:
             monkeypatch.setattr(solver, "estimate_kernel", no_solver)
             monkeypatch.setattr(nash_g, "adjoint_kernel_residual", no_solver)
+            monkeypatch.setattr(chains, "build_chain", no_solver)
+            monkeypatch.setattr(trajectories, "check_properties", no_solver)
         if command in ("simulate", "verify-bounds", "adjoint"):
             cfg = {**simulate_cfg(), "taus": [0.5], "points": [[0.3, -0.4]], **cfg}
         if command in ("g-bound", "level-set"):

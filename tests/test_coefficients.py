@@ -1,6 +1,7 @@
 """Coefficient field construction and wrappers."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,22 @@ class TestMakeField:
         assert vals.min() >= 0.5 - 1e-12 and vals.max() <= 1.5 + 1e-12
         with pytest.raises(ValueError):
             make_field("oscillatory", {"base": 1.0, "amplitude": 1.0})
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("constant", {"value": None}, "'value' must be 1 number, got None"),
+            ("constant", {"value": "2"}, "'value' must be 1 number, got '2'"),
+            ("oscillatory", {"amplitude": True}, "'amplitude' must be 1 number, got True"),
+            ("checkerboard", {"cells": 0.5}, "'cells' must be 3 numbers, got 0.5"),
+            ("checkerboard", {"values": [0.5, None]}, "'values' must be 2 numbers, got [0.5, None]"),
+            ("random-piecewise", {"values_range": [0.5, 1.0, 2.0]}, "'values_range' must be 2 numbers"),
+            ("random-piecewise", {"origin": "abc"}, "'origin' must be 3 numbers, got 'abc'"),
+        ],
+    )
+    def test_malformed_param_is_named(self, kind, params, message):
+        with pytest.raises(ValueError, match=re.escape(f"field parameter {message}")):
+            make_field(kind, params)
 
     def test_checkerboard_values_and_parity(self):
         f = make_field("checkerboard", {"values": (0.5, 2.0), "cells": (0.25, 0.25, 0.25)})

@@ -19,8 +19,7 @@ from kolkit.nash_g import adjoint_kernel_residual
 from kolkit.profiles import explicit_kernel_mollified
 from kolkit.solver import (
     _FactorCache,
-    _transport_ppm,
-    _transport_upwind,
+    _Sweep,
     ConfigError,
     Field,
     Grid,
@@ -336,8 +335,8 @@ class TestInvariants:
         f[rng.random((nx, nv)) < zeros] = 0.0
         courant = (grid.v_centers * (cmax / grid.Lv))[None, :]
         assert np.abs(courant).max() <= 1.0
-        assert np.array_equal(_transport_ppm(f, courant), reference_ppm(f, courant))
-        assert np.array_equal(_transport_upwind(f, courant), reference_upwind(f, courant))
+        assert np.array_equal(_Sweep(courant, f.shape).ppm(f), reference_ppm(f, courant))
+        assert np.array_equal(_Sweep(courant, f.shape).upwind(f), reference_upwind(f, courant))
 
     def test_indefinite_diffusion_matrix_is_solver_error(self):
         # a negative half step makes the backward-Euler matrix indefinite,
