@@ -177,12 +177,34 @@ def _mu_for(Xbar, Vbar, k, dtype=float):
 
 
 def _positions(Vbar, mu, k, dtype=float):
+    # x_j = dt * sum_{i<j} v_i with the sums in closed form:
+    # dt j (j - 1) (Vbar / (2k) + (mu / k^2) (k/2 - (2j - 1)/6)), each product
+    # formed as written (a swapped operand rounds the same), in three arrays
     kk = dtype(k)
     dt = 1.0 / kk
     j = np.arange(k + 1, dtype=dtype)[:, None]
-    jj1 = j * (j - 1.0)
-    # x_j = dt * sum_{i<j} v_i with the sums in closed form
-    return dt * jj1 * (Vbar.astype(dtype) / (2.0 * kk) + (mu / (kk * kk)) * (kk / 2.0 - (2.0 * j - 1.0) / 6.0))
+    jj1 = j - 1.0
+    jj1 *= j
+    jj1 *= dt
+    j *= 2.0
+    j -= 1.0
+    j /= 6.0
+    cubic = np.subtract(kk / 2.0, j, out=j)
+    xs = (mu / (kk * kk)) * cubic
+    xs += Vbar.astype(dtype) / (2.0 * kk)
+    xs *= jj1
+    return xs
+
+
+def _velocities(Vbar, mu, k):
+    # v_j = Vbar (j/k) + mu j (k - j) / k^2, each product formed as written
+    j = np.arange(k + 1, dtype=float)[:, None]
+    vs = Vbar * (j / k)
+    corr = mu * j
+    corr *= np.subtract(k, j, out=j)
+    corr /= k**2
+    vs += corr
+    return vs
 
 
 def _admissible(Xbar, Vbar, k, rho0) -> bool:
@@ -256,17 +278,13 @@ def build_chain(Xbar, Vbar, p: NearDiagonalParams, k0: float | None = None) -> C
         xs = np.stack([np.zeros_like(Xbar), Xbar])
     else:
         mu = _mu_for(Xbar, Vbar, k)
-        j = np.arange(k + 1, dtype=float)[:, None]
-        vs = Vbar * (j / k) + mu * j * (k - j) / k**2
         xs = _positions(Vbar, mu, k)
         if float(np.linalg.norm(xs[-1] - Xbar)) > 1e-10:
             # fall back to extended precision for the correction coefficient
-            mu = np.asarray(_mu_for(Xbar, Vbar, k, dtype=np.longdouble), dtype=np.longdouble)
+            mu = _mu_for(Xbar, Vbar, k, dtype=np.longdouble)
             xs = np.asarray(_positions(Vbar, mu, k, dtype=np.longdouble), dtype=float)
-            vs = np.asarray(
-                Vbar * (j / k) + np.asarray(mu, dtype=float) * j * (k - j) / k**2, dtype=float
-            )
             mu = np.asarray(mu, dtype=float)
+        vs = _velocities(Vbar, mu, k)
 
     chain = ChainSpec(
         k=k, dt=1.0 / k, xs=xs, vs=vs, mu=mu, eta=p.rho0 / 4.0, rho0=p.rho0, k0=float(k0)
@@ -287,13 +305,17 @@ def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -
         if err > endpoint_tol:
             raise ValueError(f"endpoint error {err:.2e} exceeds {endpoint_tol:.0e}")
 
-    transport = xs[1:] - xs[:-1] - dt * vs[:-1]
+    # two (k, d) arrays at a time: the step buffer and one operand
     scale = max(1.0, float(np.abs(xs).max()))
-    worst_t = float(np.abs(transport).max())
+    step = np.subtract(xs[1:], xs[:-1])
+    step -= dt * vs[:-1]
+    worst_t = float(np.abs(step, out=step).max())
     if worst_t > 1e-12 * scale:
         raise ValueError(f"transport recursion violated by {worst_t:.2e}")
 
-    inc = np.linalg.norm(vs[1:] - vs[:-1], axis=1)
+    # the increment norms |v_j - v_{j-1}|, each square and root in place
+    inc = np.square(np.subtract(vs[1:], vs[:-1], out=step), out=step).sum(axis=1)
+    np.sqrt(inc, out=inc)
     bound = 0.5 * chain.rho0 * np.sqrt(dt)
     j = int(np.argmax(inc))
     if inc[j] > bound * (1.0 + 1e-12):
@@ -301,6 +323,49 @@ def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -
             f"increment bound violated at step {j + 1}: |v_{j + 1} - v_{j}| = "
             f"{inc[j]:.6e} > {bound:.6e}"
         )
+
+
+# nodes per block: the corner screen and every perturbation sample walk the
+# chain in blocks of this many nodes
+_BLOCK = 1 << 14
+
+
+def _node_blocks(k):
+    # [lo, hi) ranges covering the nodes 0..k
+    return [(lo, min(lo + _BLOCK, k + 1)) for lo in range(0, k + 1, _BLOCK)]
+
+
+def _free(lo, hi, k):
+    # 1 at the nodes lo..hi-1 that may move, 0 at the fixed endpoints 0 and k
+    free = np.ones(hi - lo)
+    if lo == 0:
+        free[0] = 0.0
+    if hi == k + 1:
+        free[-1] = 0.0
+    return free
+
+
+def _step_norms(x, v, dt):
+    # |v_{j+1} - v_j| and |x_{j+1} - x_j - dt v_j| for consecutive rows
+    return np.linalg.norm(v[1:] - v[:-1], axis=1), np.linalg.norm(x[1:] - x[:-1] - dt * v[:-1], axis=1)
+
+
+def _sample_blocks(seed, samples, k, d):
+    """One iterator per sample s over its (lo, hi, ux, uv) node blocks: ux and uv
+    are rows lo..hi-1 of xi[s] and eta[s] in the joint draw
+    xi, eta = rng.uniform(-1, 1, (2, samples, k+1, d)), rng = default_rng(seed).
+    Each sample reads its rows from its own generator, advanced to their
+    offset in the PCG64 stream."""
+    n = (k + 1) * d
+
+    def rows(s):
+        gx, gv = np.random.default_rng(seed), np.random.default_rng(seed)
+        gx.bit_generator.advance(s * n)
+        gv.bit_generator.advance((samples + s) * n)
+        for lo, hi in _node_blocks(k):
+            yield lo, hi, gx.uniform(-1.0, 1.0, (hi - lo, d)), gv.uniform(-1.0, 1.0, (hi - lo, d))
+
+    return (rows(s) for s in range(samples))
 
 
 def perturbation_check(
@@ -320,8 +385,12 @@ def perturbation_check(
     screen bounds every point of the box, and samples_per_step random interior
     points per node (fixed seed) only re-confirm it in floating point.
 
-    Memory: the two (S, k+1, d) draws, S = samples_per_step, shifted in
-    place, plus a few (k+1, d) temporaries while one sample is checked.
+    Memory: the screen and each sample walk the chain in blocks of 2^14
+    nodes, the last node of a block carried into the next, so besides the
+    chain itself the check holds a few block-sized arrays whatever
+    samples_per_step and k are.  Sample s reads its rows of the joint draw
+    rng.uniform(-1, 1, (2, samples_per_step, k+1, d)) from PCG64 streams
+    advanced to their offset, so the verdict is the joint draw's.
     """
     eta = chain.eta if eta is None else float(eta)
     if eta < 0:
@@ -329,39 +398,33 @@ def perturbation_check(
     if samples_per_step < 0:
         raise ValueError(f"samples_per_step must be nonnegative, got {samples_per_step}")
     xs, vs, k, dt, rho0 = chain.xs, chain.vs, chain.k, chain.dt, chain.rho0
+    v_tol = rho0 * np.sqrt(dt) * (1.0 + rtol)
+    x_tol = rho0 * dt**1.5 * (1.0 + rtol)
 
     # eta = 0 and k = 1 need no special casing: the perturbation radii
     # vanish and the screen reduces to the centre-chain pair checks
     rad = eta * np.sqrt(chain.d)
-    free = np.ones(k + 1)
-    free[0] = free[-1] = 0.0
+    for lo, hi in _node_blocks(k):
+        a = max(lo - 1, 0)
+        free = _free(a, hi, k)
+        inc, resid = _step_norms(xs[a:hi], vs[a:hi], dt)
+        v_worst = inc + rad * np.sqrt(dt) * (free[:-1] + free[1:])
+        x_worst = resid + rad * dt**1.5 * (free[:-1] + free[1:]) + dt * rad * np.sqrt(dt) * free[:-1]
+        if np.any(v_worst > v_tol) or np.any(x_worst > x_tol):
+            return False
 
-    inc = np.linalg.norm(vs[1:] - vs[:-1], axis=1)
-    v_worst = inc + rad * np.sqrt(dt) * (free[:-1] + free[1:])
-    if np.any(v_worst > rho0 * np.sqrt(dt) * (1.0 + rtol)):
-        return False
-
-    resid = np.linalg.norm(xs[1:] - xs[:-1] - dt * vs[:-1], axis=1)
-    x_worst = resid + rad * dt**1.5 * (free[:-1] + free[1:]) + dt * rad * np.sqrt(dt) * free[:-1]
-    if np.any(x_worst > rho0 * dt**1.5 * (1.0 + rtol)):
-        return False
-
-    if samples_per_step > 0:
-        rng = np.random.default_rng(seed)
-        shape = (samples_per_step, k + 1, chain.d)
-        # free is 0 or 1, so scaling by (radius * free) rounds as radius then free
-        xi = rng.uniform(-1.0, 1.0, shape)
-        xi *= (eta * dt**1.5) * free[:, None]
-        xi += xs
-        et = rng.uniform(-1.0, 1.0, shape)
-        et *= (eta * np.sqrt(dt)) * free[:, None]
-        et += vs
-        for x, v in zip(xi, et):
-            dv = np.linalg.norm(v[1:] - v[:-1], axis=1)
-            if np.any(dv > rho0 * np.sqrt(dt) * (1.0 + rtol)):
-                return False
-            dxr = np.linalg.norm(x[1:] - x[:-1] - dt * v[:-1], axis=1)
-            if np.any(dxr > rho0 * dt**1.5 * (1.0 + rtol)):
+    for blocks in _sample_blocks(seed, samples_per_step, k, chain.d):
+        x = v = xs[:0]  # no node to carry into the first block
+        for lo, hi, ux, uv in blocks:
+            # free is 0 or 1, so scaling by (radius * free) rounds as radius then free
+            free = _free(lo, hi, k)[:, None]
+            ux *= (eta * dt**1.5) * free
+            ux += xs[lo:hi]
+            uv *= (eta * np.sqrt(dt)) * free
+            uv += vs[lo:hi]
+            x, v = np.concatenate((x[-1:], ux)), np.concatenate((v[-1:], uv))
+            dv, dxr = _step_norms(x, v, dt)
+            if np.any(dv > v_tol) or np.any(dxr > x_tol):
                 return False
     return True
 

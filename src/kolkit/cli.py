@@ -53,7 +53,12 @@ def _typed(value, kind, name):
         if len(kinds) != len(value):
             raise ConfigFileError(f"config field '{name}' must have {len(kinds)} entries, got {len(value)}")
         return [_typed(v, k, f"{name}[{i}]") for i, (v, k) in enumerate(zip(value, kinds))]
-    return float(value) if fits[0] is float else value
+    if fits[0] is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigFileError(f"config field '{name}' is out of the float range") from None
 
 
 def _get(cfg, path, kind, default=...):
@@ -63,6 +68,13 @@ def _get(cfg, path, kind, default=...):
             raise ConfigFileError(f"missing required config field '{path}'")
         return default
     return _typed(cfg[path], kind, path)
+
+
+def _nonempty(value, name):
+    """value, a list the command needs at least one entry of."""
+    if not value:
+        raise ConfigFileError(f"config field '{name}' must not be empty")
+    return value
 
 
 def _build_grid(cfg) -> solver.Grid:
@@ -113,8 +125,8 @@ def _build_weight(cfg, grid):
 def _ensemble(cfg):
     ens = _get(cfg, "ensemble", (dict, [dict, ...]))
     if isinstance(ens, list):
-        return [_build_field(d, f"ensemble[{i}]") for i, d in enumerate(ens)]
-    seeds = _get(ens, "seeds", [int, ...])
+        return [_build_field(d, f"ensemble[{i}]") for i, d in enumerate(_nonempty(ens, "ensemble"))]
+    seeds = _nonempty(_get(ens, "seeds", [int, ...]), "seeds")
     base = {k: v for k, v in ens.items() if k != "seeds"}
     return [_build_field({**base, "seed": s}, f"ensemble(seed={s})") for s in seeds]
 
@@ -207,7 +219,10 @@ def _cmd_g_bound(cfg, outdir):
     floor = _get(cfg, "floor", float, 1e-30)
     floor_tol = _get(cfg, "floor_delta_tol", float, 1e-3)
     weight = _build_weight(cfg, grid)
-    rng = np.random.default_rng(_get(cfg, "source_seed", int, 0))
+    source_seed = _get(cfg, "source_seed", int, 0)
+    if source_seed < 0:
+        raise ConfigFileError(f"config field 'source_seed' must be >= 0, got {source_seed}")
+    rng = np.random.default_rng(source_seed)
 
     rows = []
     for f in fields:
@@ -334,7 +349,7 @@ def _cmd_adjoint(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     field = _build_field(_get(cfg, "field", dict))
-    points = _get(cfg, "points", [[float, float], ...])
+    points = _nonempty(_get(cfg, "points", [[float, float], ...]), "points")
     eval_point = _get(cfg, "eval_point", [float, float], [0.0, 0.0])
     t0 = _get(cfg, "t0", float, 1.0)
     t1 = _get(cfg, "t1", float, 2.0)

@@ -24,22 +24,40 @@ __all__ = [
 _KINDS = ("constant", "checkerboard", "oscillatory", "random-piecewise")
 
 
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
 def _splitmix64(z: np.ndarray) -> np.ndarray:
     # stateless integer hash; lets piecewise-random fields be evaluated at
     # arbitrary points without carrying RNG state
-    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64, copy=False)
+    z = (z + np.uint64(_GOLDEN)).astype(np.uint64, copy=False)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
+def _splitmix64_int(z: int) -> int:
+    # _splitmix64 of z mod 2^64 for any Python int z, each step masked to 64 bits
+    z = (z + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def _cell_uniform(seed: int, it, ix, iv) -> np.ndarray:
-    # one uniform in [0, 1) per lattice cell, mixing the seed with the indices as h broadcasts
-    h = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    # one uniform in [0, 1) per lattice cell, mixing the seed with the indices as h broadcasts;
+    # a 0-d time index (a whole time slice) is mixed in Python ints, cheaper than numpy scalars
+    h = seed & _MASK64
+    rounds = (it, ix, iv)
+    if np.ndim(it) == 0:
+        h = _splitmix64_int(h ^ int(it) * _GOLDEN)
+        rounds = (ix, iv)
+    h = np.uint64(h)
     with np.errstate(over="ignore"):
-        for idx in (it, ix, iv):
+        for idx in rounds:
             u = idx.astype(np.int64).astype(np.uint64)
-            h = _splitmix64(h ^ (u * np.uint64(0x9E3779B97F4A7C15)))
+            h = _splitmix64(h ^ (u * np.uint64(_GOLDEN)))
     return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 

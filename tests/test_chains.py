@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kolkit import chains
 from kolkit.chains import (
     ChainConstructionError,
     ChainSpec,
@@ -29,7 +30,7 @@ P = NearDiagonalParams()  # rho0 = 0.25, c0 = 0.05
 
 
 def reference_perturbation_check(chain, samples_per_step=8, eta=None, seed=0, rtol=1e-12):
-    """The all-samples-at-once check whose verdicts the per-sample loop must keep."""
+    """The all-samples-at-once check whose verdicts the blocked check must keep."""
     eta = chain.eta if eta is None else float(eta)
     xs, vs, k, dt, rho0 = chain.xs, chain.vs, chain.k, chain.dt, chain.rho0
     rad = eta * np.sqrt(chain.d)
@@ -60,6 +61,16 @@ def reference_perturbation_check(chain, samples_per_step=8, eta=None, seed=0, rt
         if np.any(dxr > rho0 * dt**1.5 * (1.0 + rtol)):
             return False
     return True
+
+
+def reference_centres(Xbar, Vbar, k):
+    """The closed forms as single expressions; build_chain must give their bits."""
+    Xbar, Vbar = np.asarray(Xbar, dtype=float), np.asarray(Vbar, dtype=float)
+    mu = 6.0 * k * (Xbar * k - Vbar * (k - 1.0) / 2.0) / (k * k - 1.0)
+    j = np.arange(k + 1, dtype=float)[:, None]
+    vs = Vbar * (j / k) + mu * j * (k - j) / k**2
+    xs = (1.0 / k) * (j * (j - 1.0)) * (Vbar / (2.0 * k) + (mu / (k * k)) * (k / 2.0 - (2.0 * j - 1.0) / 6.0))
+    return xs, vs
 
 
 # a target in d = 1 or 2 with |Xbar|, |Vbar| <= 1 per coordinate, and a small
@@ -131,6 +142,14 @@ class TestBuildChain:
             build_chain([0.0, 0.0], [1.0], P)
         with pytest.raises(ValueError):
             build_chain([0.0], [1.0], P, k0=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(target=TARGETS)
+    def test_centres_are_the_closed_forms_bit_for_bit(self, target):
+        c = build_chain(*target[:2], P, k0=target[2])
+        if c.k > 1:
+            xs, vs = reference_centres(*target[:2], c.k)
+            assert np.array_equal(c.xs, xs) and np.array_equal(c.vs, vs)
 
     def test_two_dimensional_target(self):
         chain = build_chain([0.1, -0.2], [0.4, 0.3], P, k0=64.0)
@@ -222,6 +241,11 @@ class TestPerturbations:
         c = build_chain([0.0], [1.0], P, k0=64.0)
         assert not perturbation_check(c, eta=P.rho0, samples_per_step=0)
 
+    def test_endpoints_stay_fixed(self):
+        # k = 1: both nodes are endpoints, so no tube radius moves the one step
+        c = build_chain([0.0], [0.1], P, k0=1.0)
+        assert perturbation_check(c, eta=10.0, samples_per_step=4)
+
     def test_negative_radius_rejected(self):
         c = build_chain([0.0], [0.1], P, k0=1.0)
         with pytest.raises(ValueError):
@@ -257,17 +281,48 @@ class TestPerturbations:
 
     def test_peak_memory_is_a_few_draws(self):
         c = build_chain([0.0], [10.0], P)  # k = 409,600, the longest benchmark chain
-        samples = 8
-        draw = samples * (c.k + 1) * c.d * 8  # bytes in one (S, k+1, d) array
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert perturbation_check(c, samples_per_step=samples)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        # the all-samples-at-once check peaked at about 9.6 draws
-        assert peak <= 4 * draw
+        peaks = {}
+        for samples in (1, 32):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert perturbation_check(c, samples_per_step=samples)
+                peaks[samples] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        # the samples are checked one block of nodes at a time, so the peak
+        # does not grow with their number and stays under one sample's rows
+        assert abs(peaks[32] - peaks[1]) <= 2**20
+        assert max(peaks.values()) < (c.k + 1) * c.d * 8
+
+    def test_blocked_rows_are_the_joint_draw(self):
+        c = build_chain([1.0, -1.0], [2.0, 1.5], P)  # d = 2, k = 33,792
+        assert len(chains._node_blocks(c.k)) >= 3
+        samples, seed = 3, 2024
+        xi = np.empty((samples, c.k + 1, c.d))
+        eta = np.empty_like(xi)
+        for s, blocks in enumerate(chains._sample_blocks(seed, samples, c.k, c.d)):
+            for lo, hi, ux, uv in blocks:
+                xi[s, lo:hi], eta[s, lo:hi] = ux, uv
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(xi, rng.uniform(-1.0, 1.0, xi.shape))
+        assert np.array_equal(eta, rng.uniform(-1.0, 1.0, eta.shape))
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_steps_across_block_boundaries_are_checked(self, block):
+        c = build_chain([1.0, -1.0], [2.0, 1.5], P)
+        eta = P.rho0 / 8.0  # the default rho0/4 fails the d = 2 screen everywhere
+        assert perturbation_check(c, samples_per_step=2, eta=eta)
+        # a velocity jump into the block's first node, with the positions
+        # after it moved along so only the step into that node breaks
+        lo = block * chains._BLOCK
+        assert lo < c.k
+        kick = np.array([2.0 * P.rho0 * np.sqrt(c.dt), 0.0])
+        c.vs[lo:] += kick
+        c.xs[lo:] += np.arange(c.k + 1 - lo)[:, None] * c.dt * kick
+        assert not reference_perturbation_check(c, samples_per_step=2, eta=eta)
+        assert not perturbation_check(c, samples_per_step=0, eta=eta)  # the screen
+        assert not perturbation_check(c, samples_per_step=2, eta=eta)
 
 
 class TestLowerBound:

@@ -217,6 +217,12 @@ class TestConfigErrors:
             ("g-bound", {"ensemble": {"kind": "constant", "seeds": [1.5]}}, "'seeds[0]'"),
             ("g-bound", {"ensemble": [{"kind": "constant", "params": {"value": None}}]}, "'value'"),
             ("g-bound", {"ensemble": [{"kind": "checkerboard", "params": {"cells": 0.5}}]}, "'cells'"),
+            ("g-bound", {"ensemble": []}, "'ensemble'"),
+            ("level-set", {"ensemble": {"kind": "constant", "seeds": []}}, "'seeds'"),
+            ("adjoint", {"points": []}, "'points'"),
+            ("g-bound", {"source_seed": -1}, "'source_seed'"),
+            ("simulate", {"t_final": 10**400}, "'t_final'"),
+            ("verify-bounds", {"taus": [0.5, -(10**400)]}, "'taus[1]'"),
         ],
         ids=[
             "g-bound",
@@ -272,6 +278,12 @@ class TestConfigErrors:
             "g-bound-seeds-float",
             "g-bound-field-value-null",
             "g-bound-field-cells-number",
+            "g-bound-ensemble-empty",
+            "level-set-seeds-empty",
+            "adjoint-points-empty",
+            "g-bound-source_seed-negative",
+            "simulate-t_final-overflow",
+            "verify-bounds-taus-overflow",
         ],
     )
     def test_out_of_range_value_is_config_error(

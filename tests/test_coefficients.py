@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kolkit.coefficients import dilated_field, make_field, reversed_flipped_field
+from kolkit.coefficients import _cell_uniform, dilated_field, make_field, reversed_flipped_field
 from kolkit.solver import Grid
 
 RNG = np.random.default_rng(7331)
@@ -231,3 +231,23 @@ class TestPerShapeEvaluation:
         got, want = f.value(t, x, v), reference_value(f.descriptor(), t, x, v)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestCellUniform:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        it=INT64,
+        zero_d=st.sampled_from([np.int64, np.array]),
+        ix=st.lists(INT64, min_size=1, max_size=5),
+        iv=st.lists(INT64, min_size=1, max_size=5),
+    )
+    def test_scalar_time_round_matches_the_numpy_round(self, seed, it, zero_d, ix, iv):
+        # a 0-d time index is hashed in Python ints, a 1-element array in numpy
+        ix, iv = np.array(ix)[:, None], np.array(iv)[None, :]
+        got = _cell_uniform(seed, zero_d(it), ix, iv)
+        want = _cell_uniform(seed, np.array([it]), ix, iv)
+        assert got.shape == want.shape and np.array_equal(got, want)
