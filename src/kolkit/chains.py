@@ -99,9 +99,15 @@ class ChainSpec:
         object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=float)))
         if self.xs.shape != self.vs.shape or self.xs.ndim != 2 or len(self.xs) != self.k + 1 or not self.d:
             raise ValueError("centre arrays must both have shape (k+1, d) with d >= 1")
+        # NaN propagates through min and max, so both are finite exactly when every entry is;
+        # unlike np.isfinite(u) they make no temporary the size of the chain
+        centres = (self.xs, self.vs, self.mu)
+        extremes = [f(u, initial=0.0) for u in centres for f in (np.min, np.max)]
+        if not np.isfinite(extremes).all():
+            raise ValueError("centres xs, vs and mu must be finite")
         if not (0.0 < self.eta <= self.rho0 / 4.0 + 1e-15):
             raise ValueError(f"eta must lie in (0, rho0/4], got {self.eta}")
-        if abs(self.dt * self.k - 1.0) > 1e-12:
+        if not (abs(self.dt * self.k - 1.0) <= 1e-12):
             raise ValueError(f"chain must span a unit interval, got k*dt = {self.dt * self.k}")
 
     @property
@@ -295,14 +301,14 @@ def build_chain(Xbar, Vbar, p: NearDiagonalParams, k0: float | None = None) -> C
 
 def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -> None:
     """Re-verify every chain invariant; raises ValueError with the first
-    violated one."""
+    violated one.  Each check reads `not (value <= bound)`, so a NaN fails it."""
     xs, vs, k, dt = chain.xs, chain.vs, chain.k, chain.dt
     if float(np.linalg.norm(xs[0])) != 0.0 or float(np.linalg.norm(vs[0])) != 0.0:
         raise ValueError("chain must start at the origin")
     if target is not None:
         Xbar, Vbar = (np.atleast_1d(np.asarray(t, dtype=float)) for t in target)
-        err = max(float(np.linalg.norm(xs[-1] - Xbar)), float(np.linalg.norm(vs[-1] - Vbar)))
-        if err > endpoint_tol:
+        err = float(np.max([np.linalg.norm(xs[-1] - Xbar), np.linalg.norm(vs[-1] - Vbar)]))
+        if not (err <= endpoint_tol):
             raise ValueError(f"endpoint error {err:.2e} exceeds {endpoint_tol:.0e}")
 
     # two (k, d) arrays at a time: the step buffer and one operand
@@ -310,7 +316,7 @@ def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -
     step = np.subtract(xs[1:], xs[:-1])
     step -= dt * vs[:-1]
     worst_t = float(np.abs(step, out=step).max())
-    if worst_t > 1e-12 * scale:
+    if not (worst_t <= 1e-12 * scale):
         raise ValueError(f"transport recursion violated by {worst_t:.2e}")
 
     # the increment norms |v_j - v_{j-1}|, each square and root in place
@@ -318,7 +324,7 @@ def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -
     np.sqrt(inc, out=inc)
     bound = 0.5 * chain.rho0 * np.sqrt(dt)
     j = int(np.argmax(inc))
-    if inc[j] > bound * (1.0 + 1e-12):
+    if not (inc[j] <= bound * (1.0 + 1e-12)):
         raise ValueError(
             f"increment bound violated at step {j + 1}: |v_{j + 1} - v_{j}| = "
             f"{inc[j]:.6e} > {bound:.6e}"
@@ -383,7 +389,8 @@ def perturbation_check(
     triangle inequality each perturbed increment is at most the centre one plus
     the radii of the nodes it moves (and dt times a velocity radius): the corner
     screen bounds every point of the box, and samples_per_step random interior
-    points per node (fixed seed) only re-confirm it in floating point.
+    points per node (fixed seed) only re-confirm it in floating point.  Each
+    inequality is tested as `value <= bound`, so a NaN fails it.
 
     Memory: the screen and each sample walk the chain in blocks of 2^14
     nodes, the last node of a block carried into the next, so besides the
@@ -393,8 +400,8 @@ def perturbation_check(
     advanced to their offset, so the verdict is the joint draw's.
     """
     eta = chain.eta if eta is None else float(eta)
-    if eta < 0:
-        raise ValueError(f"tube radius must be nonnegative, got {eta}")
+    if not (0.0 <= eta < np.inf):
+        raise ValueError(f"tube radius must be finite and nonnegative, got {eta}")
     if samples_per_step < 0:
         raise ValueError(f"samples_per_step must be nonnegative, got {samples_per_step}")
     xs, vs, k, dt, rho0 = chain.xs, chain.vs, chain.k, chain.dt, chain.rho0
@@ -410,7 +417,7 @@ def perturbation_check(
         inc, resid = _step_norms(xs[a:hi], vs[a:hi], dt)
         v_worst = inc + rad * np.sqrt(dt) * (free[:-1] + free[1:])
         x_worst = resid + rad * dt**1.5 * (free[:-1] + free[1:]) + dt * rad * np.sqrt(dt) * free[:-1]
-        if np.any(v_worst > v_tol) or np.any(x_worst > x_tol):
+        if not (np.all(v_worst <= v_tol) and np.all(x_worst <= x_tol)):
             return False
 
     for blocks in _sample_blocks(seed, samples_per_step, k, chain.d):
@@ -424,7 +431,7 @@ def perturbation_check(
             uv += vs[lo:hi]
             x, v = np.concatenate((x[-1:], ux)), np.concatenate((v[-1:], uv))
             dv, dxr = _step_norms(x, v, dt)
-            if np.any(dv > v_tol) or np.any(dxr > x_tol):
+            if not (np.all(dv <= v_tol) and np.all(dxr <= x_tol)):
                 return False
     return True
 

@@ -4,11 +4,12 @@ Commands: simulate | verify-bounds | g-bound | level-set | chain |
 trajectories | adjoint.  Exit codes: 0 = ran and all requested assertions
 passed, 1 = ran but a verification assertion failed, 2 = config error
 (the diagnostic names the offending field), including an out-of-range
-value and a config that puts a functional outside its domain
-(nash_g.DomainError), 3 = numerical failure (solver.SolverError,
-profiles.FitError), whose summary records the error.  Every summary
-embeds the resolved config and is written atomically; with fixed seeds the
-summary is byte-stable apart from the timestamp field.
+value, the non-standard JSON constants NaN and +-Infinity, and a config
+that puts a functional outside its domain (nash_g.DomainError),
+3 = numerical failure (solver.SolverError, profiles.FitError), whose
+summary records the error.  Every summary embeds the resolved config and
+is written atomically; with fixed seeds the summary is byte-stable apart
+from the timestamp field.
 """
 
 from __future__ import annotations
@@ -387,15 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _no_constant(name: str):
+    # json reads NaN, Infinity and -Infinity, which RFC 8259 leaves out and no field accepts
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_no_constant)
     except OSError as e:
         print(f"config error: cannot read {args.config}: {e}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # json.JSONDecodeError, _no_constant, or bytes that are not UTF-8
         print(f"config error: {args.config} is not valid JSON: {e}", file=sys.stderr)
         return 2
     if not isinstance(cfg, dict):

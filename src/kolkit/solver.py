@@ -4,13 +4,14 @@ Strang splitting: half-step implicit diffusion in v, full conservative
 transport in x, half-step diffusion.  Transport uses a flux-form piecewise
 parabolic reconstruction with the classic monotonicity limiter, so mass is
 conserved to rounding and nonnegativity is preserved under the CFL bound
-dt <= dx / Lv.  Diffusion is backward Euler in flux form with harmonic-mean
-interface coefficients (the standard choice for discontinuous a).  The
-tridiagonal system is symmetric and strictly diagonally dominant with a
-positive diagonal, hence positive definite; LAPACK pttrf factors it as
-L D L^T with d > 0 and off-diagonals of L <= 0, so the substitutions
-preserve sign without any pivoting, and the solve keeps column sums.  x is
-periodic, v has zero-flux walls.
+dt <= dx / Lv; it runs the right-moving branch only, on the v < 0 columns
+mirrored in x, a cache-sized block of rows at a time.  Diffusion is
+backward Euler in flux form with harmonic-mean interface coefficients (the
+standard choice for discontinuous a).  The tridiagonal system is symmetric
+and strictly diagonally dominant with a positive diagonal, hence positive
+definite; LAPACK pttrf factors it as L D L^T with d > 0 and off-diagonals
+of L <= 0, so the substitutions preserve sign without any pivoting, and
+the solve keeps column sums.  x is periodic, v has zero-flux walls.
 
 Each run owns one stepper (`_FactorCache`, made by `evolve`): it holds the
 diffusion-factor slot and the transport sweep's courant row and scratch
@@ -253,110 +254,124 @@ def init_delta(center, width, grid: Grid, t: float = 0.0) -> Field:
     return Field(vals, t, grid)
 
 
+# cells in one row block of the transport sweep, so that its scratch stays in cache
+_SWEEP_CELLS = 2**14
+
+
 class _Sweep:
     """Conservative x-transport of (Nx, Nv) arrays by one fixed courant row.
 
-    The split column, per-column upwind constants and scratch arrays are made
-    once and reused by each call; results go to `out` (fresh when None).
+    The scheme is mirror-symmetric in x bit for bit: the face value, its
+    clamp and the extremum test are symmetric; the two overshoot tests swap
+    but never fire on one cell; the flux and the update only change sign,
+    which is exact.  So the columns [:k] (v < 0) are loaded reversed in x,
+    every column moves right with c = |courant|, and those columns go back
+    through out[::-1] (only zeros of -0.0 input can change sign).  Rows go
+    in blocks of about _SWEEP_CELLS cells; the pad, the block-sized scratch
+    and the per-block views are made once.  out (fresh when None) may be f.
     """
 
     def __init__(self, courant: np.ndarray, shape: tuple):
         nx, nv = shape
-        self.courant = courant
-        # v_centers ascend, so only columns [:k] move left; each half gets its own upwind flux
-        self.k = k = int(np.searchsorted(courant[0], 0.0))
-        cpos = np.maximum(courant[:, k:], 0.0)
-        cneg = np.maximum(-courant[:, :k], 0.0)
-        self.half_pos, self.shape_pos = 0.5 * cpos, 1.0 - (2.0 / 3.0) * cpos
-        self.half_neg, self.shape_neg = 0.5 * cneg, 1.0 - (2.0 / 3.0) * cneg
-        self.pad = np.empty((nx + 4, nv))
-        self.flux, self.lo, self.hi = (np.empty((nx + 1, nv)) for _ in range(3))
-        self.fl, self.fr, self.d, self.f6 = (np.empty(shape) for _ in range(4))
-        # cell-shaped views of two face arrays, free once the face values are clipped
-        self.t1, self.t2 = self.lo[:-1], self.hi[:-1]
-        self.m1, self.m2 = np.empty((2, *shape), dtype=bool)
+        # v_centers ascend, so only columns [:k] move left
+        self.k = int(np.searchsorted(courant[0], 0.0))
+        self.c = np.abs(courant)
+        self.half, self.shape = 0.5 * self.c, 1.0 - (2.0 / 3.0) * self.c
+        # the mirrored input, 3 periodic ghost rows before and 2 after: row r holds cell r - 3
+        self.pad = np.empty((nx + 5, nv))
+        n = -(-nx // -(-nx * nv // _SWEEP_CELLS))  # rows per block
+        # separate arrays: freeing one stacked ~1 MB array would raise glibc's mmap threshold and
+        # speed up the 128 KiB temporaries of the kernel that perfbench's norm_wall_s divides by
+        self.scratch = [np.empty((n + 2, nv), dtype=t) for t in [float] * 7 + [bool] * 2]
+        self.blocks = []
+        for a in range(0, nx, n):
+            # block [a, a + m) reads pad rows a .. a + m + 4 (cells a - 3 .. a + m + 1); e, lo, hi
+            # hold the faces a - 3/2 .. a + m - 1/2, the rest the cells a - 1 .. a + m - 1
+            m, p = min(n, nx - a), self.pad[a : a + n + 5]
+            e, lo, hi = (u[: m + 2] for u in self.scratch[:3])
+            cells = [u[: m + 1] for u in self.scratch[1:]]
+            views = (p[2:-2], p[3:-2], e[: m + 1], lo[:m], p[:-3], p[1:-2], p[2:-1], p[3:])
+            self.blocks.append((a, a + m, *views, e, lo, hi, *cells))
 
-    def _update(self, f: np.ndarray, out) -> np.ndarray:
-        # f - c (F_{i+1/2} - F_{i-1/2}); v >= 0 cells filled flux[1:, k:], v < 0 ones flux[:-1, :k]
-        k, flux, t1 = self.k, self.flux, self.t1
-        flux[0, k:] = flux[-1, k:]
-        flux[-1, :k] = flux[0, :k]
-        np.subtract(flux[1:], flux[:-1], out=t1)
-        np.multiply(self.courant, t1, out=t1)
-        return np.subtract(f, t1, out=out)
+    def _load(self, f: np.ndarray, out) -> np.ndarray:
+        # columns [:k] reversed in x, then the periodic ghost rows
+        p, k = self.pad, self.k
+        p[3:-2, k:], p[3:-2, :k] = f[:, k:], f[::-1, :k]
+        p[:3], p[-2:] = p[-5:-2], p[3:5]
+        return np.empty_like(f) if out is None else out
+
+    def _update(self, out, a, b, g, flux, t) -> None:
+        # g - c (F_{i+1/2} - F_{i-1/2}) on the cells a .. b - 1; columns [:k] go back mirrored
+        k = self.k
+        np.subtract(flux[1:], flux[:-1], out=t)
+        np.multiply(self.c, t, out=t)
+        np.subtract(g[:, k:], t[:, k:], out=out[a:b, k:])
+        np.subtract(g[:, :k], t[:, :k], out=out[::-1][a:b, :k])
 
     def upwind(self, f: np.ndarray, out=None) -> np.ndarray:
-        k = self.k
-        self.flux[1:, k:], self.flux[:-1, :k] = f[:, k:], f[:, :k]
-        return self._update(f, out)
+        out = self._load(f, out)
+        for a, b, cells, g, _, t, *_ in self.blocks:
+            self._update(out, a, b, g, cells, t)
+        return out
 
     def ppm(self, f: np.ndarray, out=None) -> np.ndarray:
-        # the face values e live in flux until the fluxes overwrite them
-        k, p, e, lo, hi, fl, fr = self.k, self.pad, self.flux, self.lo, self.hi, self.fl, self.fr
-        d, f6, t1, t2, m1, m2 = self.d, self.f6, self.t1, self.t2, self.m1, self.m2
-        # two periodic ghost rows per side; the slices and e run over the faces i - 1/2, i = 0..Nx
-        p[2:-2], p[:2], p[-2:] = f, f[-2:], f[:2]
-        fm2, fm1, f0, fp1 = p[:-3], p[1:-2], p[2:-1], p[3:]
-        # e = (7 (fm1 + f0) - (fm2 + fp1)) / 12
-        np.add(fm1, f0, out=e)
-        np.multiply(7.0, e, out=e)
-        np.add(fm2, fp1, out=lo)
-        np.subtract(e, lo, out=e)
-        np.divide(e, 12.0, out=e)
-        # clamping the face value into the adjacent-cell range keeps the
-        # reconstruction (and hence the update) nonnegative for |c| <= 1
-        np.minimum(fm1, f0, out=lo)
-        np.maximum(fm1, f0, out=hi)
-        np.clip(e, lo, hi, out=e)
-        fl[...], fr[...] = e[:-1], e[1:]
+        out = self._load(f, out)
+        for (a, b, f, g, flux, t, fm2, fm1, f0, fp1,
+             e, lo, hi, t1, t2, fl, fr, d, f6, m1, m2) in self.blocks:
+            # f holds the cells a - 1 .. b - 1; e holds their faces, then their fluxes
+            # e = (7 (fm1 + f0) - (fm2 + fp1)) / 12
+            np.add(fm1, f0, out=e)
+            np.multiply(7.0, e, out=e)
+            np.add(fm2, fp1, out=lo)
+            np.subtract(e, lo, out=e)
+            np.divide(e, 12.0, out=e)
+            # clamping the face value into the adjacent-cell range keeps the
+            # reconstruction (and hence the update) nonnegative for |c| <= 1
+            np.minimum(fm1, f0, out=lo)
+            np.maximum(fm1, f0, out=hi)
+            np.maximum(e, lo, out=e)
+            np.minimum(e, hi, out=e)
+            fl[...], fr[...] = e[:-1], e[1:]
 
-        # ext = (fr - f) (f - fl) <= 0
-        np.subtract(fr, f, out=t1)
-        np.subtract(f, fl, out=t2)
-        np.multiply(t1, t2, out=t1)
-        np.less_equal(t1, 0.0, out=m1)
-        np.copyto(fl, f, where=m1)
-        np.copyto(fr, f, where=m1)
-        self._parabola(f)
-        # at an extremum fl = fr = f, so d = 0 and neither overshoot test fires:
-        # over_r = d f6 > d d, over_l = d f6 < -d d
-        np.multiply(d, f6, out=t1)
-        np.multiply(d, d, out=t2)
-        np.greater(t1, t2, out=m1)
-        np.negative(t2, out=t2)
-        np.less(t1, t2, out=m2)
-        # fl = 3 f - 2 fr where over_r, then fr = 3 f - 2 fl where over_l
-        np.multiply(3.0, f, out=t1)
-        np.multiply(2.0, fr, out=t2)
-        np.subtract(t1, t2, out=t2)
-        np.copyto(fl, t2, where=m1)
-        np.multiply(2.0, fl, out=t2)
-        np.subtract(t1, t2, out=t2)
-        np.copyto(fr, t2, where=m2)
-        self._parabola(f)
+            # ext = (fr - f) (f - fl) <= 0
+            np.subtract(fr, f, out=t1)
+            np.subtract(f, fl, out=t2)
+            np.multiply(t1, t2, out=t1)
+            np.less_equal(t1, 0.0, out=m1)
+            np.copyto(fl, f, where=m1)
+            np.copyto(fr, f, where=m1)
+            _parabola(f, fl, fr, d, f6)
+            # at an extremum fl = fr = f, so d = 0 and neither overshoot test fires:
+            # over_r = d f6 > d d, over_l = d f6 < -d d
+            np.multiply(d, f6, out=t1)
+            np.multiply(d, d, out=t2)
+            np.greater(t1, t2, out=m1)
+            np.negative(t2, out=t2)
+            np.less(t1, t2, out=m2)
+            # fl = 3 f - 2 fr where over_r, then fr = 3 f - 2 fl where over_l
+            np.multiply(3.0, f, out=t1)
+            np.multiply(2.0, fr, out=t2)
+            np.subtract(t1, t2, out=fl, where=m1)
+            np.multiply(2.0, fl, out=t2)
+            np.subtract(t1, t2, out=fr, where=m2)
+            _parabola(f, fl, fr, d, f6)
 
-        # right = fr - (c/2) (d - (1 - 2c/3) f6) on columns [k:], into flux[1:, k:]
-        r = t1[:, k:]
-        np.multiply(self.shape_pos, f6[:, k:], out=r)
-        np.subtract(d[:, k:], r, out=r)
-        np.multiply(self.half_pos, r, out=r)
-        np.subtract(fr[:, k:], r, out=self.flux[1:, k:])
-        # left = fl + (|c|/2) (d + (1 - 2|c|/3) f6) on columns [:k], into flux[:-1, :k]
-        q = t1[:, :k]
-        np.multiply(self.shape_neg, f6[:, :k], out=q)
-        np.add(d[:, :k], q, out=q)
-        np.multiply(self.half_neg, q, out=q)
-        np.add(fl[:, :k], q, out=self.flux[:-1, :k])
-        return self._update(f, out)
+            # F = fr - (c/2) (d - (1 - 2c/3) f6) at each cell's right face
+            np.multiply(self.shape, f6, out=t1)
+            np.subtract(d, t1, out=t1)
+            np.multiply(self.half, t1, out=t1)
+            np.subtract(fr, t1, out=flux)
+            self._update(out, a, b, g, flux, t)
+        return out
 
-    def _parabola(self, f: np.ndarray) -> None:
-        # d = fr - fl, f6 = 6 (f - (fl + fr) / 2)
-        fl, fr, d, f6 = self.fl, self.fr, self.d, self.f6
-        np.subtract(fr, fl, out=d)
-        np.add(fl, fr, out=f6)
-        np.multiply(0.5, f6, out=f6)
-        np.subtract(f, f6, out=f6)
-        np.multiply(6.0, f6, out=f6)
+
+def _parabola(f, fl, fr, d, f6) -> None:
+    # d = fr - fl, f6 = 6 (f - (fl + fr) / 2)
+    np.subtract(fr, fl, out=d)
+    np.add(fl, fr, out=f6)
+    np.multiply(0.5, f6, out=f6)
+    np.subtract(f, f6, out=f6)
+    np.multiply(6.0, f6, out=f6)
 
 
 class _FactorCache:

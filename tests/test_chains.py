@@ -183,6 +183,30 @@ class TestValidateChain:
         with pytest.raises(ValueError, match="endpoint"):
             validate_chain(self.chain(), target=([0.2], [0.9]))
 
+    @pytest.mark.parametrize("nodes", [("xs", "vs"), ("xs",), ("vs",)])
+    def test_nan_centres_fail_every_check(self, nodes):
+        # a NaN compares false with any bound, so each check must read not (value <= bound)
+        c = self.chain()
+        for name in nodes:
+            getattr(c, name)[c.k // 2 if name == "xs" else c.k // 3, 0] = np.nan
+        with pytest.raises(ValueError, match="transport|increment"):
+            validate_chain(c)
+        assert not perturbation_check(c)
+        assert not perturbation_check(c, eta=0.0, samples_per_step=0)
+
+    def test_nan_last_velocity_fails_the_increment_bound(self):
+        # the transport recursion never reads v_k, so only the increment check sees it
+        c = self.chain()
+        c.vs[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="increment"):
+            validate_chain(c)
+        assert not perturbation_check(c)
+
+    def test_nan_endpoint_fails(self):
+        c = self.chain()
+        with pytest.raises(ValueError, match="endpoint"):
+            validate_chain(c, target=([np.nan], [0.5]))
+
 
 class TestChainSpec:
     def test_validation(self):
@@ -194,6 +218,16 @@ class TestChainSpec:
             ChainSpec(k=2, dt=0.4, xs=xs, vs=vs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
         with pytest.raises(ValueError, match="shape"):
             ChainSpec(k=3, dt=1 / 3, xs=xs, vs=vs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
+        with pytest.raises(ValueError, match="unit interval"):
+            ChainSpec(k=2, dt=np.nan, xs=xs, vs=vs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
+
+    @pytest.mark.parametrize("field", ["xs", "vs", "mu"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_centres_must_be_finite(self, field, value):
+        arrays = {"xs": np.zeros((3, 1)), "vs": np.zeros((3, 1)), "mu": np.zeros(1)}
+        arrays[field].flat[-1] = value
+        with pytest.raises(ValueError, match="finite"):
+            ChainSpec(k=2, dt=0.5, **arrays, eta=0.0625, rho0=0.25, k0=1.0)
 
     def test_serialization_truncates_long_chains(self):
         c = build_chain([0.0], [1.0], P, k0=1.0)  # k = 1021
@@ -248,8 +282,9 @@ class TestPerturbations:
 
     def test_negative_radius_rejected(self):
         c = build_chain([0.0], [0.1], P, k0=1.0)
-        with pytest.raises(ValueError):
-            perturbation_check(c, eta=-0.1)
+        for eta in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tube radius"):
+                perturbation_check(c, eta=eta)
 
     def test_negative_sample_count_rejected(self):
         c = build_chain([0.0], [0.1], P, k0=1.0)

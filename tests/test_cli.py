@@ -11,6 +11,8 @@ from kolkit.coefficients import make_field
 
 BASE_GRID = {"Lx": 4.5, "Lv": 6.5, "Nx": 32, "Nv": 32}
 BASE_SOLVER = {"dt": 1.0 / 32, "w0_cells": 2.0, "tail_tol": 1.0}
+# json.dumps writes these as the non-standard constants NaN and Infinity
+NAN, INF = float("nan"), float("inf")
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -98,6 +100,13 @@ class TestConfigErrors:
     def test_invalid_json(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        # not UTF-8; a one-byte locale encoding reads them, and then they are not JSON
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe{")
         assert main(["simulate", "--config", str(p)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
@@ -223,6 +232,14 @@ class TestConfigErrors:
             ("g-bound", {"source_seed": -1}, "'source_seed'"),
             ("simulate", {"t_final": 10**400}, "'t_final'"),
             ("verify-bounds", {"taus": [0.5, -(10**400)]}, "'taus[1]'"),
+            ("simulate", {"solver": {**BASE_SOLVER, "dt": NAN}}, "NaN is not a JSON number"),
+            ("simulate", {"t_final": NAN}, "NaN is not a JSON number"),
+            ("simulate", {"grid": {**BASE_GRID, "Lx": NAN}}, "NaN is not a JSON number"),
+            ("simulate", {"grid": {**BASE_GRID, "Lx": INF}}, "Infinity is not a JSON number"),
+            ("simulate", {"source": [0, NAN, 0]}, "NaN is not a JSON number"),
+            ("simulate", {"solver": {**BASE_SOLVER, "w0_cells": NAN}}, "NaN is not a JSON number"),
+            ("simulate", {"field": {"kind": "constant", "params": {"value": NAN}}}, "NaN is not"),
+            ("verify-bounds", {"taus": [0.5, -INF]}, "-Infinity is not a JSON number"),
         ],
         ids=[
             "g-bound",
@@ -284,6 +301,14 @@ class TestConfigErrors:
             "g-bound-source_seed-negative",
             "simulate-t_final-overflow",
             "verify-bounds-taus-overflow",
+            "simulate-dt-nan",
+            "simulate-t_final-nan",
+            "simulate-Lx-nan",
+            "simulate-Lx-infinity",
+            "simulate-source-nan",
+            "simulate-w0_cells-nan",
+            "simulate-params-value-nan",
+            "verify-bounds-taus-minus-infinity",
         ],
     )
     def test_out_of_range_value_is_config_error(

@@ -325,18 +325,35 @@ class TestInvariants:
         power=st.integers(1, 6),
         zeros=st.floats(0.0, 0.6),
         seed=st.integers(0, 2**31 - 1),
+        cells=st.sampled_from([16, 64, 1000, 2**14]),
+        signed_zeros=st.booleans(),
     )
-    def test_transport_matches_two_branch_reference(self, nx, nv, cmax, power, zeros, seed):
+    def test_transport_matches_two_branch_reference(
+        self, nx, nv, cmax, power, zeros, seed, cells, signed_zeros
+    ):
         # odd nv puts a v = 0 column in the middle; powers and zeroed cells
-        # make steep fronts and flat patches that exercise every limiter branch
+        # make steep fronts and flat patches that exercise every limiter branch;
+        # small row blocks put block seams all over the grid
         grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
         rng = np.random.default_rng(seed)
         f = rng.random((nx, nv)) ** power
-        f[rng.random((nx, nv)) < zeros] = 0.0
+        zeroed = rng.random((nx, nv)) < zeros
+        f[zeroed] = 0.0
+        if signed_zeros:
+            f[zeroed & (rng.random((nx, nv)) < 0.5)] = -0.0
         courant = (grid.v_centers * (cmax / grid.Lv))[None, :]
         assert np.abs(courant).max() <= 1.0
-        assert np.array_equal(_Sweep(courant, f.shape).ppm(f), reference_ppm(f, courant))
-        assert np.array_equal(_Sweep(courant, f.shape).upwind(f), reference_upwind(f, courant))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_SWEEP_CELLS", cells)
+            sweep = _Sweep(courant, f.shape)
+        for got, want in [(sweep.ppm(f), reference_ppm(f, courant)),
+                          (sweep.upwind(f), reference_upwind(f, courant))]:
+            if signed_zeros:
+                # the mirrored columns may flip the sign of a zero; the step's clamp drops it
+                assert np.array_equal(got, want)
+                assert np.maximum(got, 0.0).tobytes() == np.maximum(want, 0.0).tobytes()
+            else:
+                assert got.tobytes() == want.tobytes()
 
     def test_indefinite_diffusion_matrix_is_solver_error(self):
         # a negative half step makes the backward-Euler matrix indefinite,
@@ -355,31 +372,41 @@ class TestInvariants:
 
 class TestStepper:
     @pytest.mark.parametrize("order", [1, 3])
-    def test_reused_scratch_never_leaks_into_results(self, order):
-        # every field a shared stepper returned must survive the later steps untouched
+    def test_reused_scratch_never_leaks_into_results(self, monkeypatch, order):
+        # every field a shared stepper returned must survive the later steps untouched,
+        # with one row block or with ten of 4 rows (the last one of a single row)
         grid = Grid(Lx=2.0, Lv=3.0, Nx=37, Nv=29)
         config = SolverConfig(dt=0.9 * grid.dx / grid.Lv, transport_order=order)
         rough = make_field(
             "random-piecewise", {"cells": (0.01, 0.3, 0.3), "random_origin": True}, seed=5
         )
         start = init_delta((0.1, -0.2), (2 * grid.dx, 2 * grid.dv), grid)
-        factors = _FactorCache(rough, grid, 0.5 * config.dt)
-        shared, fresh = [start], [start]
-        for _ in range(12):
-            shared.append(step(shared[-1], rough, config, factors))
-            fresh.append(step(fresh[-1], rough, config, factors=None))
+        runs = []
+        for cells, rows in [(2**14, [37]), (100, [4] * 9 + [1])]:
+            monkeypatch.setattr(solver_module, "_SWEEP_CELLS", cells)
+            factors = _FactorCache(rough, grid, 0.5 * config.dt)
+            shared, fresh = [start], [start]
+            for _ in range(12):
+                shared.append(step(shared[-1], rough, config, factors))
+                fresh.append(step(fresh[-1], rough, config, factors=None))
+            runs.append([u.values.tobytes() for u in shared])
 
-        scratch = [a for a in vars(factors.sweep).values() if isinstance(a, np.ndarray)]
-        assert len(scratch) >= 10
-        # the factor-build arrays, which pttrf overwrites in place with the factor
-        factor = [factors.ah, factors.diag, factors.off]
-        d, e = factors._ld
-        assert np.shares_memory(d, factors.diag) and np.shares_memory(e, factors.off)
-        for prev, now, want in zip(shared, shared[1:], fresh[1:]):
-            assert now.t == want.t
-            assert now.values.tobytes() == want.values.tobytes()
-            assert not np.shares_memory(now.values, prev.values)
-            assert not any(np.shares_memory(now.values, a) for a in scratch + factor)
+            sweep = factors.sweep
+            scratch = [a for a in vars(sweep).values() if isinstance(a, np.ndarray)] + sweep.scratch
+            assert [b - a for a, b, *_ in sweep.blocks] == rows
+            # every per-block view lies in one of the sweep's own arrays
+            views = [v for blk in sweep.blocks for v in blk[2:]]
+            assert all(any(np.shares_memory(v, a) for a in scratch) for v in views)
+            # the factor-build arrays, which pttrf overwrites in place with the factor
+            factor = [factors.ah, factors.diag, factors.off]
+            d, e = factors._ld
+            assert np.shares_memory(d, factors.diag) and np.shares_memory(e, factors.off)
+            for prev, now, want in zip(shared, shared[1:], fresh[1:]):
+                assert now.t == want.t
+                assert now.values.tobytes() == want.values.tobytes()
+                assert not np.shares_memory(now.values, prev.values)
+                assert not any(np.shares_memory(now.values, a) for a in scratch + factor)
+        assert runs[0] == runs[1]
 
     @settings(max_examples=40, deadline=None)
     @given(
