@@ -121,16 +121,11 @@ class ChainSpec:
     def times(self) -> np.ndarray:
         return np.arange(self.k + 1) * self.dt
 
-    def _fields(self, max_nodes: int) -> dict:
-        # to_dict's content with the centres kept as (n, d) arrays
-        stride = 1
+    def _fields(self, max_nodes: int) -> tuple:
+        # to_dict's scalar fields, and the node stride its centres are read at
         n = self.k + 1
-        if n > max_nodes:
-            stride = int(np.ceil(n / max_nodes))
-        idx = np.arange(0, n, stride)
-        if idx[-1] != n - 1:
-            idx = np.append(idx, n - 1)
-        return {
+        stride = int(np.ceil(n / max_nodes)) if n > max_nodes else 1
+        doc = {
             "k": self.k,
             "dt": self.dt,
             "rho0": self.rho0,
@@ -139,33 +134,67 @@ class ChainSpec:
             "mu": self.mu.tolist(),
             "node_stride": stride,
             "node_indices_truncated": stride > 1,
-            "centres": {"x": self.xs[idx], "v": self.vs[idx]},
         }
+        return doc, stride
+
+    @staticmethod
+    def _row_blocks(a, stride):
+        # the rows a[0], a[stride], a[2 stride], ... and then a[-1], in views of
+        # at most _TEXT_ROWS rows
+        step = _TEXT_ROWS * stride
+        for lo in range(0, len(a), step):
+            yield a[lo : lo + step : stride]
+        if (len(a) - 1) % stride:
+            yield a[-1:]
 
     def to_dict(self, max_nodes: int = 65536) -> dict:
-        doc = self._fields(max_nodes)
-        doc["centres"] = {key: a.tolist() for key, a in doc["centres"].items()}
+        doc, stride = self._fields(max_nodes)
+        doc["centres"] = {
+            key: [row for rows in self._row_blocks(a, stride) for row in rows.tolist()]
+            for key, a in (("x", self.xs), ("v", self.vs))
+        }
         return doc
 
-    def to_json(self, **kw) -> str:
-        """Byte-identical to json.dumps(self.to_dict(), sort_keys=True, **kw) for
-        json.JSONEncoder's keywords, but the centres are laid out with
-        str.join: json's C encoder does not run when there is an indent."""
-        doc = self._fields(65536)
-        centres = doc["centres"]
-        doc["centres"] = {key: f"<{key}>" for key in centres}
+    def _json_chunks(self, **kw):
+        # the text of json.dumps(self.to_dict(), sort_keys=True, **kw) in pieces:
+        # the scalar part from json's encoder with a placeholder for each centre
+        # array, and each array _TEXT_ROWS rows at a time, its numbers from
+        # json's C encoder laid out with str.join (the C encoder does not run
+        # when there is an indent)
+        doc, stride = self._fields(65536)
+        doc["centres"] = {"v": "<v>", "x": "<x>"}
         enc = json.JSONEncoder(sort_keys=True, **kw)
-        text = enc.encode(doc)
+        rest = enc.encode(doc)
         ind = " " * enc.indent if isinstance(enc.indent, int) else enc.indent
         # the arrays open at depth 2, their rows at 3, the numbers at 4
         nl2, nl3, nl4 = ("" if ind is None else "\n" + ind * depth for depth in (2, 3, 4))
         sep = enc.item_separator
-        for key, a in centres.items():
-            nums = json.dumps(a.ravel().tolist(), allow_nan=enc.allow_nan)[1:-1].split(", ")
-            rows = map((sep + nl4).join, zip(*[iter(nums)] * a.shape[1]))
-            body = (nl3 + "]" + sep + nl3 + "[" + nl4).join(rows)
-            text = text.replace(f'"<{key}>"', f"[{nl3}[{nl4}{body}{nl3}]{nl2}]", 1)
-        return text
+        row_sep = nl3 + "]" + sep + nl3 + "[" + nl4
+        for key, a in (("v", self.vs), ("x", self.xs)):  # sort_keys order
+            head, rest = rest.split(f'"<{key}>"', 1)
+            yield head + "[" + nl3 + "[" + nl4
+            for i, rows in enumerate(self._row_blocks(a, stride)):
+                nums = json.dumps(rows.ravel().tolist(), allow_nan=enc.allow_nan)[1:-1].split(", ")
+                if i:
+                    yield row_sep
+                yield row_sep.join(map((sep + nl4).join, zip(*[iter(nums)] * self.d)))
+            yield nl3 + "]" + nl2 + "]"
+        yield rest
+
+    def to_json(self, fh=None, **kw) -> str | None:
+        """Byte-identical to json.dumps(self.to_dict(), sort_keys=True, **kw) for
+        json.JSONEncoder's keywords.  Returns that text, or writes it to the
+        file object fh and returns None.
+
+        Memory: the text is made in pieces of at most 2^11 rows of a centre
+        array, so writing to fh holds one piece and its numbers' strings
+        besides the chain (under 1 MiB in d = 1 and 2), whatever k is; only
+        the returned string is the size of the whole text."""
+        chunks = self._json_chunks(**kw)
+        if fh is None:
+            return "".join(chunks)
+        fh.writelines(chunks)
+        return None
 
 
 def _increment_extremes(Xbar, Vbar, mu, k):
@@ -182,35 +211,41 @@ def _mu_for(Xbar, Vbar, k, dtype=float):
     return 6.0 * kk * (Xbar.astype(dtype) * kk - Vbar.astype(dtype) * (kk - one) / 2.0) / (kk * kk - one)
 
 
-def _positions(Vbar, mu, k, dtype=float):
-    # x_j = dt * sum_{i<j} v_i with the sums in closed form:
-    # dt j (j - 1) (Vbar / (2k) + (mu / k^2) (k/2 - (2j - 1)/6)), each product
-    # formed as written (a swapped operand rounds the same), in three arrays
+def _positions(xs, Vbar, mu, dtype=float):
+    # fills xs, shape (k+1, d), with x_j = dt * sum_{i<j} v_i, the sums in closed
+    # form: dt j (j - 1) (Vbar / (2k) + (mu / k^2) (k/2 - (2j - 1)/6)), each
+    # product formed as written (a swapped operand rounds the same), one block of
+    # nodes at a time in dtype and rounded to xs's dtype on assignment
+    k = len(xs) - 1
     kk = dtype(k)
     dt = 1.0 / kk
-    j = np.arange(k + 1, dtype=dtype)[:, None]
-    jj1 = j - 1.0
-    jj1 *= j
-    jj1 *= dt
-    j *= 2.0
-    j -= 1.0
-    j /= 6.0
-    cubic = np.subtract(kk / 2.0, j, out=j)
-    xs = (mu / (kk * kk)) * cubic
-    xs += Vbar.astype(dtype) / (2.0 * kk)
-    xs *= jj1
-    return xs
+    slope = mu / (kk * kk)
+    offset = Vbar.astype(dtype) / (2.0 * kk)
+    for lo, hi in _node_blocks(k):
+        j = np.arange(lo, hi, dtype=dtype)[:, None]
+        jj1 = j - 1.0
+        jj1 *= j
+        jj1 *= dt
+        j *= 2.0
+        j -= 1.0
+        j /= 6.0
+        block = slope * np.subtract(kk / 2.0, j, out=j)
+        block += offset
+        block *= jj1
+        xs[lo:hi] = block
 
 
-def _velocities(Vbar, mu, k):
-    # v_j = Vbar (j/k) + mu j (k - j) / k^2, each product formed as written
-    j = np.arange(k + 1, dtype=float)[:, None]
-    vs = Vbar * (j / k)
-    corr = mu * j
-    corr *= np.subtract(k, j, out=j)
-    corr /= k**2
-    vs += corr
-    return vs
+def _velocities(vs, Vbar, mu):
+    # fills vs, shape (k+1, d), with v_j = Vbar (j/k) + mu j (k - j) / k^2, each
+    # product formed as written, one block of nodes at a time
+    k = len(vs) - 1
+    for lo, hi in _node_blocks(k):
+        j = np.arange(lo, hi, dtype=float)[:, None]
+        block = np.multiply(Vbar, j / k, out=vs[lo:hi])
+        corr = mu * j
+        corr *= np.subtract(k, j, out=j)
+        corr /= k**2
+        block += corr
 
 
 def _admissible(Xbar, Vbar, k, rho0) -> bool:
@@ -284,13 +319,15 @@ def build_chain(Xbar, Vbar, p: NearDiagonalParams, k0: float | None = None) -> C
         xs = np.stack([np.zeros_like(Xbar), Xbar])
     else:
         mu = _mu_for(Xbar, Vbar, k)
-        xs = _positions(Vbar, mu, k)
+        xs = np.empty((k + 1, len(Xbar)))
+        _positions(xs, Vbar, mu)
         if float(np.linalg.norm(xs[-1] - Xbar)) > 1e-10:
             # fall back to extended precision for the correction coefficient
             mu = _mu_for(Xbar, Vbar, k, dtype=np.longdouble)
-            xs = np.asarray(_positions(Vbar, mu, k, dtype=np.longdouble), dtype=float)
+            _positions(xs, Vbar, mu, dtype=np.longdouble)
             mu = np.asarray(mu, dtype=float)
-        vs = _velocities(Vbar, mu, k)
+        vs = np.empty_like(xs)
+        _velocities(vs, Vbar, mu)
 
     chain = ChainSpec(
         k=k, dt=1.0 / k, xs=xs, vs=vs, mu=mu, eta=p.rho0 / 4.0, rho0=p.rho0, k0=float(k0)
@@ -301,7 +338,13 @@ def build_chain(Xbar, Vbar, p: NearDiagonalParams, k0: float | None = None) -> C
 
 def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -> None:
     """Re-verify every chain invariant; raises ValueError with the first
-    violated one.  Each check reads `not (value <= bound)`, so a NaN fails it."""
+    violated one.  Each check reads `not (value <= bound)`, so a NaN fails it.
+
+    Memory: the steps are read in blocks of 2^14 nodes, so besides the chain
+    the check holds a few block-sized arrays whatever k is.  The reported
+    values and step index are the whole chain's: the largest transport
+    residual, and the first step with the largest increment (or the first
+    NaN one)."""
     xs, vs, k, dt = chain.xs, chain.vs, chain.k, chain.dt
     if float(np.linalg.norm(xs[0])) != 0.0 or float(np.linalg.norm(vs[0])) != 0.0:
         raise ValueError("chain must start at the origin")
@@ -311,29 +354,43 @@ def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -
         if not (err <= endpoint_tol):
             raise ValueError(f"endpoint error {err:.2e} exceeds {endpoint_tol:.0e}")
 
-    # two (k, d) arrays at a time: the step buffer and one operand
-    scale = max(1.0, float(np.abs(xs).max()))
-    step = np.subtract(xs[1:], xs[:-1])
-    step -= dt * vs[:-1]
-    worst_t = float(np.abs(step, out=step).max())
+    # max |x_j| with no |xs| temporary; Python's max drops a NaN, which fails the transport check
+    scale = max(1.0, float(xs.max()), -float(xs.min()))
+    # per block of nodes: the largest transport residual, and the first largest
+    # increment norm |v_j - v_{j-1}| with its step (np.argmax counts a NaN as largest)
+    resid, inc_max, inc_at = [], [], []
+    for lo, hi in _node_blocks(k):
+        a = max(lo - 1, 0)
+        step = np.subtract(xs[a + 1 : hi], xs[a : hi - 1])
+        step -= dt * vs[a : hi - 1]
+        resid.append(np.abs(step, out=step).max())
+        # each square and root in place
+        inc = np.square(np.subtract(vs[a + 1 : hi], vs[a : hi - 1], out=step), out=step).sum(axis=1)
+        np.sqrt(inc, out=inc)
+        j = int(np.argmax(inc))
+        inc_max.append(inc[j])
+        inc_at.append(a + j)
+    worst_t = float(np.max(resid))
     if not (worst_t <= 1e-12 * scale):
         raise ValueError(f"transport recursion violated by {worst_t:.2e}")
 
-    # the increment norms |v_j - v_{j-1}|, each square and root in place
-    inc = np.square(np.subtract(vs[1:], vs[:-1], out=step), out=step).sum(axis=1)
-    np.sqrt(inc, out=inc)
     bound = 0.5 * chain.rho0 * np.sqrt(dt)
-    j = int(np.argmax(inc))
-    if not (inc[j] <= bound * (1.0 + 1e-12)):
+    b = int(np.argmax(inc_max))
+    j, worst_inc = inc_at[b], inc_max[b]
+    if not (worst_inc <= bound * (1.0 + 1e-12)):
         raise ValueError(
             f"increment bound violated at step {j + 1}: |v_{j + 1} - v_{j}| = "
-            f"{inc[j]:.6e} > {bound:.6e}"
+            f"{worst_inc:.6e} > {bound:.6e}"
         )
 
 
-# nodes per block: the corner screen and every perturbation sample walk the
-# chain in blocks of this many nodes
+# nodes per block: build_chain, validate_chain, the corner screen and every
+# perturbation sample walk the chain in blocks of this many nodes
 _BLOCK = 1 << 14
+# centre rows per piece of to_json's text: formatting a row takes about 30 times
+# its 8 bytes a coordinate in Python floats and strings, so a piece holds about
+# 0.45 MB in d = 1
+_TEXT_ROWS = _BLOCK // 8
 
 
 def _node_blocks(k):

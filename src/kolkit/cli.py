@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -76,6 +77,20 @@ def _nonempty(value, name):
     if not value:
         raise ConfigFileError(f"config field '{name}' must not be empty")
     return value
+
+
+@contextmanager
+def _replacing(path):
+    """A text file open for writing that replaces path when the block ends
+    without an error, so a reader finds the previous file or the whole new
+    one, never a torn one; on an error it is removed and path is left as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _build_grid(cfg) -> solver.Grid:
@@ -285,6 +300,8 @@ def _cmd_chain(cfg, outdir):
     Vbar = _get(cfg, "Vbar", (float, [float, ...]))
     k0 = _get(cfg, "k0", float, None)
     samples = _get(cfg, "samples_per_step", int, 8)
+    if samples < 0:
+        raise ConfigFileError(f"config field 'samples_per_step' must be >= 0, got {samples}")
     try:
         p = chains.NearDiagonalParams(rho0=_get(cfg, "rho0", float, 0.25), c0=_get(cfg, "c0", float, 0.05))
     except ValueError as e:
@@ -293,12 +310,10 @@ def _cmd_chain(cfg, outdir):
         chain = chains.build_chain(Xbar, Vbar, p, k0=k0)
     except (ValueError, chains.ChainConstructionError) as e:
         raise ConfigFileError(f"chain target: {e}") from e
-    try:
-        ok = chains.perturbation_check(chain, samples_per_step=samples)
-    except ValueError as e:
-        raise ConfigFileError(f"samples_per_step: {e}") from e
+    ok = chains.perturbation_check(chain, samples_per_step=samples)
     log_bound = chains.chain_lower_bound(chain, p, log=True)
-    (outdir / "chain.json").write_text(chain.to_json(indent=1))
+    with _replacing(outdir / "chain.json") as fh:
+        chain.to_json(fh, indent=1)
     summary = {
         "k": chain.k,
         "dt": chain.dt,
@@ -322,6 +337,9 @@ def _cmd_trajectories(cfg, outdir):
     r_points = _get(cfg, "r_points", int, 1024)
     r_min = _get(cfg, "r_min", float, 1e-6)
     required = _get(cfg, "require_flags", [str, ...], ["endpoints"])
+    for flag in required:
+        if flag not in trajectories.PASS_FLAGS:
+            raise ConfigFileError(f"require_flags: unknown flag {flag!r}")
     try:
         if name == "straight":
             fam = trajectories.straight_family(T, d)
@@ -338,9 +356,6 @@ def _cmd_trajectories(cfg, outdir):
     rep = trajectories.check_properties(fam, r_grid=r_grid)
     (outdir / "property_report.json").write_text(rep.to_json(indent=1))
     rep.curves_csv(outdir / "exponent_curves.csv")
-    for flag in required:
-        if flag not in rep.pass_flags:
-            raise ConfigFileError(f"require_flags: unknown flag {flag!r}")
     summary = {"report": rep.to_dict(), "required_flags": required}
     passed = all(rep.pass_flags[f] for f in required)
     return summary, passed
@@ -429,11 +444,9 @@ def main(argv=None) -> int:
     }
     if error is not None:
         doc["error"] = error
-    # a reader finds the previous summary or the whole new one, never a torn one
     path = outdir / "summary.json"
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True, indent=1, default=float))
-    os.replace(tmp, path)
+    with _replacing(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1, default=float))
     if error is not None:
         return 3
     if not passed:

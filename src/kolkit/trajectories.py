@@ -29,6 +29,7 @@ __all__ = [
     "eval_trajectory",
     "check_properties",
     "default_r_grid",
+    "PASS_FLAGS",
 ]
 
 
@@ -224,6 +225,23 @@ class CheckTolerances:
     # slope of the measured constant-ratio below which property (4) is
     # considered divergent as r -> 0
     margin_slope_floor: float = -0.05
+
+
+# the keys of PropertyReport.pass_flags, in check_properties' order
+PASS_FLAGS = (
+    "endpoints",
+    "kinetic_relation",
+    "kinetic_relation_integral",
+    "A_endpoint_matrices",
+    "B_endpoint_matrices",
+    "det_A_rate",
+    "inv_column_rate",
+    "B_det_near_zero",
+    "jacobian_rate",
+    "property4",
+    "slope_stable",
+    "critical",
+)
 
 
 @dataclass

@@ -73,6 +73,64 @@ def reference_centres(Xbar, Vbar, k):
     return xs, vs
 
 
+def reference_positions(Vbar, mu, k, dtype=float):
+    """The whole-array position formula, rounded to float; build_chain fills its
+    blocks with these bits, in float and in the longdouble fallback."""
+    kk = dtype(k)
+    j = np.arange(k + 1, dtype=dtype)[:, None]
+    jj1 = j * (j - 1.0) * (1.0 / kk)
+    cubic = kk / 2.0 - (2.0 * j - 1.0) / 6.0
+    xs = (mu / (kk * kk)) * cubic
+    xs += Vbar.astype(dtype) / (2.0 * kk)
+    xs *= jj1
+    return np.asarray(xs, dtype=float)
+
+
+def reference_validate_chain(chain):
+    """The whole-array transport and increment checks, whose messages (values
+    and step index) the blocked validate_chain must give."""
+    xs, vs, dt = chain.xs, chain.vs, chain.dt
+    scale = max(1.0, float(np.abs(xs).max()))
+    worst_t = float(np.abs(xs[1:] - xs[:-1] - dt * vs[:-1]).max())
+    if not (worst_t <= 1e-12 * scale):
+        raise ValueError(f"transport recursion violated by {worst_t:.2e}")
+    inc = np.sqrt(np.square(vs[1:] - vs[:-1]).sum(axis=1))
+    bound = 0.5 * chain.rho0 * np.sqrt(dt)
+    j = int(np.argmax(inc))
+    if not (inc[j] <= bound * (1.0 + 1e-12)):
+        raise ValueError(
+            f"increment bound violated at step {j + 1}: |v_{j + 1} - v_{j}| = {inc[j]:.6e} > {bound:.6e}"
+        )
+
+
+def closed_form_chain(k, d=1):
+    """A chain of any k steps on the closed forms (build_chain picks its own k)."""
+    Xbar, Vbar = [0.2, -0.1][:d], [0.5, 0.3][:d]
+    xs, vs = reference_centres(Xbar, Vbar, k)
+    return ChainSpec(k=k, dt=1.0 / k, xs=xs, vs=vs, mu=np.zeros(d), eta=P.rho0 / 4.0, rho0=P.rho0, k0=1.0)
+
+
+def assert_same_text(got, want):
+    """got == want, naming the first difference: pytest's diff of two texts of
+    megabytes takes minutes."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {i}: {got[i - 30 : i + 30]!r} != {want[i - 30 : i + 30]!r}")
+
+
+def traced_peak(fn):
+    """Bytes fn allocates at its peak above what was allocated before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+B = chains._BLOCK
+
 # a target in d = 1 or 2 with |Xbar|, |Vbar| <= 1 per coordinate, and a small
 # starting count so the chains stay short
 TARGETS = st.integers(1, 2).flatmap(
@@ -145,11 +203,32 @@ class TestBuildChain:
 
     @settings(max_examples=60, deadline=None)
     @given(target=TARGETS)
+    @example(target=([0.0], [4.0], 4096.0))  # k = 65,536: four blocks of nodes
+    @example(target=([1.0, -1.0], [2.0, 1.5], 4096.0))  # k = 33,792 in d = 2
     def test_centres_are_the_closed_forms_bit_for_bit(self, target):
         c = build_chain(*target[:2], P, k0=target[2])
         if c.k > 1:
             xs, vs = reference_centres(*target[:2], c.k)
             assert np.array_equal(c.xs, xs) and np.array_equal(c.vs, vs)
+
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_blocked_positions_are_the_whole_array_formula(self, dtype):
+        # the longdouble fallback fills float blocks from extended-precision ones
+        k = 2 * B + 1
+        Xbar, Vbar = np.array([0.3, -0.7]), np.array([1.1, 0.4])
+        mu = chains._mu_for(Xbar, Vbar, k, dtype=dtype)
+        xs = np.empty((k + 1, 2))
+        chains._positions(xs, Vbar, mu, dtype=dtype)
+        assert np.array_equal(xs, reference_positions(Vbar, mu, k, dtype=dtype))
+
+    def test_peak_memory_is_the_chain(self):
+        # positions, velocities and the validation are made one block of nodes
+        # at a time: no temporary the size of the chain
+        out = []
+        peak = traced_peak(lambda: out.append(build_chain([0.0], [10.0], P)))
+        c = out[0]
+        assert c.k == 409_600
+        assert peak <= c.xs.nbytes + c.vs.nbytes + 2**20
 
     def test_two_dimensional_target(self):
         chain = build_chain([0.1, -0.2], [0.4, 0.3], P, k0=64.0)
@@ -202,6 +281,43 @@ class TestValidateChain:
             validate_chain(c)
         assert not perturbation_check(c)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            {"xs": [(B, 1e-3)]},  # a position at a block's first node
+            {"xs": [(B - 1, 1e-3)]},  # and at the node carried into the next block
+            {"kick": [(B, 1.0)]},  # the first step a block checks
+            {"kick": [(B - 1, 1.0)]},  # the last step of a block
+            {"kick": [(B // 2, 1.0), (B + 3, 2.0)]},  # the larger kick is in a later block
+            {"kick": [(B // 2, 2.0), (B + 3, 1.0)]},  # the larger kick is in an earlier block
+            {"vs": [(B, np.nan)]},
+            {"xs": [(B - 1, np.nan)]},
+            {"vs": [(2 * B, np.nan)]},  # the last node, alone in the last block
+            {"kick": [(B // 2, 1.0)], "vs": [(2 * B, np.nan)]},  # a NaN beats any number
+            {},
+        ],
+    )
+    def test_messages_at_block_seams_are_the_whole_chains(self, tamper):
+        c = closed_form_chain(2 * B)  # nodes in blocks [0, B), [B, 2B) and [2B]
+        for name in ("xs", "vs"):
+            for node, delta in tamper.get(name, []):
+                getattr(c, name)[node, 0] += delta
+        for node, size in tamper.get("kick", []):
+            # a velocity jump into node, the positions after it moved along, so
+            # only the increment into node breaks
+            kick = size * P.rho0 * np.sqrt(c.dt)
+            c.vs[node:] += kick
+            c.xs[node:] += np.arange(c.k + 1 - node)[:, None] * c.dt * kick
+        try:
+            reference_validate_chain(c)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                validate_chain(c)
+            assert str(got.value) == str(e)
+        else:
+            assert not tamper
+            validate_chain(c)
+
     def test_nan_endpoint_fails(self):
         c = self.chain()
         with pytest.raises(ValueError, match="endpoint"):
@@ -253,6 +369,35 @@ class TestChainSpec:
         want = json.dumps(c.to_dict(), sort_keys=True, indent=indent)
         assert json.loads(want)["node_stride"] == 2
         assert c.to_json(indent=indent) == want
+
+    @pytest.mark.parametrize(
+        "nodes, d",
+        [(B - 1, 1), (B, 1), (B + 1, 1), (2 * B + 1, 1), (B + 1, 2), (2 * 65536 + 3, 1)],
+        ids=["block-1", "block", "block+1", "2block+1", "block+1-d2", "stride3"],
+    )
+    @pytest.mark.parametrize("kw", JSON_KW, ids=lambda kw: json.dumps(kw))
+    def test_json_pieces_join_to_json_dumps(self, tmp_path, nodes, d, kw):
+        # pieces of _TEXT_ROWS rows: seams at a block, one row after it, and a
+        # stride of 3 whose rows skip the last node, which is appended
+        c = closed_form_chain(nodes - 1, d)
+        doc = c.to_dict()
+        idx = np.unique(np.r_[np.arange(0, nodes, doc["node_stride"]), nodes - 1])
+        assert np.array_equal(doc["centres"]["x"], c.xs[idx]) and np.array_equal(doc["centres"]["v"], c.vs[idx])
+        want = json.dumps(doc, sort_keys=True, **kw)
+        assert_same_text(c.to_json(**kw), want)
+        with open(tmp_path / "chain.json", "w") as fh:
+            assert c.to_json(fh, **kw) is None
+        assert_same_text((tmp_path / "chain.json").read_text(), want)
+
+    def test_file_peak_memory_is_one_piece(self, tmp_path):
+        peaks = {}
+        for target in ([0.0], [3.0]), ([0.0], [10.0]):
+            c = build_chain(*target, P)  # k = 36,864 and 409,600
+            with open(tmp_path / "chain.json", "w") as fh:
+                peaks[c.k] = traced_peak(lambda: c.to_json(fh, indent=1))
+        # the text is written piece by piece: the peak is one piece's, at any k
+        assert max(peaks.values()) <= 2**20
+        assert abs(peaks[409_600] - peaks[36_864]) <= 2**16
 
     @pytest.mark.parametrize("shape", [(2, 0), (2,), (2, 1, 1)])
     def test_centres_need_two_axes_and_a_dimension(self, shape):

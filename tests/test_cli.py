@@ -82,12 +82,10 @@ class TestSimulate:
 
 
 # values that pass their field's type and are rejected by the first run that
-# takes them: record_every by the first kernel run, samples_per_step by the
-# perturbation check of a built chain
+# takes them: record_every by the first kernel run
 CHECKED_BY_FIRST_RUN = {
     "level-set-record_every-0",
     "level-set-record_every-negative",
-    "chain-samples_per_step-negative",
 }
 
 
@@ -222,6 +220,7 @@ class TestConfigErrors:
             ("chain", {"Xbar": [0.0], "Vbar": [1.0], "rho0": None}, "'rho0'"),
             ("trajectories", {"family": "log-oscillatory", "beta": None}, "'beta'"),
             ("trajectories", {"family": "straight", "require_flags": [[1]]}, "'require_flags[0]'"),
+            ("trajectories", {"family": "straight", "require_flags": ["endpoints", "nonsense"]}, "'nonsense'"),
             ("trajectories", {"family": "straight", "r_points": 100.7}, "'r_points'"),
             ("g-bound", {"ensemble": {"kind": "constant", "seeds": [1.5]}}, "'seeds[0]'"),
             ("g-bound", {"ensemble": [{"kind": "constant", "params": {"value": None}}]}, "'value'"),
@@ -291,6 +290,7 @@ class TestConfigErrors:
             "chain-rho0-null",
             "trajectories-beta-null",
             "trajectories-require_flags-nested",
+            "trajectories-require_flags-unknown",
             "trajectories-r_points-float",
             "g-bound-seeds-float",
             "g-bound-field-value-null",
@@ -338,8 +338,8 @@ class TestConfigErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
-        assert not (outdir / "summary.json").exists()
-        assert not list(outdir.glob("kernel*"))
+        # no summary.json, kernel, chain.json or trajectory report
+        assert not list(outdir.glob("*"))
 
 
 class TestNumericalErrors:
@@ -391,6 +391,28 @@ class TestChainCommand:
         assert len(json.loads(text)["centres"]["x"]) == 1022
         want = chains.build_chain([0.0], [1.0], chains.NearDiagonalParams(), k0=16.0)
         assert text == json.dumps(want.to_dict(), sort_keys=True, indent=1)
+
+    def test_failed_write_leaves_no_torn_chain_json(self, tmp_path, monkeypatch):
+        # chain.json is written in pieces to a temporary file that is renamed
+        # into place, so a write that raises after its first piece leaves the
+        # previous chain.json, or none, and no temporary file
+        code, outdir = run(tmp_path, "chain", {"Xbar": [0.0], "Vbar": [1.0], "k0": 16}, out="old")
+        assert code == 0
+        old = (outdir / "chain.json").read_bytes()
+        pieces = chains.ChainSpec._json_chunks
+
+        def torn(self, **kw):
+            chunks = pieces(self, **kw)
+            yield next(chunks)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(chains.ChainSpec, "_json_chunks", torn)
+        for out in ("old", "new"):
+            with pytest.raises(OSError, match="no space"):
+                run(tmp_path, "chain", {"Xbar": [0.0], "Vbar": [0.9], "k0": 16}, out=out)
+        assert sorted(p.name for p in outdir.iterdir()) == ["chain.json", "summary.json"]
+        assert (outdir / "chain.json").read_bytes() == old
+        assert not list((tmp_path / "new").glob("*"))
 
     def test_unreachable_target(self, tmp_path, capsys):
         cfg = {"Xbar": [0.0], "Vbar": [40.0], "k0": 1}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kolkit.trajectories import (
+    PASS_FLAGS,
     CheckTolerances,
     TrajectoryFamily,
     check_properties,
@@ -156,6 +157,10 @@ class TestStraightFamily:
         assert not f["inv_column_rate"]
         assert not f["jacobian_rate"]
         assert not f["critical"]
+
+    def test_pass_flags_are_the_named_tuple(self, straight_report):
+        # the CLI checks require_flags against PASS_FLAGS before any run
+        assert tuple(straight_report.pass_flags) == PASS_FLAGS
 
     def test_criticality_exponents_helper(self):
         rep = check_properties(STRAIGHT, r_grid=default_r_grid(256))
