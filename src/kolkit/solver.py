@@ -12,6 +12,8 @@ and strictly diagonally dominant with a positive diagonal, hence positive
 definite; LAPACK pttrf factors it as L D L^T with d > 0 and off-diagonals
 of L <= 0, so the substitutions preserve sign without any pivoting, and
 the solve keeps column sums.  x is periodic, v has zero-flux walls.
+dpttrf/dpttrs come straight from scipy's compiled `_flapack` module, which
+`scipy.linalg.lapack` re-exports, so `scipy.linalg`'s package init never runs.
 
 Each run owns one stepper (`_FactorCache`, made by `evolve`): it holds the
 diffusion-factor slot and the transport sweep's courant row and scratch
@@ -30,16 +32,35 @@ and coefficient seed.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy  # cheap, and runs scipy's own shared-library setup
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientField, dilated_field
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded without running scipy.linalg's package init."""
+    name = "scipy.linalg._flapack"
+    dirs = [os.path.join(p, "linalg") for p in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no {name} extension in {os.pathsep.join(dirs)}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 __all__ = [
     "Grid",

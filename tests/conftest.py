@@ -3,6 +3,7 @@ that several verification tests read from.
 
 The heavyweight runs are session-scoped on purpose; the near-diagonal,
 G-functional and envelope tests all consume the same ten estimates.
+`assert_same_text` is imported by the tests that compare texts of megabytes.
 """
 
 import numpy as np
@@ -27,6 +28,14 @@ def checkerboard_ensemble(seeds, lo, hi):
         )
         for s in seeds
     ]
+
+
+def assert_same_text(got, want):
+    """got == want, naming the first difference: pytest's diff of two texts of
+    megabytes takes minutes."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {i}: {got[i - 30 : i + 30]!r} != {want[i - 30 : i + 30]!r}")
 
 
 @pytest.fixture(scope="session")

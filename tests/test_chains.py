@@ -26,6 +26,8 @@ from kolkit.coefficients import make_field
 from kolkit.phase_geometry import PhasePoint
 from kolkit.solver import Grid, SolverConfig, estimate_kernel
 
+from conftest import assert_same_text
+
 P = NearDiagonalParams()  # rho0 = 0.25, c0 = 0.05
 
 
@@ -108,14 +110,6 @@ def closed_form_chain(k, d=1):
     Xbar, Vbar = [0.2, -0.1][:d], [0.5, 0.3][:d]
     xs, vs = reference_centres(Xbar, Vbar, k)
     return ChainSpec(k=k, dt=1.0 / k, xs=xs, vs=vs, mu=np.zeros(d), eta=P.rho0 / 4.0, rho0=P.rho0, k0=1.0)
-
-
-def assert_same_text(got, want):
-    """got == want, naming the first difference: pytest's diff of two texts of
-    megabytes takes minutes."""
-    if got != want:
-        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
-        pytest.fail(f"texts differ at offset {i}: {got[i - 30 : i + 30]!r} != {want[i - 30 : i + 30]!r}")
 
 
 def traced_peak(fn):
@@ -361,14 +355,14 @@ class TestChainSpec:
     @example(target=([0.0, 0.0], [0.05, -0.1], 1.0), kw={"indent": 2})  # k = 1, d = 2
     def test_json_is_json_dumps_of_the_dict(self, target, kw):
         c = build_chain(*target[:2], P, k0=target[2])
-        assert c.to_json(**kw) == json.dumps(c.to_dict(), sort_keys=True, **kw)
+        assert_same_text(c.to_json(**kw), json.dumps(c.to_dict(), sort_keys=True, **kw))
 
     @pytest.mark.parametrize("indent", [None, 1, 2])
     def test_truncated_json_is_json_dumps_of_the_dict(self, indent):
         c = build_chain([0.0], [4.0], P)  # k = 65536: one node over the cap
         want = json.dumps(c.to_dict(), sort_keys=True, indent=indent)
         assert json.loads(want)["node_stride"] == 2
-        assert c.to_json(indent=indent) == want
+        assert_same_text(c.to_json(indent=indent), want)
 
     @pytest.mark.parametrize(
         "nodes, d",

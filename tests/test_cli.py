@@ -9,6 +9,8 @@ from kolkit import chains, nash_g, profiles, solver, trajectories
 from kolkit.cli import main
 from kolkit.coefficients import make_field
 
+from conftest import assert_same_text
+
 BASE_GRID = {"Lx": 4.5, "Lv": 6.5, "Nx": 32, "Nv": 32}
 BASE_SOLVER = {"dt": 1.0 / 32, "w0_cells": 2.0, "tail_tol": 1.0}
 # json.dumps writes these as the non-standard constants NaN and Infinity
@@ -390,7 +392,7 @@ class TestChainCommand:
         text = (outdir / "chain.json").read_text()
         assert len(json.loads(text)["centres"]["x"]) == 1022
         want = chains.build_chain([0.0], [1.0], chains.NearDiagonalParams(), k0=16.0)
-        assert text == json.dumps(want.to_dict(), sort_keys=True, indent=1)
+        assert_same_text(text, json.dumps(want.to_dict(), sort_keys=True, indent=1))
 
     def test_failed_write_leaves_no_torn_chain_json(self, tmp_path, monkeypatch):
         # chain.json is written in pieces to a temporary file that is renamed

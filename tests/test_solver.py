@@ -1,15 +1,18 @@
 """Finite-volume solver: validation, conservation, kernel estimates."""
 
 import dataclasses
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg import lapack
 from scipy.ndimage import gaussian_filter
 
 import kolkit
@@ -88,9 +91,25 @@ def reference_factor(field, t_sub, grid, dt_half):
     mu = dt_half / grid.dv**2
     off = -mu * ah[:, 1:].ravel()[:-1]
     diag = (1.0 + mu * ah[:, :-1] + mu * ah[:, 1:]).ravel()
-    d, e, info = dpttrf(diag, off)
+    d, e, info = lapack.dpttrf(diag, off)
     assert info == 0
     return d, e
+
+
+def pttrf_pttrs_bytes(dpttrf, dpttrs):
+    """d, e and a three-column solve of one seeded SPD tridiagonal system of 3000 rows, as bytes."""
+    rng = np.random.default_rng(14)
+    diag, off = 2.0 + rng.random(3000), rng.uniform(-1.0, 1.0, 2999)
+    d, e, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
+    x, info_s = dpttrs(d, e, rng.random((3000, 3)), overwrite_b=1)
+    assert info == info_s == 0
+    return d.tobytes(), e.tobytes(), x.tobytes()
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports kolkit from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kolkit.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
 class TestGrid:
@@ -363,11 +382,49 @@ class TestInvariants:
             _FactorCache(CONST, grid, -1.0).solve(0.0, np.ones((grid.Nx, grid.Nv)))
 
     def test_import_leaves_out_scipy_ndimage(self):
-        # scipy.ndimage adds tens of MB to every process that imports kolkit
-        src = os.path.dirname(os.path.dirname(kolkit.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, kolkit; sys.exit('scipy.ndimage' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        # scipy.ndimage adds tens of MB to every process that imports kolkit, and
+        # scipy.linalg's package init about 240 ms and 24 MB (the solver loads
+        # only its compiled LAPACK module); neither is imported, by the library or the CLI
+        for module in ("kolkit", "kolkit.cli"):
+            code = f"import sys, {module}; print(sorted({{'scipy.linalg', 'scipy.ndimage'}} & set(sys.modules)))"
+            assert run_fresh(code).stdout == "[]\n", module
+
+
+class TestLapackModule:
+    """The solver's dpttrf/dpttrs are scipy.linalg.lapack's, whichever is imported first."""
+
+    @pytest.mark.parametrize("first, second", [("kolkit", "scipy.linalg.lapack"), ("scipy.linalg.lapack", "kolkit")])
+    def test_same_routines_in_either_import_order(self, first, second):
+        code = "\n".join(
+            [
+                f"import numpy as np, {first}, {second}",
+                "from kolkit import solver",
+                "from scipy.linalg import lapack",
+                inspect.getsource(pttrf_pttrs_bytes),
+                "assert pttrf_pttrs_bytes(solver.dpttrf, solver.dpttrs) == pttrf_pttrs_bytes(lapack.dpttrf, lapack.dpttrs)",
+            ]
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_same_routines_in_this_process(self):
+        ours = pttrf_pttrs_bytes(solver_module.dpttrf, solver_module.dpttrs)
+        assert ours == pttrf_pttrs_bytes(lapack.dpttrf, lapack.dpttrs)
+
+    def test_step_is_bit_identical_with_scipy_linalg_routines(self, monkeypatch):
+        grid = Grid(Lx=3.5, Lv=6.0, Nx=64, Nv=64)
+        config = SolverConfig(dt=1.0 / 64, w0_cells=2.0)
+        rough = make_field("checkerboard", {"values": (0.5, 2.0), "cells": (0.25, 0.25, 0.25)}, seed=3)
+        state = init_delta((0.0, 0.0), (0.3, 0.3), grid)
+        ours = step(state, rough, config).values
+        monkeypatch.setattr(solver_module, "dpttrf", lapack.dpttrf)
+        monkeypatch.setattr(solver_module, "dpttrs", lapack.dpttrs)
+        assert step(state, rough, config).values.tobytes() == ours.tobytes()
+
+    def test_missing_extension_names_scipy_version(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=re.escape(scipy.__version__) + ".*" + re.escape(str(tmp_path))):
+            solver_module._load_flapack()
 
 
 class TestStepper:
