@@ -138,6 +138,14 @@ def _build_weight(cfg, grid):
     return weight
 
 
+def _floor(cfg):
+    # checked here, before any member's kernel runs
+    floor = _get(cfg, "floor", float, 1e-30)
+    if floor <= 0:
+        raise ConfigFileError(f"config field 'floor' must be > 0, got {floor}")
+    return floor
+
+
 def _ensemble(cfg):
     ens = _get(cfg, "ensemble", (dict, [dict, ...]))
     if isinstance(ens, list):
@@ -232,7 +240,7 @@ def _cmd_g_bound(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     fields = _ensemble(cfg)
-    floor = _get(cfg, "floor", float, 1e-30)
+    floor = _floor(cfg)
     floor_tol = _get(cfg, "floor_delta_tol", float, 1e-3)
     weight = _build_weight(cfg, grid)
     source_seed = _get(cfg, "source_seed", int, 0)
@@ -268,9 +276,10 @@ def _cmd_level_set(cfg, outdir):
     grid = _build_grid(cfg)
     config = _build_solver(cfg)
     fields = _ensemble(cfg)
-    floor = _get(cfg, "floor", float, 1e-30)
+    floor = _floor(cfg)
     weight = _build_weight(cfg, grid)
     E = _get(cfg, "E", [[float, float], [float, float]], [[-2.0, 2.0], [-2.0, 2.0]])
+    nash_g._box_cells(E, grid)  # a DomainError here, before any kernel runs
     record_every = _get(cfg, "record_every", int, 8)
 
     stats = []

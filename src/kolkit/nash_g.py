@@ -2,8 +2,8 @@
 
 The central object is the Gaussian-weighted mean of log f over phase space
 at a fixed time, the quantity whose lower bound drives the positivity
-argument.  Level-set and good-set measures are cell-counting quadratures
-over a time slab.  All log evaluations floor the density at a recorded
+argument.  Level-set measures are cell-counting quadratures over a time
+slab.  All log evaluations floor the density at a recorded
 epsilon; healthy kernels must be insensitive to halving it.
 """
 
@@ -21,14 +21,11 @@ from .solver import (
 __all__ = [
     "GWeight",
     "LevelSetReport",
-    "GoodSetMeasures",
     "DomainError",
     "g_functional",
     "g_floor_sensitivity",
     "log_mean_c",
     "level_set_statistic",
-    "good_set_measures",
-    "mass_in_ball",
     "adjoint_kernel_residual",
     "default_s_grid",
 ]
@@ -157,6 +154,20 @@ class LevelSetReport:
         np.savetxt(path, data, delimiter=",", header="s,measure,s_times_measure", comments="")
 
 
+def _box_cells(E, grid: Grid) -> np.ndarray:
+    """Mask, shape (Nx, Nv), of the cell centres in the box E = ((x_lo, x_hi),
+    (v_lo, v_hi)); raises DomainError for an axis with lo >= hi or a box that
+    holds no cell centre, where every level-set measure would read 0."""
+    (x_lo, x_hi), (v_lo, v_hi) = E
+    if not (x_lo < x_hi and v_lo < v_hi):
+        raise DomainError(f"box E must have lo < hi on each axis, got {[list(b) for b in E]}")
+    X, V = grid.meshes()
+    in_E = (X >= x_lo) & (X <= x_hi) & (V >= v_lo) & (V <= v_hi)
+    if not in_E.any():
+        raise DomainError(f"box E = {[list(b) for b in E]} holds no cell centre of the grid")
+    return in_E
+
+
 def level_set_statistic(
     f: SpaceTimeField,
     c: float,
@@ -172,12 +183,9 @@ def level_set_statistic(
     s_grid = default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
     if np.any(s_grid <= 0):
         raise DomainError("level-set thresholds must be positive")
-    sub = f.window(*t_window)
     grid = f.grid
-    (x_lo, x_hi), (v_lo, v_hi) = E
-    X, V = grid.meshes()
-    in_E = (X >= x_lo) & (X <= x_hi) & (V >= v_lo) & (V <= v_hi)
-    in_E = np.broadcast_to(in_E, sub.values.shape[1:])
+    in_E = _box_cells(E, grid)
+    sub = f.window(*t_window)
 
     tw = _time_weights(sub.times)
     excess = np.log(np.maximum(sub.values, floor)) - c
@@ -197,68 +205,6 @@ def level_set_statistic(
         E=tuple(tuple(b) for b in E),
         t_window=tuple(t_window),
     )
-
-
-@dataclass(frozen=True)
-class GoodSetMeasures:
-    omega: float
-    omega_S: float
-    S: float
-    smallest_S_half: float | None
-
-    def __post_init__(self):
-        if self.omega_S > self.omega + 1e-15:
-            raise ValueError("the capped good set cannot exceed the good set")
-
-
-def good_set_measures(
-    f: SpaceTimeField,
-    eta: float,
-    S: float,
-    G1: float,
-    ball_radius: float,
-    t_window=(0.25, 0.75),
-    floor: float = 1e-30,
-) -> GoodSetMeasures:
-    """Cell-counting measures of {f > eta} and {f > eta, log f - G1 <= S}
-    over the slab window x centered phase ball.
-
-    Also reports the smallest cap S at which the capped set reaches half of
-    the good set (None when the good set is empty).
-    """
-    if eta <= 0:
-        raise DomainError(f"good-set threshold must be positive, got {eta}")
-    sub = f.window(*t_window)
-    grid = f.grid
-    X, V = grid.meshes()
-    in_ball = (X**2 + V**2) <= ball_radius**2
-    tw = _time_weights(sub.times)
-
-    good = sub.values > eta
-    good &= in_ball[None, :, :]
-    cellw = tw[:, None, None] * grid.cell_volume
-    omega = float((good * cellw).sum())
-
-    logs = np.log(np.maximum(sub.values, floor)) - G1
-    capped = good & (logs <= S)
-    omega_S = float((capped * cellw).sum())
-
-    smallest = None
-    if omega > 0:
-        vals = logs[good]
-        wts = np.broadcast_to(cellw, sub.values.shape)[good]
-        order = np.argsort(vals)
-        csum = np.cumsum(wts[order])
-        idx = int(np.searchsorted(csum, 0.5 * omega))
-        smallest = float(vals[order][min(idx, vals.size - 1)])
-    return GoodSetMeasures(omega=omega, omega_S=omega_S, S=S, smallest_S_half=smallest)
-
-
-def mass_in_ball(f: Field, radius: float) -> float:
-    """Quadrature of f over the centered ball |(x, v)| <= radius."""
-    X, V = f.grid.meshes()
-    inside = (X**2 + V**2) <= radius**2
-    return float(f.values[np.broadcast_to(inside, f.values.shape)].sum() * f.grid.cell_volume)
 
 
 def adjoint_kernel_residual(

@@ -23,7 +23,6 @@ from .phase_geometry import PhasePoint
 __all__ = [
     "TrajectoryFamily",
     "PropertyReport",
-    "CheckTolerances",
     "straight_family",
     "log_oscillatory_family",
     "eval_trajectory",
@@ -213,20 +212,6 @@ def default_r_grid(n: int = 1024, r_min: float = 1e-6) -> np.ndarray:
     return _check_r_grid(np.geomspace(r_min, 1.0, n))
 
 
-@dataclass(frozen=True)
-class CheckTolerances:
-    rate_tol: float = 0.02
-    residual_tol: float = 1e-8
-    integral_residual_tol: float = 1e-9
-    endpoint_tol: float = 1e-10
-    b_det_floor: float = 0.5
-    stability_tol: float = 0.05
-
-    # slope of the measured constant-ratio below which property (4) is
-    # considered divergent as r -> 0
-    margin_slope_floor: float = -0.05
-
-
 # the keys of PropertyReport.pass_flags, in check_properties' order
 PASS_FLAGS = (
     "endpoints",
@@ -304,8 +289,8 @@ def _fit_slope(logr, logy):
     return float(coef[1])
 
 
-def _sample_endpoints(fam, seed=12345, n=8):
-    rng = np.random.default_rng(seed)
+def _sample_endpoints(fam, n=8):
+    rng = np.random.default_rng(12345)
     d = fam.d
     pairs = [((np.zeros(d), np.zeros(d)), (np.zeros(d), np.ones(d)))]
     for _ in range(n - 1):
@@ -318,12 +303,7 @@ def _sample_endpoints(fam, seed=12345, n=8):
     return pairs
 
 
-def check_properties(
-    fam: TrajectoryFamily,
-    tolerances: CheckTolerances | None = None,
-    r_grid: np.ndarray | None = None,
-    endpoint_seed: int = 12345,
-) -> PropertyReport:
+def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) -> PropertyReport:
     """Measure every documented trajectory property on a log r-grid.
 
     Exponents are least-squares slopes of log-log data restricted to
@@ -333,7 +313,6 @@ def check_properties(
     cbrt(eps r), and per-interval Simpson quadrature.
     Singular matrices on the grid are recorded as warnings, not raised.
     """
-    tol = tolerances or CheckTolerances()
     r_grid = default_r_grid() if r_grid is None else _check_r_grid(np.asarray(r_grid, dtype=float))
     d = fam.d
     warnings_list = []
@@ -352,7 +331,7 @@ def check_properties(
     a_ends = max(float(np.abs(A01[0]).max()), float(np.abs(A01[1] - np.eye(2 * d)).max()))
     b_ends = max(float(np.abs(B01[0] - np.eye(2 * d)).max()), float(np.abs(B01[1]).max()))
 
-    pairs = _sample_endpoints(fam, seed=endpoint_seed)
+    pairs = _sample_endpoints(fam)
     t0 = 0.0
 
     # endpoint reproduction through the full evaluation path
@@ -470,22 +449,20 @@ def check_properties(
     near0 = r_grid <= 0.1
     b_det_min = float(det_B[near0].min())
 
+    # rates within 0.02 of their targets; property (4) counts as divergent when
+    # the running sup ratio's slope as r -> 0 is below -0.05
     flags = {
-        "endpoints": endpoint_err <= tol.endpoint_tol,
-        "kinetic_relation": kin <= tol.residual_tol,
-        "kinetic_relation_integral": kin_int <= tol.integral_residual_tol,
+        "endpoints": endpoint_err <= 1e-10,
+        "kinetic_relation": kin <= 1e-8,
+        "kinetic_relation_integral": kin_int <= 1e-9,
         "A_endpoint_matrices": a_ends <= 1e-12,
         "B_endpoint_matrices": b_ends <= 1e-12,
-        "det_A_rate": abs(det_slope - 2 * d) <= tol.rate_tol,
-        "inv_column_rate": abs(inv_slope - (-0.5)) <= tol.rate_tol,
-        "B_det_near_zero": b_det_min >= tol.b_det_floor,
-        "jacobian_rate": (not np.isnan(jac_slope))
-        and abs(jac_slope - (2 + 4 * d)) <= tol.rate_tol,
-        "property4": all(
-            np.isfinite(sups[n]) and margin_slopes[n] >= tol.margin_slope_floor for n in names
-        ),
-        "slope_stable": abs(det_lo - det_hi) <= tol.stability_tol
-        and abs(inv_lo - inv_hi) <= tol.stability_tol,
+        "det_A_rate": abs(det_slope - 2 * d) <= 0.02,
+        "inv_column_rate": abs(inv_slope - (-0.5)) <= 0.02,
+        "B_det_near_zero": b_det_min >= 0.5,
+        "jacobian_rate": (not np.isnan(jac_slope)) and abs(jac_slope - (2 + 4 * d)) <= 0.02,
+        "property4": all(np.isfinite(sups[n]) and margin_slopes[n] >= -0.05 for n in names),
+        "slope_stable": abs(det_lo - det_hi) <= 0.05 and abs(inv_lo - inv_hi) <= 0.05,
     }
     flags["critical"] = flags["det_A_rate"] and flags["inv_column_rate"] and flags["jacobian_rate"]
 

@@ -241,6 +241,12 @@ class TestConfigErrors:
             ("simulate", {"solver": {**BASE_SOLVER, "w0_cells": NAN}}, "NaN is not a JSON number"),
             ("simulate", {"field": {"kind": "constant", "params": {"value": NAN}}}, "NaN is not"),
             ("verify-bounds", {"taus": [0.5, -INF]}, "-Infinity is not a JSON number"),
+            ("g-bound", {"floor": 0}, "'floor'"),
+            ("level-set", {"floor": 0.0}, "'floor'"),
+            ("level-set", {"floor": -1e-30}, "'floor'"),
+            ("level-set", {"E": [[2.0, -2.0], [-2.0, 2.0]]}, "box E must have lo < hi"),
+            ("level-set", {"E": [[-2.0, 2.0], [1.0, 1.0]]}, "box E must have lo < hi"),
+            ("level-set", {"E": [[40.0, 50.0], [-2.0, 2.0]]}, "holds no cell centre"),
         ],
         ids=[
             "g-bound",
@@ -311,6 +317,12 @@ class TestConfigErrors:
             "simulate-w0_cells-nan",
             "simulate-params-value-nan",
             "verify-bounds-taus-minus-infinity",
+            "g-bound-floor-zero",
+            "level-set-floor-zero",
+            "level-set-floor-negative",
+            "level-set-E-reversed",
+            "level-set-E-flat",
+            "level-set-E-no-cell",
         ],
     )
     def test_out_of_range_value_is_config_error(

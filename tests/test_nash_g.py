@@ -1,4 +1,4 @@
-"""Weighted log functional, level sets, good sets, and the duality check."""
+"""Weighted log functional, level sets, and the duality check."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,14 @@ import pytest
 from kolkit.coefficients import make_field
 from kolkit.nash_g import (
     DomainError,
-    GoodSetMeasures,
     GWeight,
     SpaceTimeField,
     adjoint_kernel_residual,
     default_s_grid,
     g_floor_sensitivity,
     g_functional,
-    good_set_measures,
     level_set_statistic,
     log_mean_c,
-    mass_in_ball,
 )
 from kolkit.solver import ConfigError, Field, Grid, SolverConfig
 
@@ -127,6 +124,29 @@ class TestLevelSets:
         rep = level_set_statistic(st, c=0.0)
         assert rep.statistic == 0.0
 
+    @pytest.mark.parametrize(
+        "E, match",
+        [
+            (((2.0, -2.0), (-2.0, 2.0)), "lo < hi"),
+            (((-2.0, 2.0), (2.0, -2.0)), "lo < hi"),
+            (((0.125, 0.125), (-2.0, 2.0)), "lo < hi"),  # one centre, but no width
+            (((40.0, 50.0), (-2.0, 2.0)), "no cell centre"),
+            (((0.13, 0.2), (-2.0, 2.0)), "no cell centre"),  # between centres 0.125 and 0.375
+        ],
+    )
+    def test_box_without_cells_is_a_domain_error(self, E, match):
+        # every measure of such a box would read 0, a statistic that passes
+        grid = Grid(Lx=4.0, Lv=4.0, Nx=32, Nv=32)
+        st = SpaceTimeField(np.full((1, 32, 32), np.e**5), np.array([0.5]), grid)
+        with pytest.raises(DomainError, match=match):
+            level_set_statistic(st, c=0.0, E=E)
+
+    def test_box_of_one_cell_centre_counts_it(self):
+        grid = Grid(Lx=4.0, Lv=4.0, Nx=32, Nv=32)
+        st = SpaceTimeField(np.full((1, 32, 32), np.e**5), np.array([0.5]), grid)
+        rep = level_set_statistic(st, c=0.0, s_grid=np.array([1.0]), E=((0.1, 0.15), (0.1, 0.15)))
+        assert rep.measures.tolist() == [grid.cell_volume]
+
     def test_time_weights_enter_linearly(self):
         grid = Grid(Lx=4.0, Lv=4.0, Nx=32, Nv=32)
         vals = np.full((32, 32), 1e-30)
@@ -149,46 +169,6 @@ class TestLevelSets:
         rep.curve_csv(p)
         assert p.read_text().startswith("s,measure,s_times_measure")
         assert len(np.loadtxt(p, delimiter=",", skiprows=1)) == default_s_grid().size
-
-
-class TestGoodSets:
-    GRID32 = Grid(Lx=4.0, Lv=4.0, Nx=32, Nv=32)
-
-    def test_hand_counted_measures(self):
-        vals = np.full((32, 32), 1e-30)
-        vals[16, 16] = np.e**1.0
-        vals[16, 17] = np.e**2.0
-        vals[17, 16] = np.e**3.0
-        vals[17, 17] = np.e**4.0
-        st = SpaceTimeField(vals[None, :, :], np.array([0.5]), self.GRID32)
-        m = good_set_measures(st, eta=0.5, S=2.5, G1=0.0, ball_radius=2.0)
-        cell = self.GRID32.cell_volume
-        assert m.omega == pytest.approx(4 * cell)
-        assert m.omega_S == pytest.approx(2 * cell)  # logs 1,2 pass the cap
-        assert m.smallest_S_half == pytest.approx(2.0)
-
-    def test_empty_good_set(self):
-        st = SpaceTimeField(np.full((1, 32, 32), 1e-30), np.array([0.5]), self.GRID32)
-        m = good_set_measures(st, eta=0.5, S=1.0, G1=0.0, ball_radius=2.0)
-        assert m.omega == 0.0 and m.omega_S == 0.0
-        assert m.smallest_S_half is None
-
-    def test_eta_validation_and_cap_guard(self):
-        st = SpaceTimeField(np.ones((1, 32, 32)), np.array([0.5]), self.GRID32)
-        with pytest.raises(DomainError):
-            good_set_measures(st, eta=0.0, S=1.0, G1=0.0, ball_radius=2.0)
-        with pytest.raises(ValueError):
-            GoodSetMeasures(omega=1.0, omega_S=2.0, S=1.0, smallest_S_half=None)
-
-
-class TestMassInBall:
-    def test_uniform_density(self):
-        f = flat(1.0)
-        area = np.pi * 4.0
-        assert abs(mass_in_ball(f, 2.0) - area) < 0.5  # cell-counting area
-        assert mass_in_ball(f, 1.0) < mass_in_ball(f, 2.0)
-        # radius beyond the box diagonal captures everything
-        assert mass_in_ball(f, 10.0) == pytest.approx(f.mass())
 
 
 class TestDuality:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from kolkit.trajectories import (
     PASS_FLAGS,
-    CheckTolerances,
     TrajectoryFamily,
     check_properties,
     default_r_grid,
@@ -259,13 +258,3 @@ class TestCheckPlumbing:
         assert rep.warnings  # singular A recorded, not raised
         assert not rep.pass_flags["critical"]
         assert not rep.pass_flags["endpoints"]
-
-    def test_tolerances_are_adjustable(self, straight_report):
-        # the same measurements re-flagged under a huge rate tolerance
-        rep = check_properties(
-            STRAIGHT,
-            tolerances=CheckTolerances(rate_tol=3.0),
-            r_grid=default_r_grid(256),
-        )
-        assert rep.pass_flags["det_A_rate"]
-        assert rep.pass_flags["jacobian_rate"]
