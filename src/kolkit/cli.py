@@ -195,6 +195,8 @@ def _cmd_verify_bounds(cfg, outdir):
     field = _build_field(_get(cfg, "field", dict))
     taus = _get(cfg, "taus", [float, ...])
     d = _get(cfg, "d", int, 1)
+    if d != 1:
+        raise ConfigFileError(f"config field 'd' must be 1, the solver's dimension, got {d}")
     e_max = _get(cfg, "E_max", float, 8.0)
     stride = _get(cfg, "sample_stride", int, 8)
     if stride < 1:
@@ -214,15 +216,15 @@ def _cmd_verify_bounds(cfg, outdir):
     if len(rows) < 8:
         raise ConfigFileError("taus/sample_stride leave fewer than 8 usable samples")
     samples = [(NormalizedGap.from_raw(tau, x, v), val) for (tau, x, v, E, val) in rows]
-    report = profiles.fit_envelope(samples, d=d)
+    report = profiles.fit_envelope(samples, d=1)
 
     violations = 0
     with open(outdir / "envelope_samples.csv", "w") as fh:
         fh.write("tau,X,V,E,value,lower,upper\n")
         for (tau, x, v, E, val) in rows:
             gap = NormalizedGap.from_raw(tau, x, v)
-            lo = profiles.lower_profile(report.constants, gap, d=d)
-            hi = profiles.upper_profile(report.constants, gap, d=d)
+            lo = profiles.lower_profile(report.constants, gap, d=1)
+            hi = profiles.upper_profile(report.constants, gap, d=1)
             if not (lo <= val <= hi):
                 violations += 1
             fh.write(f"{tau},{x},{v},{E},{val},{lo},{hi}\n")

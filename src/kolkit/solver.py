@@ -15,10 +15,10 @@ the solve keeps column sums.  x is periodic, v has zero-flux walls.
 dpttrf/dpttrs come straight from scipy's compiled `_flapack` module, which
 `scipy.linalg.lapack` re-exports, so `scipy.linalg`'s package init never runs.
 
-Each run owns one stepper (`_FactorCache`, made by `evolve`): it holds the
-diffusion-factor slot and the transport sweep's courant row and scratch
-arrays, all made once per run.  A step writes into one fresh array of its
-own, so a returned Field never aliases that scratch.
+Each run owns one `Stepper`, made by `evolve`: its constructor checks the
+CFL bound, binds the transport sweep and makes the diffusion-factor slot and
+the sweep's courant row and scratch arrays, once per run.  A step writes into
+one fresh array of its own, so a returned Field never aliases that scratch.
 
 With record_every=k a run also keeps its space-time history, one
 `SpaceTimeField` (`EvolveResult.history`, `KernelEstimate.history`) holding
@@ -72,6 +72,7 @@ __all__ = [
     "ConfigError",
     "SolverError",
     "init_delta",
+    "Stepper",
     "step",
     "evolve",
     "estimate_kernel",
@@ -395,28 +396,30 @@ def _parabola(f, fl, fr, d, f6) -> None:
     np.multiply(6.0, f6, out=f6)
 
 
-class _FactorCache:
-    """The stepper of one run, whose field, grid and dt = 2 dt_half are fixed.
+class Stepper:
+    """The Strang step of one run, whose field, grid and config are fixed.
 
+    The constructor checks the CFL bound, binds the transport sweep and
+    makes the factor-build arrays and the sweep's scratch, once for the run.
     The factor slot holds the diffusion factor of the last time slice seen,
-    as named by field.time_key; a key of None (every t distinct) always
-    rebuilds.  A run visits the slices in order, so one slot rebuilds only
-    when the slice changes.  The factor-build arrays and the transport sweep,
-    with its courant row and scratch arrays, are made here once for the run.
+    named by field.time_key (None, every t distinct, always rebuilds).
     """
 
-    def __init__(self, field: CoefficientField, grid: Grid, dt_half: float):
-        self.field = field
-        self.grid = grid
-        self.dt_half = dt_half
-        self._key = None
-        self._ld = None
+    def __init__(self, field: CoefficientField, grid: Grid, config: SolverConfig):
+        dt = config.dt
+        if dt > grid.dx / grid.Lv * (1.0 + 1e-12):
+            raise ConfigError(
+                f"CFL violation: dt={dt} exceeds dx/Lv={grid.dx / grid.Lv:.6g} "
+                f"for grid {grid.descriptor()}"
+            )
+        self.field, self.grid, self.config = field, grid, config
+        self._key = self._ld = None
         # x-major interface harmonic means (zero at the v-walls), pttrf's diagonal,
         # and its off-diagonal with one spare entry
         n = grid.Nx * grid.Nv
         self.ah, self.diag, self.off = np.zeros(n + 1), np.empty(n), np.empty(n)
-        courant = (grid.v_centers * (2.0 * dt_half / grid.dx))[None, :]
-        self.sweep = _Sweep(courant, (grid.Nx, grid.Nv))
+        self.sweep = _Sweep((grid.v_centers * (dt / grid.dx))[None, :], (grid.Nx, grid.Nv))
+        self.transport = self.sweep.ppm if config.transport_order == 3 else self.sweep.upwind
 
     def _diffusion_factor(self, t_sub: float) -> tuple:
         """pttrf factor (d, e) of the x-major flattened system; the v-walls decouple its x-rows."""
@@ -432,7 +435,7 @@ class _FactorCache:
         np.divide(hm, diag[:-1], out=hm)
         ah[grid.Nv :: grid.Nv] = 0.0
         # diag = 1 + mu ahl + mu ahr, mu ahr held in off; then off = -mu ahr (-0.0 at the walls)
-        mu = self.dt_half / grid.dv**2
+        mu = 0.5 * self.config.dt / grid.dv**2
         np.multiply(mu, ah[:-1], out=diag)
         np.add(1.0, diag, out=diag)
         np.multiply(mu, ah[1:], out=off)
@@ -453,41 +456,35 @@ class _FactorCache:
         x, _ = dpttrs(*self._ld, rhs.reshape(-1, 1), overwrite_b=overwrite)
         return x.reshape(rhs.shape)
 
+    def step(self, state: Field) -> Field:
+        """One Strang step of state, which must lie on the stepper's grid."""
+        if state.grid != self.grid:
+            raise ConfigError(f"state grid {state.grid.descriptor()} is not the stepper's grid")
+        t, dt = state.t, self.config.dt
+        # the first solve makes the step's own array; every later stage writes into it
+        f = self.solve(t + 0.25 * dt, state.values)
+        self.transport(f, out=f)
+        np.maximum(f, 0.0, out=f)
+        f = self.solve(t + 0.75 * dt, f, overwrite=True)
+        try:
+            return Field(f, t + dt, self.grid)
+        except ValueError:
+            raise SolverError(f"non-finite values after step at t={t}") from None
 
-def step(
-    state: Field,
-    field: CoefficientField,
-    config: SolverConfig,
-    factors: _FactorCache | None = None,
-) -> Field:
+
+def step(state: Field, field: CoefficientField, config: SolverConfig, stepper: Stepper | None = None) -> Field:
     """One Strang step: diffuse dt/2, transport dt, diffuse dt/2.
 
     The diffusion coefficient is frozen at the midpoint of each half step
-    (t + dt/4 and t + 3dt/4).  `factors` is the run's stepper, which
-    `evolve` passes so that a time slice is factored once and the sweep's
-    scratch arrays are made once; without it the step builds its own, with
-    bitwise the same result.
+    (t + dt/4 and t + 3dt/4).  `stepper` is the run's `Stepper`, which
+    `evolve` passes; without it the step builds its own, with bitwise the
+    same result.  One built for another field, grid or config is a ConfigError.
     """
-    grid = state.grid
-    dt = config.dt
-    if dt > grid.dx / grid.Lv * (1.0 + 1e-12):
-        raise ConfigError(
-            f"CFL violation: dt={dt} exceeds dx/Lv={grid.dx / grid.Lv:.6g} "
-            f"for grid {grid.descriptor()}"
-        )
-    t = state.t
-    if factors is None:
-        factors = _FactorCache(field, grid, 0.5 * dt)
-
-    # the first solve makes the step's own array; every later stage writes into it
-    f = factors.solve(t + 0.25 * dt, state.values)
-    (factors.sweep.ppm if config.transport_order == 3 else factors.sweep.upwind)(f, out=f)
-    np.maximum(f, 0.0, out=f)
-    f = factors.solve(t + 0.75 * dt, f, overwrite=True)
-    try:
-        return Field(f, t + dt, grid)
-    except ValueError:
-        raise SolverError(f"non-finite values after step at t={t}") from None
+    if stepper is None:
+        stepper = Stepper(field, state.grid, config)
+    elif stepper.field is not field or stepper.config != config:
+        raise ConfigError("the stepper was built for another coefficient field or solver config")
+    return stepper.step(state)
 
 
 @dataclass
@@ -521,6 +518,7 @@ def evolve(
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
 
     grid = state.grid
+    stepper = Stepper(field, grid, config)
     marks = {*range(0, n, record_every), n} if record_every else set()
     rows, times = np.empty((len(marks), grid.Nx, grid.Nv)), []
 
@@ -531,9 +529,8 @@ def evolve(
 
     res = EvolveResult(state, mass_min=state.mass(), mass_max=state.mass(), min_value=state.min())
     record(0, state)
-    factors = _FactorCache(field, grid, 0.5 * config.dt)
     for i in range(1, n + 1):
-        state = step(state, field, config, factors)
+        state = step(state, field, config, stepper)
         m = state.mass()
         res.mass_min = min(res.mass_min, m)
         res.mass_max = max(res.mass_max, m)

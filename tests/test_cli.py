@@ -195,6 +195,7 @@ class TestConfigErrors:
             ("simulate", {"export": 1}, "'export'"),
             ("verify-bounds", {"d": "two"}, "'d'"),
             ("verify-bounds", {"d": True}, "'d'"),
+            ("verify-bounds", {"d": 2}, "'d' must be 1"),
             ("verify-bounds", {"E_max": "big"}, "'E_max'"),
             ("verify-bounds", {"sample_stride": "8"}, "'sample_stride'"),
             ("verify-bounds", {"sample_stride": 0}, "'sample_stride'"),
@@ -271,6 +272,7 @@ class TestConfigErrors:
             "simulate-export-number",
             "verify-bounds-d-string",
             "verify-bounds-d-bool",
+            "verify-bounds-d-2",
             "verify-bounds-E_max-string",
             "verify-bounds-sample_stride-string",
             "verify-bounds-sample_stride-0",
@@ -536,7 +538,7 @@ class TestEnsembleCommands:
         w0 = (config.w0_cells * grid.dx, config.w0_cells * grid.dv)
         states = [solver.init_delta((0.0, 0.0), w0, grid)]
         for _ in range(round(1.0 / config.dt)):
-            states.append(solver.step(states[-1], field, config, factors=None))
+            states.append(solver.step(states[-1], field, config, stepper=None))
         kept = states[:: cfg["record_every"]]
         history = solver.SpaceTimeField.from_snapshots(
             [s.values for s in kept], [s.t for s in kept], grid

@@ -21,7 +21,6 @@ from kolkit.coefficients import make_field
 from kolkit.nash_g import adjoint_kernel_residual
 from kolkit.profiles import explicit_kernel_mollified
 from kolkit.solver import (
-    _FactorCache,
     _Sweep,
     ConfigError,
     Field,
@@ -30,6 +29,7 @@ from kolkit.solver import (
     SolverConfig,
     SolverError,
     SpaceTimeField,
+    Stepper,
     chapman_kolmogorov_residual,
     diagnostics,
     estimate_kernel,
@@ -143,6 +143,16 @@ class TestConfig:
         # dx/Lv = 0.015625 here
         with pytest.raises(ConfigError, match="CFL"):
             step(f, CONST, SolverConfig(dt=0.05))
+
+    def test_cfl_enforced_by_stepper_and_zero_step_evolve(self):
+        # the stepper checks the bound once, when it is built, so a run of no steps checks it too
+        g = Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64)
+        f = init_delta((0.0, 0.0), 0.3, g)
+        with pytest.raises(ConfigError, match="CFL"):
+            Stepper(CONST, g, SolverConfig(dt=0.05))
+        with pytest.raises(ConfigError, match="CFL"):
+            evolve(f, CONST, SolverConfig(dt=0.05), f.t)
+        assert evolve(f, CONST, SolverConfig(dt=g.dx / g.Lv), f.t).field is f
 
 
 class TestField:
@@ -276,7 +286,7 @@ class TestFactorCache:
 
         loop = state
         for _ in range(n_steps):
-            loop = step(loop, rough, config, factors=None)
+            loop = step(loop, rough, config, stepper=None)
         assert res.field.t == loop.t
         assert res.field.values.tobytes() == loop.values.tobytes()
 
@@ -320,14 +330,14 @@ class TestInvariants:
         dense[:, j[:-1], j[1:]] = dense[:, j[1:], j[:-1]] = -mu * ah
         rhs = np.random.default_rng(seed).random((nx, nv))
         want = np.linalg.solve(dense, rhs[..., None])[..., 0]
-        got = _FactorCache(rough, grid, 0.5 * config.dt).solve(t_sub, rhs)
+        got = Stepper(rough, grid, config).solve(t_sub, rhs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
         def run():
-            factors = _FactorCache(rough, grid, 0.5 * config.dt)
+            stepper = Stepper(rough, grid, config)
             states = [state]
             for _ in range(n_steps):
-                states.append(step(states[-1], rough, config, factors))
+                states.append(step(states[-1], rough, config, stepper))
             return states[1:]
 
         first, second = run(), run()
@@ -374,12 +384,15 @@ class TestInvariants:
             else:
                 assert got.tobytes() == want.tobytes()
 
-    def test_indefinite_diffusion_matrix_is_solver_error(self):
-        # a negative half step makes the backward-Euler matrix indefinite,
-        # so pttrf reports a nonpositive pivot (info > 0)
+    def test_indefinite_diffusion_matrix_is_solver_error(self, monkeypatch):
+        # pttrf handed a negated diagonal (the matrix of a negative half step, which
+        # the CFL check keeps out of a stepper) reports a nonpositive pivot (info > 0)
         grid = Grid(Lx=2.0, Lv=3.0, Nx=16, Nv=16)
-        with pytest.raises(SolverError, match="not positive definite"):
-            _FactorCache(CONST, grid, -1.0).solve(0.0, np.ones((grid.Nx, grid.Nv)))
+        real_dpttrf = solver_module.dpttrf
+        monkeypatch.setattr(solver_module, "dpttrf", lambda d, e, **kw: real_dpttrf(-d, e, **kw))
+        stepper = Stepper(CONST, grid, SolverConfig(dt=0.02))
+        with pytest.raises(SolverError, match=r"not positive definite at t=0.0 \(info=1\)"):
+            stepper.solve(0.0, np.ones((grid.Nx, grid.Nv)))
 
     def test_import_leaves_out_scipy_ndimage(self):
         # scipy.ndimage adds tens of MB to every process that imports kolkit, and
@@ -441,29 +454,48 @@ class TestStepper:
         runs = []
         for cells, rows in [(2**14, [37]), (100, [4] * 9 + [1])]:
             monkeypatch.setattr(solver_module, "_SWEEP_CELLS", cells)
-            factors = _FactorCache(rough, grid, 0.5 * config.dt)
+            stepper = Stepper(rough, grid, config)
             shared, fresh = [start], [start]
             for _ in range(12):
-                shared.append(step(shared[-1], rough, config, factors))
-                fresh.append(step(fresh[-1], rough, config, factors=None))
+                shared.append(step(shared[-1], rough, config, stepper))
+                fresh.append(step(fresh[-1], rough, config, stepper=None))
             runs.append([u.values.tobytes() for u in shared])
 
-            sweep = factors.sweep
+            sweep = stepper.sweep
             scratch = [a for a in vars(sweep).values() if isinstance(a, np.ndarray)] + sweep.scratch
             assert [b - a for a, b, *_ in sweep.blocks] == rows
             # every per-block view lies in one of the sweep's own arrays
             views = [v for blk in sweep.blocks for v in blk[2:]]
             assert all(any(np.shares_memory(v, a) for a in scratch) for v in views)
             # the factor-build arrays, which pttrf overwrites in place with the factor
-            factor = [factors.ah, factors.diag, factors.off]
-            d, e = factors._ld
-            assert np.shares_memory(d, factors.diag) and np.shares_memory(e, factors.off)
+            factor = [stepper.ah, stepper.diag, stepper.off]
+            d, e = stepper._ld
+            assert np.shares_memory(d, stepper.diag) and np.shares_memory(e, stepper.off)
             for prev, now, want in zip(shared, shared[1:], fresh[1:]):
                 assert now.t == want.t
                 assert now.values.tobytes() == want.values.tobytes()
                 assert not np.shares_memory(now.values, prev.values)
                 assert not any(np.shares_memory(now.values, a) for a in scratch + factor)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("other", ["field", "grid", "config"])
+    def test_stepper_of_another_run_is_config_error(self, other):
+        # the factor and the courant row belong to the stepper's own run: a constant field
+        # stepped at dt = 1/128 by a stepper built for dt = 1/1024 is off by 0.09 at 64^2
+        run = {"field": CONST, "grid": Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64), "config": SolverConfig(dt=1.0 / 128)}
+        state = init_delta((0.0, 0.0), 0.3, run["grid"])
+        built = {**run, other: {
+            "field": make_field("constant", {"value": 2.0}),
+            "grid": Grid(Lx=3.5, Lv=6.0, Nx=64, Nv=64),
+            "config": SolverConfig(dt=1.0 / 1024),
+        }[other]}
+        stepper = Stepper(**built)
+        with pytest.raises(ConfigError, match="stepper"):
+            step(state, run["field"], run["config"], stepper=stepper)
+        # equal values name the same run; the field is matched by identity
+        same = Stepper(CONST, Grid(**run["grid"].descriptor()), SolverConfig(dt=1.0 / 128))
+        want = step(state, CONST, run["config"]).values
+        assert step(state, CONST, run["config"], stepper=same).values.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -475,13 +507,14 @@ class TestStepper:
         t_sub=st.floats(-2.0, 2.0),
     )
     def test_factor_matches_allocating_reference(self, nx, nv, kind, seed, dt_half, t_sub):
-        # every entry, down to the -0.0 coupling across each v-wall, over two builds in one stepper
-        grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
+        # every entry, down to the -0.0 coupling across each v-wall, over two builds in one stepper;
+        # the box is wide enough that dt = 0.2 on 48 cells meets the CFL bound
+        grid = Grid(Lx=16.0, Lv=3.0, Nx=nx, Nv=nv)
         params = {"freq_t": 1.0} if kind == "oscillatory" else {"random_origin": True}
         field = make_field(kind, params, seed=seed)
-        factors = _FactorCache(field, grid, dt_half)
+        stepper = Stepper(field, grid, SolverConfig(dt=2.0 * dt_half))
         for t in (t_sub, t_sub + 1.0):
-            got, want = factors._diffusion_factor(t), reference_factor(field, t, grid, dt_half)
+            got, want = stepper._diffusion_factor(t), reference_factor(field, t, grid, dt_half)
             assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
             assert np.signbit(got[1][nv - 1 :: nv]).all()
 
@@ -493,7 +526,8 @@ class TestStepper:
         rough = make_field("random-piecewise", {"cells": (0.5, 0.3, 0.3)}, seed=5)
         good, bad = 0.25, 0.75  # two time slices
         rhs = np.random.default_rng(1).random((grid.Nx, grid.Nv))
-        want = _FactorCache(rough, grid, 0.01).solve(good, rhs)
+        config = SolverConfig(dt=0.02)
+        want = Stepper(rough, grid, config).solve(good, rhs)
 
         builds, failing, real_dpttrf, value = [], [], solver_module.dpttrf, rough.value
 
@@ -507,16 +541,16 @@ class TestStepper:
         if failure == "nonpositive coefficient":
             monkeypatch.setattr(rough, "value", lambda t, x, v: value(t, x, v) * (-1.0 if t == bad else 1.0))
 
-        factors = _FactorCache(rough, grid, 0.01)
-        assert factors.solve(good, rhs).tobytes() == want.tobytes()
+        stepper = Stepper(rough, grid, config)
+        assert stepper.solve(good, rhs).tobytes() == want.tobytes()
         if failure == "pttrf":
             failing.append(True)
         with pytest.raises(SolverError):
-            factors.solve(bad, rhs)
+            stepper.solve(bad, rhs)
         failing.clear()
-        assert factors._key is None
+        assert stepper._key is None
         n = len(builds)
-        assert factors.solve(good, rhs).tobytes() == want.tobytes()
+        assert stepper.solve(good, rhs).tobytes() == want.tobytes()
         assert len(builds) == n + 1
 
 
@@ -536,7 +570,7 @@ class TestHistory:
 
         states = [start]
         for _ in range(n):
-            states.append(step(states[-1], self.ROUGH, self.CFG, factors=None))
+            states.append(step(states[-1], self.ROUGH, self.CFG, stepper=None))
         # the initial state, every k-th step, and the final state once
         want = [s for i, s in enumerate(states) if i % every == 0 or i == n]
         hist = res.history
