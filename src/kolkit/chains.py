@@ -235,9 +235,7 @@ def _velocities(vs, Vbar, mu):
 
 def _admissible(Xbar, Vbar, k, rho0) -> bool:
     if k == 1:
-        return float(np.linalg.norm(Xbar)) == 0.0 and float(
-            np.linalg.norm(Vbar)
-        ) <= rho0 / 2.0
+        return float(np.linalg.norm(Xbar)) == 0.0 and float(np.linalg.norm(Vbar)) <= rho0 / 2.0
     mu = _mu_for(Xbar, Vbar, k)
     bound = 0.5 * rho0 / np.sqrt(k)
     return _increment_extremes(Xbar, Vbar, mu, k) <= bound
@@ -275,8 +273,7 @@ def build_chain(Xbar, Vbar, p: NearDiagonalParams, k0: float | None = None) -> C
             break
         probe += 1
     if found is None:
-        lo = probe  # known-bad or cap edge
-        hi = probe
+        lo = hi = probe  # known-bad or cap edge
         while hi <= cap and not _admissible(Xbar, Vbar, hi, p.rho0):
             lo = hi
             hi *= 2

@@ -80,8 +80,7 @@ class CoefficientField:
         self._time_key = time_key
 
     def value(self, t, x, v):
-        out = self._evaluator(t, x, v)
-        return np.asarray(out, dtype=float)
+        return np.asarray(self._evaluator(t, x, v), dtype=float)
 
     def time_key(self, t):
         return self._time_key(t)
@@ -185,6 +184,9 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         iv = np.floor((np.asarray(v, dtype=float) - ov) / cv).astype(np.int64)
         return it, ix, iv
 
+    def time_key(t, ct=ct, ot=ot):
+        return math.floor((float(t) - ot) / ct)
+
     if kind == "checkerboard":
         lo, hi = _param(params, "values", (0.5, 2.0), 2)
         if not (0 < lo <= hi):
@@ -195,9 +197,6 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
             it, ix, iv = cell_index(t, x, v)
             parity = (it + ix + iv) & 1
             return np.where(parity == 0, lo, hi).astype(float)
-
-        def time_key(t, ct=ct, ot=ot):
-            return math.floor((float(t) - ot) / ct)
 
         return CoefficientField(kind, params, seed, d, evaluator, time_key)
 
@@ -211,9 +210,6 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         it, ix, iv = cell_index(t, x, v)
         u = _cell_uniform(seed, it, ix, iv)
         return vmin + (vmax - vmin) * u
-
-    def time_key(t, ct=ct, ot=ot):
-        return math.floor((float(t) - ot) / ct)
 
     return CoefficientField(kind, params, seed, d, evaluator, time_key)
 
@@ -235,10 +231,8 @@ def dilated_field(base: CoefficientField, r: float) -> CoefficientField:
         k = base.time_key(r * r * float(t))
         return None if k is None else ("dilated", k)
 
-    f = CoefficientField(base.kind, base.params, base.seed, base.d, evaluator, time_key)
-    f.kind = "dilated"
-    f.params = {"r": r, "base": base.descriptor()}
-    return f
+    params = {"r": r, "base": base.descriptor()}
+    return CoefficientField("dilated", params, base.seed, base.d, evaluator, time_key)
 
 
 def reversed_flipped_field(base: CoefficientField, t_total: float) -> CoefficientField:
@@ -254,7 +248,5 @@ def reversed_flipped_field(base: CoefficientField, t_total: float) -> Coefficien
         k = base.time_key(t_total - float(s))
         return None if k is None else ("reversed", k)
 
-    f = CoefficientField(base.kind, base.params, base.seed, base.d, evaluator, time_key)
-    f.kind = "reversed-flipped"
-    f.params = {"t_total": t_total, "base": base.descriptor()}
-    return f
+    params = {"t_total": t_total, "base": base.descriptor()}
+    return CoefficientField("reversed-flipped", params, base.seed, base.d, evaluator, time_key)

@@ -104,12 +104,6 @@ def log_mean_c(f: Field, weight: GWeight | None = None, floor: float = 1e-30) ->
     return _weighted_log(f, weight or GWeight(), floor)
 
 
-def _time_weights(times: np.ndarray) -> np.ndarray:
-    if times.size == 1:
-        return np.ones(1)
-    return np.gradient(times)
-
-
 def default_s_grid(per_octave: int = 2) -> np.ndarray:
     # geometric sweep 2^-4 .. 2^12; the sup over s is bracketed by sampling
     n = 16 * per_octave + 1
@@ -128,8 +122,8 @@ class LevelSetReport:
     warnings: list = dc_field(default_factory=list)
 
     def __post_init__(self):
-        if self.statistic < 0:
-            raise ValueError("level-set statistic cannot be negative")
+        if not (self.statistic >= 0):
+            raise ValueError(f"level-set statistic must be a number >= 0, got {self.statistic}")
 
     def products(self) -> np.ndarray:
         return self.s_grid * self.measures
@@ -179,22 +173,28 @@ def level_set_statistic(
     """sup over sampled s of s * |{(t,x,v) in window x E : log f - c > s}|.
 
     The measure is cell counting: snapshot time weight times cell volume.
+    The log excess of one snapshot's cells in E is sorted, and one
+    searchsorted counts the cells above every threshold (a NaN cell, sorted
+    last, above none).  Thresholds must be positive and finite, c finite.
     """
     s_grid = default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
-    if np.any(s_grid <= 0):
-        raise DomainError("level-set thresholds must be positive")
+    if not (s_grid.size and np.all(s_grid > 0) and np.all(s_grid < np.inf)):
+        raise DomainError(f"level-set thresholds must be positive and finite, got {s_grid.tolist()}")
+    if not np.isfinite(c):
+        raise DomainError(f"level-set offset c must be finite, got {c}")
     grid = f.grid
     in_E = _box_cells(E, grid)
     sub = f.window(*t_window)
 
-    tw = _time_weights(sub.times)
-    excess = np.log(np.maximum(sub.values, floor)) - c
-    excess = np.where(in_E[None, :, :], excess, -np.inf)
-    # cell counts per snapshot for every threshold at once
-    measures = np.empty(s_grid.size)
-    for i, s in enumerate(s_grid):
-        counts = (excess > s).sum(axis=(1, 2))
-        measures[i] = float((counts * tw).sum() * grid.cell_volume)
+    # counts[i, k]: cells of snapshot k in E whose excess exceeds s_grid[i]
+    counts = np.empty((s_grid.size, sub.times.size))
+    bounds = np.append(s_grid, np.inf)
+    for k, snapshot in enumerate(sub.values):
+        excess = np.sort(np.log(np.maximum(snapshot[in_E], floor)) - c)
+        at_most = np.searchsorted(excess, bounds, side="right")
+        counts[:, k] = at_most[-1] - at_most[:-1]
+    tw = np.gradient(sub.times) if sub.times.size > 1 else np.ones(1)
+    measures = (counts * tw).sum(axis=1) * grid.cell_volume
     products = s_grid * measures
     return LevelSetReport(
         c_f=c,

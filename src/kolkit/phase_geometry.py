@@ -48,9 +48,8 @@ class PhasePoint:
         v = _vector(self.v)
         if x.shape != v.shape:
             raise ValueError(f"x and v must share a dimension, got {x.shape} vs {v.shape}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
+        for name, value in (("t", t), ("x", x), ("v", v)):
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -82,11 +81,8 @@ class NormalizedGap:
         V = _vector(self.V)
         Xbar = _vector(self.Xbar)
         Vbar = _vector(self.Vbar)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "Xbar", Xbar)
-        object.__setattr__(self, "Vbar", Vbar)
+        for name, value in (("tau", tau), ("X", X), ("V", V), ("Xbar", Xbar), ("Vbar", Vbar)):
+            object.__setattr__(self, name, value)
         # consistency of the two representations, relative 1e-12
         scale_x = max(1.0, float(np.max(np.abs(X))))
         scale_v = max(1.0, float(np.max(np.abs(V))))

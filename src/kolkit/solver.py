@@ -12,8 +12,9 @@ and strictly diagonally dominant with a positive diagonal, hence positive
 definite; LAPACK pttrf factors it as L D L^T with d > 0 and off-diagonals
 of L <= 0, so the substitutions preserve sign without any pivoting, and
 the solve keeps column sums.  x is periodic, v has zero-flux walls.
-dpttrf/dpttrs come straight from scipy's compiled `_flapack` module, which
-`scipy.linalg.lapack` re-exports, so `scipy.linalg`'s package init never runs.
+dpttrf/dpttrs come from scipy's compiled `_flapack` module, which the first
+`Stepper` of a process loads, without `scipy.linalg`'s package init; a
+process that never steps never imports scipy.
 
 Each run owns one `Stepper`, made by `evolve`: its constructor checks the
 CFL bound, binds the transport sweep and makes the diffusion-factor slot and
@@ -36,12 +37,12 @@ import importlib.machinery
 import importlib.util
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy  # cheap, and runs scipy's own shared-library setup
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import CoefficientField, dilated_field
@@ -49,6 +50,7 @@ from .coefficients import CoefficientField, dilated_field
 
 def _load_flapack():
     """scipy's compiled LAPACK module, loaded without running scipy.linalg's package init."""
+    import scipy  # runs scipy's own shared-library setup
     name = "scipy.linalg._flapack"
     dirs = [os.path.join(p, "linalg") for p in scipy.__path__]
     spec = importlib.machinery.PathFinder.find_spec(name, dirs)
@@ -59,8 +61,15 @@ def _load_flapack():
     return module
 
 
-_flapack = _load_flapack()
-dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+def __getattr__(name: str):
+    """dpttrf and dpttrs, set from scipy's LAPACK module the first time either is read."""
+    if name not in ("dpttrf", "dpttrs"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    flapack = _load_flapack()
+    for routine in ("dpttrf", "dpttrs"):
+        globals().setdefault(routine, getattr(flapack, routine))  # a patched routine stays
+    return globals()[name]
+
 
 __all__ = [
     "Grid",
@@ -104,8 +113,8 @@ class Grid:
     Nv: int
 
     def __post_init__(self):
-        if self.Lx <= 0 or self.Lv <= 0:
-            raise ConfigError(f"box half-widths must be positive, got ({self.Lx}, {self.Lv})")
+        if not (0 < self.Lx < np.inf and 0 < self.Lv < np.inf):
+            raise ConfigError(f"box half-widths must be positive and finite, got ({self.Lx}, {self.Lv})")
         if self.Nx < 16 or self.Nv < 16:
             raise ConfigError(f"need at least 16 cells per axis, got ({self.Nx}, {self.Nv})")
 
@@ -203,7 +212,7 @@ class SpaceTimeField:
             )
         if self.values.shape[1:] != (self.grid.Nx, self.grid.Nv):
             raise ValueError("snapshot shape does not match the grid")
-        if self.times.size >= 2 and np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
 
     @classmethod
@@ -211,9 +220,11 @@ class SpaceTimeField:
         return cls(np.stack(snapshots), np.asarray(times, dtype=float), grid)
 
     def window(self, t_lo: float, t_hi: float) -> "SpaceTimeField":
-        keep = (self.times >= t_lo - 1e-12) & (self.times <= t_hi + 1e-12)
-        if not np.any(keep):
+        """The snapshots with t_lo <= t <= t_hi (1e-12 slack), as views of this field's arrays."""
+        keep = np.flatnonzero((self.times >= t_lo - 1e-12) & (self.times <= t_hi + 1e-12))
+        if not keep.size:
             raise DomainError(f"no snapshots inside the window [{t_lo}, {t_hi}]")
+        keep = slice(keep[0], keep[-1] + 1)  # the times increase, so the kept ones are a run
         return SpaceTimeField(self.values[keep], self.times[keep], self.grid)
 
 
@@ -232,12 +243,14 @@ class SolverConfig:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not (self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.transport_order not in (1, 3):
             raise ConfigError(f"transport_order must be 1 or 3, got {self.transport_order}")
-        if self.w0_cells < 2:
-            raise ConfigError(f"mollification width must be >= 2 cells, got {self.w0_cells}")
+        if not (2 <= self.w0_cells < np.inf):
+            raise ConfigError(f"mollification width must be finite and >= 2 cells, got {self.w0_cells}")
+        if not (self.tail_tol >= 0):
+            raise ConfigError(f"tail tolerance must be >= 0, got {self.tail_tol}")
 
     def descriptor(self) -> dict:
         return dataclasses.asdict(self)
@@ -254,7 +267,7 @@ def init_delta(center, width, grid: Grid, t: float = 0.0) -> Field:
         w0x = w0v = float(width)
     else:
         w0x, w0v = (float(u) for u in width)
-    if w0x <= 0 or w0v <= 0:
+    if not (w0x > 0 and w0v > 0):
         raise ConfigError(f"mollification widths must be positive, got ({w0x}, {w0v})")
     if abs(w) > grid.Lv - 4 * w0v:
         raise ConfigError(
@@ -407,12 +420,14 @@ class Stepper:
 
     def __init__(self, field: CoefficientField, grid: Grid, config: SolverConfig):
         dt = config.dt
-        if dt > grid.dx / grid.Lv * (1.0 + 1e-12):
+        if not (dt <= grid.dx / grid.Lv * (1.0 + 1e-12)):
             raise ConfigError(
                 f"CFL violation: dt={dt} exceeds dx/Lv={grid.dx / grid.Lv:.6g} "
                 f"for grid {grid.descriptor()}"
             )
         self.field, self.grid, self.config = field, grid, config
+        # read through the module: the first stepper of a process loads LAPACK, and a patched routine is used
+        self.pttrf, self.pttrs = (getattr(sys.modules[__name__], n) for n in ("dpttrf", "dpttrs"))
         self._key = self._ld = None
         # x-major interface harmonic means (zero at the v-walls), pttrf's diagonal,
         # and its off-diagonal with one spare entry
@@ -441,7 +456,7 @@ class Stepper:
         np.multiply(mu, ah[1:], out=off)
         np.add(diag, off, out=diag)
         np.multiply(-mu, ah[1:], out=off)
-        d, e, info = dpttrf(diag, off[:-1], overwrite_d=1, overwrite_e=1)
+        d, e, info = self.pttrf(diag, off[:-1], overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise SolverError(f"diffusion matrix is not positive definite at t={t_sub} (info={info})")
         return d, e
@@ -453,7 +468,7 @@ class Stepper:
             self._key = None  # a build that raises leaves the slot empty, not half-overwritten
             self._ld = self._diffusion_factor(t_sub)
             self._key = key
-        x, _ = dpttrs(*self._ld, rhs.reshape(-1, 1), overwrite_b=overwrite)
+        x, _ = self.pttrs(*self._ld, rhs.reshape(-1, 1), overwrite_b=overwrite)
         return x.reshape(rhs.shape)
 
     def step(self, state: Field) -> Field:
@@ -509,8 +524,8 @@ def evolve(
     step and the final state once, copied into one SpaceTimeField.
     """
     span = t_final - state.t
-    if span < 0:
-        raise ConfigError(f"t_final={t_final} is before state time {state.t}")
+    if not (0 <= span < np.inf):
+        raise ConfigError(f"t_final={t_final} is before state time {state.t} or not finite")
     n = int(round(span / config.dt))
     if abs(n * config.dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ConfigError(f"dt={config.dt} does not divide the time span {span}")

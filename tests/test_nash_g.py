@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from kolkit.coefficients import make_field
 from kolkit.nash_g import (
@@ -22,6 +23,26 @@ GRID = Grid(Lx=4.5, Lv=5.0, Nx=64, Nv=64)
 
 def flat(value, grid=GRID, t=0.5):
     return Field(np.full((grid.Nx, grid.Nv), value), t, grid)
+
+
+def dense_level_set_measures(f, c, s_grid, E, t_window, floor):
+    """The dense loop over thresholds that level_set_statistic's one sort per
+    snapshot must reproduce bit for bit: the window copied, log and excess of
+    every cell, cells outside E set to -inf, and one compare per threshold."""
+    grid = f.grid
+    X, V = grid.meshes()
+    (x_lo, x_hi), (v_lo, v_hi) = E
+    in_E = (X >= x_lo) & (X <= x_hi) & (V >= v_lo) & (V <= v_hi)
+    keep = (f.times >= t_window[0] - 1e-12) & (f.times <= t_window[1] + 1e-12)
+    values, times = f.values[keep], f.times[keep]
+    tw = np.ones(1) if times.size == 1 else np.gradient(times)
+    excess = np.log(np.maximum(values, floor)) - c
+    excess = np.where(in_E[None, :, :], excess, -np.inf)
+    measures = np.empty(len(s_grid))
+    for i, s in enumerate(s_grid):
+        counts = (excess > s).sum(axis=(1, 2))
+        measures[i] = float((counts * tw).sum() * grid.cell_volume)
+    return measures
 
 
 class TestGWeight:
@@ -93,6 +114,8 @@ class TestSpaceTimeField:
             SpaceTimeField(np.zeros((2, 64, 64)), np.array([0.5, 0.25]), GRID)
         with pytest.raises(ValueError):
             SpaceTimeField(np.zeros((2, 32, 32)), np.array([0.0, 1.0]), GRID)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SpaceTimeField(np.zeros((3, 64, 64)), np.array([0.0, np.nan, 1.0]), GRID)
 
     def test_window(self):
         st = SpaceTimeField.from_snapshots(
@@ -100,6 +123,7 @@ class TestSpaceTimeField:
         )
         sub = st.window(0.2, 0.6)
         assert sub.times.tolist() == [0.25, 0.5]
+        assert np.shares_memory(sub.values, st.values)  # a view, not a copy
         with pytest.raises(DomainError):
             st.window(0.8, 0.9)
 
@@ -162,6 +186,8 @@ class TestLevelSets:
         st = SpaceTimeField(np.ones((1, 32, 32)), np.array([0.5]), grid)
         with pytest.raises(DomainError):
             level_set_statistic(st, c=0.0, s_grid=np.array([0.0, 1.0]))
+        with pytest.raises(DomainError, match="no snapshots"):
+            level_set_statistic(st, c=0.0, t_window=(0.6, 0.9))
         rep = level_set_statistic(st, c=-2.0)
         d = rep.to_dict()
         assert set(d) >= {"c_f", "statistic", "curve", "E", "t_window"}
@@ -169,6 +195,65 @@ class TestLevelSets:
         rep.curve_csv(p)
         assert p.read_text().startswith("s,measure,s_times_measure")
         assert len(np.loadtxt(p, delimiter=",", skiprows=1)) == default_s_grid().size
+
+
+    @pytest.mark.parametrize(
+        "s_grid, c, match",
+        [
+            ([], 0.0, "thresholds"),
+            ([np.nan], 0.0, "thresholds"),
+            ([1.0, np.inf], 0.0, "thresholds"),
+            ([1.0, 2.0], np.nan, "offset c"),
+            ([1.0, 2.0], -np.inf, "offset c"),
+        ],
+        ids=["empty", "nan", "inf", "c-nan", "c-minus-inf"],
+    )
+    def test_bad_thresholds_or_offset_are_domain_errors(self, s_grid, c, match):
+        # before, [] ended in numpy's zero-size ValueError and the others gave a NaN statistic
+        grid = Grid(Lx=4.0, Lv=4.0, Nx=32, Nv=32)
+        st = SpaceTimeField(np.full((1, 32, 32), np.e**5), np.array([0.5]), grid)
+        with pytest.raises(DomainError, match=match):
+            level_set_statistic(st, c=c, s_grid=np.array(s_grid))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nx=strategies.integers(16, 24),
+        nv=strategies.integers(16, 24),
+        nt=strategies.integers(1, 12),
+        seed=strategies.integers(0, 2**32 - 1),
+        c=strategies.floats(-90.0, 5.0),
+        floor=strategies.sampled_from([1e-30, 1e-10, 0.5]),
+    )
+    def test_matches_dense_reference(self, nx, nv, nt, seed, c, floor):
+        # pool values repeat, and thresholds are drawn from the excess of cells in
+        # the window and E, so cells tie with a threshold (and do not count);
+        # cells sit below, at and above the floor, and NaN and +inf cells occur
+        rng = np.random.default_rng(seed)
+        grid = Grid(Lx=4.0, Lv=4.0, Nx=nx, Nv=nv)
+        times = np.cumsum(rng.uniform(0.01, 0.2, nt))
+        pool = np.array([0.0, -1.0, 0.5 * floor, floor, 1.0, np.e**3, np.nan, np.inf])
+        values = np.where(
+            rng.random((nt, nx, nv)) < 0.5,
+            rng.choice(pool, (nt, nx, nv)),
+            np.exp(rng.uniform(-90.0, 10.0, (nt, nx, nv))),
+        )
+        f = SpaceTimeField(values, times, grid)
+        i, j = np.sort(rng.integers(0, nt, 2))  # a window of one snapshot when i == j
+        t_window = (times[i], times[j])
+        ix, iv = np.sort(rng.integers(0, nx, 2)), np.sort(rng.integers(0, nv, 2))
+        # box edges on a cell centre or between centres; each axis holds at least one centre
+        x, v = grid.x_centers, grid.v_centers
+        E = (
+            (x[ix[0]] - rng.choice([0.0, 0.3]) * grid.dx, x[ix[1]] + rng.choice([0.0, 0.3]) * grid.dx + (ix[0] == ix[1])),
+            (v[iv[0]] - rng.choice([0.0, 0.3]) * grid.dv, v[iv[1]] + rng.choice([0.0, 0.3]) * grid.dv + (iv[0] == iv[1])),
+        )
+        inside = np.log(np.maximum(values[i : j + 1, ix[0] : ix[1] + 1, iv[0] : iv[1] + 1], floor)) - c
+        ties = inside[np.isfinite(inside) & (inside > 0)]
+        s_grid = np.concatenate([rng.choice(default_s_grid(), 4), rng.choice(ties, min(ties.size, 6))])
+        rep = level_set_statistic(f, c=c, s_grid=s_grid, E=E, t_window=t_window, floor=floor)
+        want = dense_level_set_measures(f, c, s_grid, E, t_window, floor)
+        assert rep.measures.tobytes() == want.tobytes()
+        assert rep.statistic == float((s_grid * want).max())
 
 
 class TestDuality:

@@ -126,6 +126,11 @@ class TestGrid:
             Grid(Lx=3.0, Lv=6.0, Nx=8, Nv=64)
         with pytest.raises(ConfigError):
             Grid(Lx=0.0, Lv=6.0, Nx=64, Nv=64)
+        # NaN fails every comparison, so each check is written to fail it
+        with pytest.raises(ConfigError, match="positive and finite"):
+            Grid(Lx=float("nan"), Lv=6.0, Nx=64, Nv=64)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            Grid(Lx=3.0, Lv=float("inf"), Nx=64, Nv=64)
 
 
 class TestConfig:
@@ -136,6 +141,30 @@ class TestConfig:
             SolverConfig(dt=0.01, transport_order=2)
         with pytest.raises(ConfigError):
             SolverConfig(dt=0.01, w0_cells=1.0)
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            SolverConfig(dt=float("nan"))
+        with pytest.raises(ConfigError, match="mollification width"):
+            SolverConfig(dt=0.01, w0_cells=float("nan"))
+        with pytest.raises(ConfigError, match="mollification width"):
+            SolverConfig(dt=0.01, w0_cells=float("inf"))
+        with pytest.raises(ConfigError, match="tail tolerance"):
+            SolverConfig(dt=0.01, tail_tol=float("nan"))
+        with pytest.raises(ConfigError, match="tail tolerance"):
+            SolverConfig(dt=0.01, tail_tol=-1e-8)
+        with pytest.raises(ConfigError, match="mollification widths"):
+            init_delta((0.0, 0.0), float("nan"), Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64))
+
+    def test_nan_step_or_end_time_is_config_error(self):
+        # a NaN dt can only reach the stepper past SolverConfig's own check
+        g = Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64)
+        f = init_delta((0.0, 0.0), 0.3, g)
+        config = SolverConfig(dt=0.01)
+        object.__setattr__(config, "dt", float("nan"))
+        with pytest.raises(ConfigError, match="CFL"):
+            Stepper(CONST, g, config)
+        for t_final in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ConfigError, match="t_final"):
+                evolve(f, CONST, SolverConfig(dt=0.01), t_final)
 
     def test_cfl_enforced_at_step(self):
         g = Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64)
@@ -397,20 +426,25 @@ class TestInvariants:
     def test_import_leaves_out_scipy_ndimage(self):
         # scipy.ndimage adds tens of MB to every process that imports kolkit, and
         # scipy.linalg's package init about 240 ms and 24 MB (the solver loads
-        # only its compiled LAPACK module); neither is imported, by the library or the CLI
+        # only its compiled LAPACK module, and only when a Stepper is built); none
+        # of scipy is imported, by the library or the CLI
         for module in ("kolkit", "kolkit.cli"):
-            code = f"import sys, {module}; print(sorted({{'scipy.linalg', 'scipy.ndimage'}} & set(sys.modules)))"
+            code = f"import sys, {module}; print(sorted({{'scipy', 'scipy.linalg', 'scipy.ndimage'}} & set(sys.modules)))"
             assert run_fresh(code).stdout == "[]\n", module
 
 
 class TestLapackModule:
-    """The solver's dpttrf/dpttrs are scipy.linalg.lapack's, whichever is imported first."""
+    """The solver's dpttrf/dpttrs are scipy.linalg.lapack's, whichever is loaded first."""
 
     @pytest.mark.parametrize("first, second", [("kolkit", "scipy.linalg.lapack"), ("scipy.linalg.lapack", "kolkit")])
     def test_same_routines_in_either_import_order(self, first, second):
+        # the solver's routines load when first read, so "kolkit" reads them here
+        load = {"kolkit": "import kolkit.solver; kolkit.solver.dpttrf", "scipy.linalg.lapack": "import scipy.linalg.lapack"}
         code = "\n".join(
             [
-                f"import numpy as np, {first}, {second}",
+                "import numpy as np",
+                load[first],
+                load[second],
                 "from kolkit import solver",
                 "from scipy.linalg import lapack",
                 inspect.getsource(pttrf_pttrs_bytes),
@@ -433,6 +467,46 @@ class TestLapackModule:
         monkeypatch.setattr(solver_module, "dpttrf", lapack.dpttrf)
         monkeypatch.setattr(solver_module, "dpttrs", lapack.dpttrs)
         assert step(state, rough, config).values.tobytes() == ours.tobytes()
+
+    def test_only_a_stepper_loads_scipy(self):
+        # the first Stepper loads _flapack, once, still without scipy.linalg's package init
+        code = "\n".join(
+            [
+                "import sys",
+                "from kolkit import solver",
+                "from kolkit.coefficients import make_field",
+                "assert 'scipy' not in sys.modules and 'dpttrf' not in vars(solver)",
+                "loads, load = [], solver._load_flapack",
+                "solver._load_flapack = lambda: loads.append(1) or load()",
+                "grid, config = solver.Grid(2.0, 3.0, 16, 16), solver.SolverConfig(dt=0.02)",
+                "state = solver.init_delta((0.0, 0.0), 0.2, grid)",
+                "stepper = solver.Stepper(make_field('constant'), grid, config)",
+                "assert loads == [1] and 'scipy' in sys.modules",
+                "stepper.step(state)",
+                "solver.step(state, stepper.field, config)",
+                "assert (stepper.pttrf, stepper.pttrs) == (solver.dpttrf, solver.dpttrs)",
+                "assert loads == [1] and 'scipy.linalg' not in sys.modules",
+            ]
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_geometry_commands_leave_out_scipy(self, tmp_path):
+        # kolkit chain and kolkit trajectories never step, so they never load LAPACK
+        for name, cfg in (("chain", {"Xbar": [0.0], "Vbar": [1.0], "k0": 16}), ("trajectories", {"family": "straight"})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        code = "\n".join(
+            [
+                "import os, sys",
+                "from kolkit import cli",
+                f"os.chdir({str(tmp_path)!r})",
+                "for command in ('chain', 'trajectories'):",
+                "    assert cli.main([command, '--config', command + '.json', '--out', 'out']) == 0, command",
+                "    assert 'scipy' not in sys.modules, command",
+            ]
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
 
     def test_missing_extension_names_scipy_version(self, monkeypatch, tmp_path):
         monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
