@@ -105,9 +105,6 @@ class ChainSpec:
     def target(self) -> tuple:
         return self.xs[-1].copy(), self.vs[-1].copy()
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.k + 1) * self.dt
-
     def _fields(self, max_nodes: int) -> tuple:
         # to_dict's scalar fields, and the node stride its centres are read at
         n = self.k + 1

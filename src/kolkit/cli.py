@@ -7,9 +7,10 @@ passed, 1 = ran but a verification assertion failed, 2 = config error
 value, the non-standard JSON constants NaN and +-Infinity, and a config
 that puts a functional outside its domain (nash_g.DomainError),
 3 = numerical failure (solver.SolverError, profiles.FitError), whose
-summary records the error.  Every summary embeds the resolved config and
-is written atomically; with fixed seeds the summary is byte-stable apart
-from the timestamp field.
+summary records the error.  Every summary embeds the resolved config; with
+fixed seeds the summary is byte-stable apart from the timestamp field.  This
+is kolkit's only module that writes files: every artifact goes to a temporary
+file that is renamed into place (_replacing), so none is ever left torn.
 """
 
 from __future__ import annotations
@@ -80,17 +81,35 @@ def _nonempty(value, name):
 
 
 @contextmanager
-def _replacing(path):
-    """A text file open for writing that replaces path when the block ends
-    without an error, so a reader finds the previous file or the whole new
-    one, never a torn one; on an error it is removed and path is left as it was."""
+def _replacing(path, mode="w"):
+    """A file open for writing (mode "w" or "wb") that replaces path when the
+    block ends without an error, so a reader finds the previous file or the
+    whole new one, never a torn one; on an error it is removed and path is left as it was."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_json(path, doc):
+    with _replacing(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1, default=float))
+
+
+def _write_table(path, header, *columns):
+    """The columns side by side as comma-separated "%.18e" rows, under header unless it is empty."""
+    with _replacing(path) as fh:
+        np.savetxt(fh, np.column_stack(columns), delimiter=",", header=header, comments="")
+
+
+def _write_rows(path, header, rows):
+    """Each row as its values' str() joined by commas, under a header line."""
+    with _replacing(path) as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _build_grid(cfg) -> solver.Grid:
@@ -116,13 +135,18 @@ def _build_solver(cfg) -> solver.SolverConfig:
         raise ConfigFileError(f"solver: {e}") from e
 
 
+def _one_d(cfg):
+    # the solver is d = 1; any other d would describe a run that never happened
+    d = _get(cfg, "d", int, 1)
+    if d != 1:
+        raise ConfigFileError(f"config field 'd' must be 1, the solver's dimension, got {d}")
+
+
 def _build_field(desc, where="field"):
     try:
+        _one_d(desc)
         return make_field(
-            _get(desc, "kind", str),
-            params=_get(desc, "params", dict, {}),
-            seed=_get(desc, "seed", int, 0),
-            d=_get(desc, "d", int, 1),
+            _get(desc, "kind", str), params=_get(desc, "params", dict, {}), seed=_get(desc, "seed", int, 0)
         )
     except (ConfigFileError, ValueError) as e:
         raise ConfigFileError(f"{where}: {e}") from e
@@ -168,7 +192,12 @@ def _cmd_simulate(cfg, outdir):
         raise ConfigFileError(f"config field 'export' must be npy|csv, got {fmt!r}")
 
     est = solver.estimate_kernel(source, t_final, field, grid, config)
-    est.save(outdir / "kernel", fmt=fmt)
+    if fmt == "npy":
+        with _replacing(outdir / "kernel.npy", "wb") as fh:
+            np.save(fh, est.field.values)
+    else:
+        _write_table(outdir / "kernel.csv", "", est.field.values)
+    _write_json(outdir / "kernel.json", {**est.sidecar(), "format": fmt})
     diag = solver.diagnostics(est.field)
     summary = {
         "kernel": est.sidecar(),
@@ -194,9 +223,7 @@ def _cmd_verify_bounds(cfg, outdir):
     config = _build_solver(cfg)
     field = _build_field(_get(cfg, "field", dict))
     taus = _get(cfg, "taus", [float, ...])
-    d = _get(cfg, "d", int, 1)
-    if d != 1:
-        raise ConfigFileError(f"config field 'd' must be 1, the solver's dimension, got {d}")
+    _one_d(cfg)
     e_max = _get(cfg, "E_max", float, 8.0)
     stride = _get(cfg, "sample_stride", int, 8)
     if stride < 1:
@@ -210,24 +237,20 @@ def _cmd_verify_bounds(cfg, outdir):
         Vs = np.broadcast_to(V, est.field.values.shape)[::stride, ::stride].ravel()
         vals = est.field.values[::stride, ::stride].ravel()
         for x, v, val in zip(Xs, Vs, vals):
-            E = profiles.kinetic_exponent(NormalizedGap.from_raw(tau, x, v))
+            gap = NormalizedGap.from_raw(tau, x, v)
+            E = profiles.kinetic_exponent(gap)
             if E <= e_max and val > 0:
-                rows.append((tau, x, v, E, val))
+                rows.append((gap, (tau, x, v, E, val)))
     if len(rows) < 8:
         raise ConfigFileError("taus/sample_stride leave fewer than 8 usable samples")
-    samples = [(NormalizedGap.from_raw(tau, x, v), val) for (tau, x, v, E, val) in rows]
-    report = profiles.fit_envelope(samples, d=1)
+    report = profiles.fit_envelope([(gap, row[-1]) for gap, row in rows], d=1)
 
-    violations = 0
-    with open(outdir / "envelope_samples.csv", "w") as fh:
-        fh.write("tau,X,V,E,value,lower,upper\n")
-        for (tau, x, v, E, val) in rows:
-            gap = NormalizedGap.from_raw(tau, x, v)
-            lo = profiles.lower_profile(report.constants, gap, d=1)
-            hi = profiles.upper_profile(report.constants, gap, d=1)
-            if not (lo <= val <= hi):
-                violations += 1
-            fh.write(f"{tau},{x},{v},{E},{val},{lo},{hi}\n")
+    c = report.constants
+    table = [
+        (*row, profiles.lower_profile(c, gap, d=1), profiles.upper_profile(c, gap, d=1)) for gap, row in rows
+    ]
+    violations = sum(not (lo <= val <= hi) for *_, val, lo, hi in table)
+    _write_rows(outdir / "envelope_samples.csv", "tau,X,V,E,value,lower,upper", table)
     summary = {
         "fit": report.to_dict(),
         "samples": len(rows),
@@ -259,10 +282,9 @@ def _cmd_g_bound(cfg, outdir):
         g, delta = nash_g.g_floor_sensitivity(est.field, weight, floor)
         rows.append({"seed": f.seed, "source": list(src), "G1": g, "floor_delta": delta})
     g_values = [r["G1"] for r in rows]
-    with open(outdir / "g_values.csv", "w") as fh:
-        fh.write("seed,G1,floor_delta\n")
-        for r in rows:
-            fh.write(f"{r['seed']},{r['G1']},{r['floor_delta']}\n")
+    _write_rows(
+        outdir / "g_values.csv", "seed,G1,floor_delta", [(r["seed"], r["G1"], r["floor_delta"]) for r in rows]
+    )
     summary = {
         "per_field": rows,
         "min_G1": min(g_values),
@@ -281,7 +303,7 @@ def _cmd_level_set(cfg, outdir):
     floor = _floor(cfg)
     weight = _build_weight(cfg, grid)
     E = _get(cfg, "E", [[float, float], [float, float]], [[-2.0, 2.0], [-2.0, 2.0]])
-    nash_g._box_cells(E, grid)  # a DomainError here, before any kernel runs
+    nash_g.box_cells(E, grid)  # a DomainError here, before any kernel runs
     record_every = _get(cfg, "record_every", int, 8)
 
     stats = []
@@ -295,11 +317,14 @@ def _cmd_level_set(cfg, outdir):
         stats.append({"seed": f.seed, "c_f": c, "statistic": rep.statistic})
         if best is None or rep.statistic > best[1].statistic:
             best = (f.seed, rep)
-    best[1].curve_csv(outdir / "level_set_curve.csv")
+    worst_seed, worst = best
+    _write_table(
+        outdir / "level_set_curve.csv", "s,measure,s_times_measure", worst.s_grid, worst.measures, worst.products()
+    )
     summary = {
         "per_field": stats,
         "max_statistic": max(s["statistic"] for s in stats),
-        "worst_seed": best[0],
+        "worst_seed": worst_seed,
         "E": E,
     }
     passed = all(np.isfinite(s["statistic"]) for s in stats)
@@ -365,8 +390,9 @@ def _cmd_trajectories(cfg, outdir):
     except ValueError as e:
         raise ConfigFileError(f"r_points/r_min: {e}") from e
     rep = trajectories.check_properties(fam, r_grid=r_grid)
-    (outdir / "property_report.json").write_text(rep.to_json(indent=1))
-    rep.curves_csv(outdir / "exponent_curves.csv")
+    _write_json(outdir / "property_report.json", rep.to_dict())
+    curves = (rep.r_grid, rep.curves["det_A"], rep.curves["inv_column_norm"])
+    _write_table(outdir / "exponent_curves.csv", "r,det_A,inv_velocity_column_norm", *curves)
     summary = {"report": rep.to_dict(), "required_flags": required}
     passed = all(rep.pass_flags[f] for f in required)
     return summary, passed
@@ -382,12 +408,10 @@ def _cmd_adjoint(cfg, outdir):
     t1 = _get(cfg, "t1", float, 2.0)
     tolerance = _get(cfg, "tolerance", float, 0.05)
     res = nash_g.adjoint_kernel_residual(field, points, grid, config, eval_point=eval_point, t0=t0, t1=t1)
-    with open(outdir / "adjoint_points.csv", "w") as fh:
-        fh.write("y,w,forward,adjoint,relative_error\n")
-        for (y, w), a, b, r in zip(
-            res["points"], res["forward"], res["adjoint"], res["relative_errors"]
-        ):
-            fh.write(f"{y},{w},{a},{b},{r}\n")
+    reads = zip(res["points"], res["forward"], res["adjoint"], res["relative_errors"])
+    _write_rows(
+        outdir / "adjoint_points.csv", "y,w,forward,adjoint,relative_error", [(*p, *r) for p, *r in reads]
+    )
     passed = res["residual"] <= tolerance
     return res, passed
 
@@ -456,8 +480,7 @@ def main(argv=None) -> int:
     if error is not None:
         doc["error"] = error
     path = outdir / "summary.json"
-    with _replacing(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1, default=float))
+    _write_json(path, doc)
     if error is not None:
         return 3
     if not passed:

@@ -8,7 +8,6 @@ reproducible field.  Each hash round runs at its own cell index's shape.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 
@@ -87,9 +86,6 @@ class CoefficientField:
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "params": _jsonable(self.params), "seed": self.seed, "d": self.d}
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True, **kw)
 
     def __repr__(self):
         return f"CoefficientField({self.kind!r}, seed={self.seed}, params={self.params!r})"

@@ -26,6 +26,7 @@ __all__ = [
     "g_floor_sensitivity",
     "log_mean_c",
     "level_set_statistic",
+    "box_cells",
     "adjoint_kernel_residual",
     "default_s_grid",
 ]
@@ -58,13 +59,10 @@ class GWeight:
         w[r2 > self.R**2] = 0.0
         return w
 
-    def mass(self, grid: Grid) -> float:
-        return float(self.values(grid).sum() * grid.cell_volume)
-
 
 def _weighted_log(f: Field, weight: GWeight, floor: float) -> float:
-    if floor <= 0:
-        raise DomainError(f"log floor must be positive, got {floor}")
+    if not (0 < floor < np.inf):  # NaN fails it too
+        raise DomainError(f"log floor must be positive and finite, got {floor}")
     if not np.any(f.values > 0):
         raise DomainError("field is identically zero; log integral undefined")
     w = weight.values(f.grid)
@@ -143,12 +141,8 @@ class LevelSetReport:
             "warnings": list(self.warnings),
         }
 
-    def curve_csv(self, path) -> None:
-        data = np.column_stack([self.s_grid, self.measures, self.products()])
-        np.savetxt(path, data, delimiter=",", header="s,measure,s_times_measure", comments="")
 
-
-def _box_cells(E, grid: Grid) -> np.ndarray:
+def box_cells(E, grid: Grid) -> np.ndarray:
     """Mask, shape (Nx, Nv), of the cell centres in the box E = ((x_lo, x_hi),
     (v_lo, v_hi)); raises DomainError for an axis with lo >= hi or a box that
     holds no cell centre, where every level-set measure would read 0."""
@@ -175,15 +169,18 @@ def level_set_statistic(
     The measure is cell counting: snapshot time weight times cell volume.
     The log excess of one snapshot's cells in E is sorted, and one
     searchsorted counts the cells above every threshold (a NaN cell, sorted
-    last, above none).  Thresholds must be positive and finite, c finite.
+    last, above none).  Thresholds must be positive and finite, c finite,
+    the floor in (0, inf).
     """
     s_grid = default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
     if not (s_grid.size and np.all(s_grid > 0) and np.all(s_grid < np.inf)):
         raise DomainError(f"level-set thresholds must be positive and finite, got {s_grid.tolist()}")
     if not np.isfinite(c):
         raise DomainError(f"level-set offset c must be finite, got {c}")
+    if not (0 < floor < np.inf):  # NaN fails it too; it would read as no cell above any s
+        raise DomainError(f"log floor must be positive and finite, got {floor}")
     grid = f.grid
-    in_E = _box_cells(E, grid)
+    in_E = box_cells(E, grid)
     sub = f.window(*t_window)
 
     # counts[i, k]: cells of snapshot k in E whose excess exceeds s_grid[i]

@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import importlib.machinery
 import importlib.util
-import json
 import os
 import sys
 import warnings
@@ -597,20 +596,6 @@ class KernelEstimate:
             "min_value": self.min_value,
             "boundary_peak_ratio": self.boundary_peak_ratio,
         }
-
-    def save(self, prefix, fmt: str = "npy") -> None:
-        """Write `{prefix}.{npy|csv}` plus a `{prefix}.json` sidecar."""
-        prefix = str(prefix)
-        if fmt == "npy":
-            np.save(prefix + ".npy", self.field.values)
-        elif fmt == "csv":
-            np.savetxt(prefix + ".csv", self.field.values, delimiter=",")
-        else:
-            raise ValueError(f"unknown export format {fmt!r}")
-        side = self.sidecar()
-        side["format"] = fmt
-        with open(prefix + ".json", "w") as fh:
-            json.dump(side, fh, sort_keys=True, indent=1)
 
 
 def estimate_kernel(

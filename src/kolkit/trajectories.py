@@ -13,7 +13,6 @@ them (4d, -2, 1+4d), which is exactly what its report should say.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -272,15 +271,6 @@ class PropertyReport:
             "warnings": list(self.warnings),
         }
         return d
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
-
-    def curves_csv(self, path) -> None:
-        data = np.column_stack(
-            [self.r_grid, self.curves["det_A"], self.curves["inv_column_norm"]]
-        )
-        np.savetxt(path, data, delimiter=",", header="r,det_A,inv_velocity_column_norm", comments="")
 
 
 def _fit_slope(logr, logy):

@@ -74,6 +74,29 @@ class TestSimulate:
         assert (outdir / "kernel.csv").exists()
         assert json.loads((outdir / "kernel.json").read_text())["format"] == "csv"
 
+    @pytest.mark.parametrize("fmt", ["npy", "csv"])
+    def test_kernel_files_hold_the_estimate(self, tmp_path, fmt):
+        # kernel.npy round trips the estimate's array bit for bit, and so does
+        # kernel.csv's "%.18e"; kernel.json is the estimate's sidecar plus the format
+        cfg = simulate_cfg(export=fmt)
+        code, outdir = run(tmp_path, "simulate", cfg)
+        assert code == 0
+        field = make_field("constant", {"value": 1.0})
+        grid, config = solver.Grid(**cfg["grid"]), solver.SolverConfig(**cfg["solver"])
+        est = solver.estimate_kernel(tuple(cfg["source"]), cfg["t_final"], field, grid, config)
+        if fmt == "npy":
+            back = np.load(outdir / "kernel.npy")
+        else:
+            back = np.loadtxt(outdir / "kernel.csv", delimiter=",")
+        assert back.tobytes() == est.field.values.tobytes()
+        side = json.loads((outdir / "kernel.json").read_text())
+        assert side == json.loads(json.dumps({**est.sidecar(), "format": fmt}))
+        assert side["format"] == fmt
+        assert side["source"] == [0.0, 0.0, 0.0]
+        assert side["grid"]["Nx"] == 32
+        assert "mass_drift" in side and "coefficient" in side
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(["kernel.json", f"kernel.{fmt}", "summary.json"])
+
     def test_failed_assertion_exits_1(self, tmp_path, capsys):
         code, outdir = run(tmp_path, "simulate", simulate_cfg(oracle_tol=1e-9))
         assert code == 1
@@ -248,6 +271,12 @@ class TestConfigErrors:
             ("level-set", {"E": [[2.0, -2.0], [-2.0, 2.0]]}, "box E must have lo < hi"),
             ("level-set", {"E": [[-2.0, 2.0], [1.0, 1.0]]}, "box E must have lo < hi"),
             ("level-set", {"E": [[40.0, 50.0], [-2.0, 2.0]]}, "holds no cell centre"),
+            ("simulate", {"field": {"kind": "constant", "d": 0}}, "field: config field 'd' must be 1"),
+            ("simulate", {"field": {"kind": "constant", "d": 2}}, "field: config field 'd' must be 1"),
+            ("verify-bounds", {"field": {"kind": "constant", "d": 2}}, "field: config field 'd' must be 1"),
+            ("adjoint", {"field": {"kind": "constant", "d": 2}}, "field: config field 'd' must be 1"),
+            ("g-bound", {"ensemble": [{"kind": "constant"}, {"kind": "constant", "d": 2}]}, "ensemble[1]: config"),
+            ("level-set", {"ensemble": {"kind": "constant", "seeds": [1, 2], "d": 3}}, "ensemble(seed=1): config"),
         ],
         ids=[
             "g-bound",
@@ -325,6 +354,12 @@ class TestConfigErrors:
             "level-set-E-reversed",
             "level-set-E-flat",
             "level-set-E-no-cell",
+            "simulate-field-d-0",
+            "simulate-field-d-2",
+            "verify-bounds-field-d-2",
+            "adjoint-field-d-2",
+            "g-bound-ensemble-entry-d-2",
+            "level-set-ensemble-base-d-3",
         ],
     )
     def test_out_of_range_value_is_config_error(
@@ -446,8 +481,32 @@ class TestTrajectoriesCommand:
         }
         code, outdir = run(tmp_path, "trajectories", cfg)
         assert code == 0
-        assert (outdir / "property_report.json").exists()
-        assert (outdir / "exponent_curves.csv").exists()
+        report = json.loads((outdir / "property_report.json").read_text())
+        assert report["family"] == "straight"
+        assert set(report["pass_flags"]) == set(trajectories.PASS_FLAGS)
+        assert all(report["pass_flags"][f] for f in cfg["require_flags"])
+        curves = (outdir / "exponent_curves.csv").read_text().splitlines()
+        assert curves[0] == "r,det_A,inv_velocity_column_norm"
+        assert len(curves) == 1 + cfg["r_points"]
+
+    def test_failed_write_leaves_the_earlier_curves(self, tmp_path, monkeypatch):
+        # each artifact is written to a temporary file renamed into place, so a
+        # table write that raises part way through a row, in a second run into
+        # the same --out, leaves the first run's file and no temporary file
+        cfg = {"family": "straight", "r_points": 256}
+        code, outdir = run(tmp_path, "trajectories", cfg)
+        assert code == 0
+        old = (outdir / "exponent_curves.csv").read_bytes()
+
+        def torn(fh, *args, **kwargs):
+            fh.write("1.000000000000000000e-06,3.9")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savetxt", torn)
+        with pytest.raises(OSError, match="no space"):
+            run(tmp_path, "trajectories", {**cfg, "family": "log-oscillatory"})
+        assert (outdir / "exponent_curves.csv").read_bytes() == old
+        assert not list(outdir.glob(".*.tmp"))
 
     def test_documented_rate_failure_exits_1(self, tmp_path):
         cfg = {"family": "straight", "r_points": 256, "require_flags": ["det_A_rate"]}
@@ -526,6 +585,7 @@ class TestEnsembleCommands:
         assert doc["summary"]["max_statistic"] == self.library_level_set_statistic(cfg)
         curve = (outdir / "level_set_curve.csv").read_text().splitlines()
         assert curve[0] == "s,measure,s_times_measure"
+        assert len(curve) == 1 + nash_g.default_s_grid().size
 
     @staticmethod
     def library_level_set_statistic(cfg):

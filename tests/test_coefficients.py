@@ -138,7 +138,7 @@ class TestMakeField:
 
     def test_descriptor_roundtrips_through_json(self):
         f = make_field("checkerboard", {"random_origin": True}, seed=9)
-        desc = json.loads(f.to_json())
+        desc = json.loads(json.dumps(f.descriptor()))
         g = make_field(desc["kind"], desc["params"], seed=desc["seed"])
         t, x, v = random_pts()
         assert np.array_equal(f.value(t, x, v), g.value(t, x, v))

@@ -48,7 +48,7 @@ def dense_level_set_measures(f, c, s_grid, E, t_window, floor):
 class TestGWeight:
     def test_unit_mass(self):
         w = GWeight()
-        assert abs(w.mass(GRID) - 1.0) < 1e-3
+        assert abs(w.values(GRID).sum() * GRID.cell_volume - 1.0) < 1e-3
 
     def test_radius_guard(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestGFunctional:
         vals = 0.5 + rng.random((64, 64))
         f = Field(vals, 0.5, GRID)
         g = Field(7.5 * vals, 0.5, GRID)
-        wmass = GWeight().mass(GRID)
+        wmass = GWeight().values(GRID).sum() * GRID.cell_volume
         assert g_functional(g) - g_functional(f) == pytest.approx(
             np.log(7.5) * wmass, rel=1e-12
         )
@@ -80,8 +80,15 @@ class TestGFunctional:
             g_functional(Field(np.zeros((64, 64)), 0.5, GRID))
 
     def test_floor_must_be_positive(self):
-        with pytest.raises(DomainError):
-            g_functional(flat(1.0), floor=0.0)
+        # and finite, NaN included: a NaN floor makes every floored log NaN, so
+        # G read NaN and the level-set statistic of a history of e^5 a passing 0.0
+        history = SpaceTimeField(np.full((1, 64, 64), np.e**5), np.array([0.5]), GRID)
+        for floor in (np.nan, np.inf, 0.0, -1.0):
+            for functional in (g_functional, g_floor_sensitivity, log_mean_c):
+                with pytest.raises(DomainError, match="log floor must be positive and finite"):
+                    functional(flat(1.0), floor=floor)
+            with pytest.raises(DomainError, match="log floor must be positive and finite"):
+                level_set_statistic(history, c=0.0, floor=floor)
 
     def test_source_offset_ball(self):
         g_functional(flat(1.0), source_offset=(0.6, 0.8))  # norm exactly 1
@@ -181,7 +188,7 @@ class TestLevelSets:
         # uniform spacing: every snapshot carries weight 0.25
         assert rep.measures[0] == pytest.approx(3 * 0.25 * grid.cell_volume)
 
-    def test_threshold_validation_and_report_plumbing(self, tmp_path):
+    def test_threshold_validation_and_report_plumbing(self):
         grid = Grid(Lx=4.0, Lv=4.0, Nx=32, Nv=32)
         st = SpaceTimeField(np.ones((1, 32, 32)), np.array([0.5]), grid)
         with pytest.raises(DomainError):
@@ -191,10 +198,7 @@ class TestLevelSets:
         rep = level_set_statistic(st, c=-2.0)
         d = rep.to_dict()
         assert set(d) >= {"c_f", "statistic", "curve", "E", "t_window"}
-        p = tmp_path / "curve.csv"
-        rep.curve_csv(p)
-        assert p.read_text().startswith("s,measure,s_times_measure")
-        assert len(np.loadtxt(p, delimiter=",", skiprows=1)) == default_s_grid().size
+        assert len(d["curve"]["s"]) == len(d["curve"]["measure"]) == default_s_grid().size
 
 
     @pytest.mark.parametrize(

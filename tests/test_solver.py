@@ -757,30 +757,6 @@ class TestKernelEstimate:
         with pytest.raises(ConfigError):
             estimate_kernel((1.0, 0.0, 0.0), 0.5, CONST, grid, cfg)
 
-    def test_save_npy_roundtrip(self, tmp_path):
-        grid = Grid(Lx=3.0, Lv=4.0, Nx=32, Nv=32)
-        cfg = SolverConfig(dt=1.0 / 64, w0_cells=2.0, tail_tol=1.0)
-        est = estimate_kernel((0.0, 0.0, 0.0), 0.25, CONST, grid, cfg)
-        prefix = tmp_path / "kern"
-        est.save(prefix)
-        back = np.load(str(prefix) + ".npy")
-        assert np.array_equal(back, est.field.values)
-        side = json.loads((tmp_path / "kern.json").read_text())
-        assert side["format"] == "npy"
-        assert side["source"] == [0.0, 0.0, 0.0]
-        assert side["grid"]["Nx"] == 32
-        assert "mass_drift" in side and "coefficient" in side
-
-    def test_save_csv_and_bad_format(self, tmp_path):
-        grid = Grid(Lx=3.0, Lv=4.0, Nx=32, Nv=32)
-        cfg = SolverConfig(dt=1.0 / 64, w0_cells=2.0, tail_tol=1.0)
-        est = estimate_kernel((0.0, 0.0, 0.0), 0.25, CONST, grid, cfg)
-        est.save(tmp_path / "k", fmt="csv")
-        back = np.loadtxt(tmp_path / "k.csv", delimiter=",")
-        assert np.allclose(back, est.field.values, rtol=1e-15, atol=0)
-        with pytest.raises(ValueError):
-            est.save(tmp_path / "k", fmt="parquet")
-
     def test_density_interpolates(self):
         grid = Grid(Lx=3.0, Lv=4.0, Nx=48, Nv=48)
         cfg = SolverConfig(dt=1.0 / 64, w0_cells=2.0, tail_tol=1.0)
