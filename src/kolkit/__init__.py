@@ -14,7 +14,6 @@ from .phase_geometry import *
 from .profiles import *
 from .coefficients import *
 from .solver import *
-from .solver import remollify
 from .nash_g import *
 from .chains import *
 from .trajectories import *
@@ -28,7 +27,6 @@ __all__ = [
     *profiles.__all__,
     *coefficients.__all__,
     *solver.__all__,
-    "remollify",
     *nash_g.__all__,
     *chains.__all__,
     *trajectories.__all__,

@@ -65,14 +65,14 @@ def default_k0(p: NearDiagonalParams) -> float:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Discrete chain over a unit time interval.
+    """Discrete chain over a unit time interval in k steps of dt = 1/k.
 
     xs, vs have shape (k+1, d); mu is the quadratic-correction coefficient
-    (d,); eta is the tube radius used for perturbation arguments.
+    (d,); eta is the tube radius used for perturbation arguments.  The three
+    arrays are made read-only, so their checks hold for the chain's life.
     """
 
     k: int
-    dt: float
     xs: np.ndarray
     vs: np.ndarray
     mu: np.ndarray
@@ -92,10 +92,14 @@ class ChainSpec:
         extremes = [f(u, initial=0.0) for u in centres for f in (np.min, np.max)]
         if not np.isfinite(extremes).all():
             raise ValueError("centres xs, vs and mu must be finite")
+        for u in centres:
+            u.flags.writeable = False
         if not (0.0 < self.eta <= self.rho0 / 4.0 + 1e-15):
             raise ValueError(f"eta must lie in (0, rho0/4], got {self.eta}")
-        if not (abs(self.dt * self.k - 1.0) <= 1e-12):
-            raise ValueError(f"chain must span a unit interval, got k*dt = {self.dt * self.k}")
+
+    @property
+    def dt(self) -> float:
+        return 1.0 / self.k
 
     @property
     def d(self) -> int:
@@ -244,7 +248,9 @@ def build_chain(Xbar, Vbar, p: NearDiagonalParams, k0: float | None = None) -> C
 
     The returned chain satisfies, and has been re-verified to satisfy:
     exact endpoints (within 1e-10), the transport recursion, and the step
-    increment bound |v_j - v_{j-1}| <= (rho0/2) sqrt(dt).
+    increment bound |v_j - v_{j-1}| <= (rho0/2) sqrt(dt).  Its tube radius
+    eta = rho0 / (4 sqrt(d)) is the largest whose whole perturbation box
+    keeps that slack (see perturbation_check).
     """
     Xbar = np.atleast_1d(np.asarray(Xbar, dtype=float))
     Vbar = np.atleast_1d(np.asarray(Vbar, dtype=float))
@@ -303,9 +309,8 @@ def build_chain(Xbar, Vbar, p: NearDiagonalParams, k0: float | None = None) -> C
         vs = np.empty_like(xs)
         _velocities(vs, Vbar, mu)
 
-    chain = ChainSpec(
-        k=k, dt=1.0 / k, xs=xs, vs=vs, mu=mu, eta=p.rho0 / 4.0, rho0=p.rho0, k0=float(k0)
-    )
+    eta = p.rho0 / (4.0 * float(np.sqrt(len(Xbar))))
+    chain = ChainSpec(k=k, xs=xs, vs=vs, mu=mu, eta=eta, rho0=p.rho0, k0=float(k0))
     validate_chain(chain, target=(Xbar, Vbar))
     return chain
 
@@ -335,12 +340,8 @@ def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -
     resid, inc_max, inc_at = [], [], []
     for lo, hi in _node_blocks(k):
         a = max(lo - 1, 0)
-        step = np.subtract(xs[a + 1 : hi], xs[a : hi - 1])
-        step -= dt * vs[a : hi - 1]
-        resid.append(np.abs(step, out=step).max())
-        # each square and root in place
-        inc = np.square(np.subtract(vs[a + 1 : hi], vs[a : hi - 1], out=step), out=step).sum(axis=1)
-        np.sqrt(inc, out=inc)
+        inc, res = _step_norms(xs[a:hi], vs[a:hi], dt)
+        resid.append(res.max())
         j = int(np.argmax(inc))
         inc_max.append(inc[j])
         inc_at.append(a + j)
@@ -387,24 +388,6 @@ def _step_norms(x, v, dt):
     return np.linalg.norm(v[1:] - v[:-1], axis=1), np.linalg.norm(x[1:] - x[:-1] - dt * v[:-1], axis=1)
 
 
-def _sample_blocks(seed, samples, k, d):
-    """One iterator per sample s over its (lo, hi, ux, uv) node blocks: ux and uv
-    are rows lo..hi-1 of xi[s] and eta[s] in the joint draw
-    xi, eta = rng.uniform(-1, 1, (2, samples, k+1, d)), rng = default_rng(seed).
-    Each sample reads its rows from its own generator, advanced to their
-    offset in the PCG64 stream."""
-    n = (k + 1) * d
-
-    def rows(s):
-        gx, gv = np.random.default_rng(seed), np.random.default_rng(seed)
-        gx.bit_generator.advance(s * n)
-        gv.bit_generator.advance((samples + s) * n)
-        for lo, hi in _node_blocks(k):
-            yield lo, hi, gx.uniform(-1.0, 1.0, (hi - lo, d)), gv.uniform(-1.0, 1.0, (hi - lo, d))
-
-    return (rows(s) for s in range(samples))
-
-
 def perturbation_check(
     chain: ChainSpec,
     samples_per_step: int = 8,
@@ -426,9 +409,8 @@ def perturbation_check(
     Memory: the screen and each sample walk the chain in blocks of 2^14
     nodes, the last node of a block carried into the next, so besides the
     chain itself the check holds a few block-sized arrays whatever
-    samples_per_step and k are.  Sample s reads its rows of the joint draw
-    rng.uniform(-1, 1, (2, samples_per_step, k+1, d)) from PCG64 streams
-    advanced to their offset, so the verdict is the joint draw's.
+    samples_per_step and k are.  The samples are drawn from one
+    default_rng(seed), block by block.
     """
     eta = chain.eta if eta is None else float(eta)
     if not (0.0 <= eta < np.inf):
@@ -451,13 +433,16 @@ def perturbation_check(
         if not (np.all(v_worst <= v_tol) and np.all(x_worst <= x_tol)):
             return False
 
-    for blocks in _sample_blocks(seed, samples_per_step, k, chain.d):
+    rng = np.random.default_rng(seed)
+    for _ in range(samples_per_step):
         x = v = xs[:0]  # no node to carry into the first block
-        for lo, hi, ux, uv in blocks:
+        for lo, hi in _node_blocks(k):
             # free is 0 or 1, so scaling by (radius * free) rounds as radius then free
             free = _free(lo, hi, k)[:, None]
+            ux = rng.uniform(-1.0, 1.0, (hi - lo, chain.d))
             ux *= (eta * dt**1.5) * free
             ux += xs[lo:hi]
+            uv = rng.uniform(-1.0, 1.0, (hi - lo, chain.d))
             uv *= (eta * np.sqrt(dt)) * free
             uv += vs[lo:hi]
             x, v = np.concatenate((x[-1:], ux)), np.concatenate((v[-1:], uv))

@@ -9,7 +9,7 @@ epsilon; healthy kernels must be insensitive to halving it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,14 +110,12 @@ def default_s_grid(per_octave: int = 2) -> np.ndarray:
 
 @dataclass
 class LevelSetReport:
-    c_f: float
+    """The level-set curve: measures[i] is the measure of the cells where
+    log f - c exceeds s_grid[i], and statistic is the largest s * measure."""
+
     statistic: float
     s_grid: np.ndarray
     measures: np.ndarray
-    floor_used: float
-    E: tuple
-    t_window: tuple
-    warnings: list = dc_field(default_factory=list)
 
     def __post_init__(self):
         if not (self.statistic >= 0):
@@ -125,21 +123,6 @@ class LevelSetReport:
 
     def products(self) -> np.ndarray:
         return self.s_grid * self.measures
-
-    def to_dict(self) -> dict:
-        return {
-            "c_f": self.c_f,
-            "statistic": self.statistic,
-            "floor_used": self.floor_used,
-            "E": [list(b) for b in self.E],
-            "t_window": list(self.t_window),
-            "curve": {
-                "s": self.s_grid.tolist(),
-                "measure": self.measures.tolist(),
-                "s_times_measure": self.products().tolist(),
-            },
-            "warnings": list(self.warnings),
-        }
 
 
 def box_cells(E, grid: Grid) -> np.ndarray:
@@ -168,9 +151,9 @@ def level_set_statistic(
 
     The measure is cell counting: snapshot time weight times cell volume.
     The log excess of one snapshot's cells in E is sorted, and one
-    searchsorted counts the cells above every threshold (a NaN cell, sorted
-    last, above none).  Thresholds must be positive and finite, c finite,
-    the floor in (0, inf).
+    searchsorted counts the cells above every threshold; every cell is a
+    number, as SpaceTimeField holds finite values only.  Thresholds must be
+    positive and finite, c finite, the floor in (0, inf).
     """
     s_grid = default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
     if not (s_grid.size and np.all(s_grid > 0) and np.all(s_grid < np.inf)):
@@ -185,23 +168,12 @@ def level_set_statistic(
 
     # counts[i, k]: cells of snapshot k in E whose excess exceeds s_grid[i]
     counts = np.empty((s_grid.size, sub.times.size))
-    bounds = np.append(s_grid, np.inf)
     for k, snapshot in enumerate(sub.values):
         excess = np.sort(np.log(np.maximum(snapshot[in_E], floor)) - c)
-        at_most = np.searchsorted(excess, bounds, side="right")
-        counts[:, k] = at_most[-1] - at_most[:-1]
+        counts[:, k] = excess.size - np.searchsorted(excess, s_grid, side="right")
     tw = np.gradient(sub.times) if sub.times.size > 1 else np.ones(1)
     measures = (counts * tw).sum(axis=1) * grid.cell_volume
-    products = s_grid * measures
-    return LevelSetReport(
-        c_f=c,
-        statistic=float(products.max()),
-        s_grid=s_grid,
-        measures=measures,
-        floor_used=floor,
-        E=tuple(tuple(b) for b in E),
-        t_window=tuple(t_window),
-    )
+    return LevelSetReport(statistic=float((s_grid * measures).max()), s_grid=s_grid, measures=measures)
 
 
 def adjoint_kernel_residual(

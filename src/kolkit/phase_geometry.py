@@ -63,40 +63,33 @@ class PhasePoint:
 class NormalizedGap:
     """Invariant gap between two phase points with time separation tau > 0.
 
-    X and V are the transported differences, Xbar = X / tau^(3/2) and
-    Vbar = V / tau^(1/2) their scale-free versions.
+    X and V are the transported differences; their scale-free versions
+    Xbar = X / tau^(3/2) and Vbar = V / tau^(1/2) are computed from them.
     """
 
     tau: float
     X: np.ndarray
     V: np.ndarray
-    Xbar: np.ndarray
-    Vbar: np.ndarray
 
     def __post_init__(self):
         tau = float(self.tau)
         if not (tau > 0.0 and np.isfinite(tau)):
             raise ValueError(f"gap requires tau > 0, got {tau}")
-        X = _vector(self.X)
-        V = _vector(self.V)
-        Xbar = _vector(self.Xbar)
-        Vbar = _vector(self.Vbar)
-        for name, value in (("tau", tau), ("X", X), ("V", V), ("Xbar", Xbar), ("Vbar", Vbar)):
+        for name, value in (("tau", tau), ("X", _vector(self.X)), ("V", _vector(self.V))):
             object.__setattr__(self, name, value)
-        # consistency of the two representations, relative 1e-12
-        scale_x = max(1.0, float(np.max(np.abs(X))))
-        scale_v = max(1.0, float(np.max(np.abs(V))))
-        if np.max(np.abs(Xbar * tau**1.5 - X)) > 1e-12 * scale_x:
-            raise ValueError("inconsistent Xbar: Xbar * tau^(3/2) != X")
-        if np.max(np.abs(Vbar * tau**0.5 - V)) > 1e-12 * scale_v:
-            raise ValueError("inconsistent Vbar: Vbar * tau^(1/2) != V")
 
     @classmethod
     def from_raw(cls, tau: float, X, V) -> "NormalizedGap":
-        tau = float(tau)
-        X = np.atleast_1d(np.asarray(X, dtype=float))
-        V = np.atleast_1d(np.asarray(V, dtype=float))
-        return cls(tau=tau, X=X, V=V, Xbar=X / tau**1.5, Vbar=V / tau**0.5)
+        """The gap of transported differences X, V over tau; the same as the constructor."""
+        return cls(tau=tau, X=X, V=V)
+
+    @property
+    def Xbar(self) -> np.ndarray:
+        return self.X / self.tau**1.5
+
+    @property
+    def Vbar(self) -> np.ndarray:
+        return self.V / self.tau**0.5
 
     @property
     def d(self) -> int:

@@ -84,6 +84,7 @@ __all__ = [
     "step",
     "evolve",
     "estimate_kernel",
+    "remollify",
     "diagnostics",
     "chapman_kolmogorov_residual",
     "scaling_identity_residual",
@@ -211,6 +212,10 @@ class SpaceTimeField:
             )
         if self.values.shape[1:] != (self.grid.Nx, self.grid.Nv):
             raise ValueError("snapshot shape does not match the grid")
+        # NaN propagates through min and max, so both are finite exactly when every
+        # value is; unlike np.isfinite(values) they make no temporary the size of the history
+        if not np.isfinite([self.values.min(initial=0.0), self.values.max(initial=0.0)]).all():
+            raise ValueError("snapshot values must be finite")
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
 

@@ -13,7 +13,7 @@ them (4d, -2, 1+4d), which is exactly what its report should say.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -60,15 +60,7 @@ def _as_dvec(u, d):
 
 
 def _endpoints(endpoints, fam):
-    z0, z1 = endpoints
-    if isinstance(z0, PhasePoint):
-        t0, x0, v0 = z0.t, z0.x, z0.v
-    else:
-        t0, x0, v0 = z0
-    if isinstance(z1, PhasePoint):
-        t1, x1, v1 = z1.t, z1.x, z1.v
-    else:
-        t1, x1, v1 = z1
+    (t0, x0, v0), (t1, x1, v1) = endpoints
     if abs((t1 - t0) - fam.T) > 1e-12 * max(1.0, abs(fam.T)):
         raise ValueError(f"endpoint gap {t1 - t0} does not match the family gap {fam.T}")
     d = fam.d
@@ -251,26 +243,8 @@ class PropertyReport:
     warnings: list = dc_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = {
-            "family": self.family,
-            "T": self.T,
-            "d": self.d,
-            "kinetic_residual": self.kinetic_residual,
-            "kinetic_residual_integral": self.kinetic_residual_integral,
-            "endpoint_errors": self.endpoint_errors,
-            "det_A_exponent": self.det_A_exponent,
-            "det_A_target": self.det_A_target,
-            "inv_column_exponent": self.inv_column_exponent,
-            "inv_column_target": self.inv_column_target,
-            "B_det_near_zero": self.B_det_near_zero,
-            "property4_margins": self.property4_margins,
-            "jacobian_exponent": self.jacobian_exponent,
-            "jacobian_target": self.jacobian_target,
-            "pass_flags": self.pass_flags,
-            "slope_halves": self.slope_halves,
-            "warnings": list(self.warnings),
-        }
-        return d
+        """Every field but the arrays r_grid and curves, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("r_grid", "curves")}
 
 
 def _fit_slope(logr, logy):

@@ -104,7 +104,14 @@ def closed_form_chain(k, d=1):
     """A chain of any k steps on the closed forms (build_chain picks its own k)."""
     Xbar, Vbar = [0.2, -0.1][:d], [0.5, 0.3][:d]
     xs, vs = reference_centres(Xbar, Vbar, k)
-    return ChainSpec(k=k, dt=1.0 / k, xs=xs, vs=vs, mu=np.zeros(d), eta=P.rho0 / 4.0, rho0=P.rho0, k0=1.0)
+    return ChainSpec(k=k, xs=xs, vs=vs, mu=np.zeros(d), eta=P.rho0 / 4.0, rho0=P.rho0, k0=1.0)
+
+
+def writable(chain):
+    """The chain with its centre arrays writable again, for tests that tamper with them."""
+    chain.xs.setflags(write=True)
+    chain.vs.setflags(write=True)
+    return chain
 
 
 def traced_peak(fn):
@@ -220,10 +227,17 @@ class TestBuildChain:
         assert np.allclose(X, [0.1, -0.2], atol=1e-10)
         assert np.allclose(V, [0.4, 0.3], atol=1e-10)
 
+    def test_centres_are_read_only(self):
+        # the shape and finiteness checks of ChainSpec hold for the chain's life
+        c = build_chain([0.2], [0.5], P, k0=64.0)
+        for name in ("xs", "vs", "mu"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(c, name)[-1] = np.nan
+
 
 class TestValidateChain:
     def chain(self):
-        return build_chain([0.2], [0.5], P, k0=64.0)
+        return writable(build_chain([0.2], [0.5], P, k0=64.0))
 
     def test_tampered_position_breaks_transport(self):
         c = self.chain()
@@ -281,7 +295,7 @@ class TestValidateChain:
         ],
     )
     def test_messages_at_block_seams_are_the_whole_chains(self, tamper):
-        c = closed_form_chain(2 * B)  # nodes in blocks [0, B), [B, 2B) and [2B]
+        c = writable(closed_form_chain(2 * B))  # nodes in blocks [0, B), [B, 2B) and [2B]
         for name in ("xs", "vs"):
             for node, delta in tamper.get(name, []):
                 getattr(c, name)[node, 0] += delta
@@ -312,13 +326,10 @@ class TestChainSpec:
         xs = np.zeros((3, 1))
         vs = np.zeros((3, 1))
         with pytest.raises(ValueError, match="eta"):
-            ChainSpec(k=2, dt=0.5, xs=xs, vs=vs, mu=[0.0], eta=0.2, rho0=0.25, k0=1.0)
-        with pytest.raises(ValueError, match="unit interval"):
-            ChainSpec(k=2, dt=0.4, xs=xs, vs=vs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
+            ChainSpec(k=2, xs=xs, vs=vs, mu=[0.0], eta=0.2, rho0=0.25, k0=1.0)
         with pytest.raises(ValueError, match="shape"):
-            ChainSpec(k=3, dt=1 / 3, xs=xs, vs=vs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
-        with pytest.raises(ValueError, match="unit interval"):
-            ChainSpec(k=2, dt=np.nan, xs=xs, vs=vs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
+            ChainSpec(k=3, xs=xs, vs=vs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
+        assert ChainSpec(k=2, xs=xs, vs=vs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0).dt == 0.5
 
     @pytest.mark.parametrize("field", ["xs", "vs", "mu"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -326,7 +337,7 @@ class TestChainSpec:
         arrays = {"xs": np.zeros((3, 1)), "vs": np.zeros((3, 1)), "mu": np.zeros(1)}
         arrays[field].flat[-1] = value
         with pytest.raises(ValueError, match="finite"):
-            ChainSpec(k=2, dt=0.5, **arrays, eta=0.0625, rho0=0.25, k0=1.0)
+            ChainSpec(k=2, **arrays, eta=0.0625, rho0=0.25, k0=1.0)
 
     def test_serialization_truncates_long_chains(self):
         c = build_chain([0.0], [1.0], P, k0=1.0)  # k = 1021
@@ -386,13 +397,20 @@ class TestChainSpec:
     def test_centres_need_two_axes_and_a_dimension(self, shape):
         xs = np.zeros(shape)
         with pytest.raises(ValueError, match="shape"):
-            ChainSpec(k=1, dt=1.0, xs=xs, vs=xs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
+            ChainSpec(k=1, xs=xs, vs=xs, mu=[0.0], eta=0.0625, rho0=0.25, k0=1.0)
 
 
 class TestPerturbations:
     def test_default_tube_radius_passes(self):
         c = build_chain([0.0], [1.0], P, k0=64.0)
         assert perturbation_check(c, samples_per_step=4, seed=1)
+
+    def test_default_tube_radius_passes_in_two_dimensions(self):
+        # a box point lies within eta sqrt(d) of its centre, so the default
+        # radius rho0 / (4 sqrt(d)) leaves the screen the same slack in any d
+        c = build_chain([1.0, 0.5], [2.0, 0.1], P)  # k = 21,545
+        assert c.eta == P.rho0 / (4.0 * np.sqrt(2.0))
+        assert perturbation_check(c)
 
     def test_zero_radius_reduces_to_centre_checks(self):
         c = build_chain([0.1], [0.3], P, k0=64.0)
@@ -458,24 +476,10 @@ class TestPerturbations:
         assert abs(peaks[32] - peaks[1]) <= 2**20
         assert max(peaks.values()) < (c.k + 1) * c.d * 8
 
-    def test_blocked_rows_are_the_joint_draw(self):
-        c = build_chain([1.0, -1.0], [2.0, 1.5], P)  # d = 2, k = 33,792
-        assert len(chains._node_blocks(c.k)) >= 3
-        samples, seed = 3, 2024
-        xi = np.empty((samples, c.k + 1, c.d))
-        eta = np.empty_like(xi)
-        for s, blocks in enumerate(chains._sample_blocks(seed, samples, c.k, c.d)):
-            for lo, hi, ux, uv in blocks:
-                xi[s, lo:hi], eta[s, lo:hi] = ux, uv
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(xi, rng.uniform(-1.0, 1.0, xi.shape))
-        assert np.array_equal(eta, rng.uniform(-1.0, 1.0, eta.shape))
-
     @pytest.mark.parametrize("block", [1, 2])
     def test_steps_across_block_boundaries_are_checked(self, block):
-        c = build_chain([1.0, -1.0], [2.0, 1.5], P)
-        eta = P.rho0 / 8.0  # the default rho0/4 fails the d = 2 screen everywhere
-        assert perturbation_check(c, samples_per_step=2, eta=eta)
+        c = writable(build_chain([1.0, -1.0], [2.0, 1.5], P))  # d = 2, k = 33,792
+        assert perturbation_check(c, samples_per_step=2)
         # a velocity jump into the block's first node, with the positions
         # after it moved along so only the step into that node breaks
         lo = block * chains._BLOCK
@@ -483,9 +487,9 @@ class TestPerturbations:
         kick = np.array([2.0 * P.rho0 * np.sqrt(c.dt), 0.0])
         c.vs[lo:] += kick
         c.xs[lo:] += np.arange(c.k + 1 - lo)[:, None] * c.dt * kick
-        assert not reference_perturbation_check(c, samples_per_step=2, eta=eta)
-        assert not perturbation_check(c, samples_per_step=0, eta=eta)  # the screen
-        assert not perturbation_check(c, samples_per_step=2, eta=eta)
+        assert not reference_perturbation_check(c, samples_per_step=2)
+        assert not perturbation_check(c, samples_per_step=0)  # the screen
+        assert not perturbation_check(c, samples_per_step=2)
 
 
 class TestLowerBound:

@@ -465,6 +465,14 @@ class TestChainCommand:
         assert (outdir / "chain.json").read_bytes() == old
         assert not list((tmp_path / "new").glob("*"))
 
+    def test_two_dimensional_target_passes(self, tmp_path):
+        # the default tube radius rho0 / (4 sqrt(d)) leaves the screen its slack in d = 2
+        code, outdir = run(tmp_path, "chain", {"Xbar": [1.0, 0.5], "Vbar": [2.0, 0.1]})
+        assert code == 0
+        doc = json.loads((outdir / "summary.json").read_text())
+        assert doc["summary"]["perturbation_check"] is True
+        assert doc["summary"]["eta"] == 0.25 / (4.0 * np.sqrt(2.0))
+
     def test_unreachable_target(self, tmp_path, capsys):
         cfg = {"Xbar": [0.0], "Vbar": [40.0], "k0": 1}
         code, _ = run(tmp_path, "chain", cfg)

@@ -196,10 +196,21 @@ class TestLevelSets:
         with pytest.raises(DomainError, match="no snapshots"):
             level_set_statistic(st, c=0.0, t_window=(0.6, 0.9))
         rep = level_set_statistic(st, c=-2.0)
-        d = rep.to_dict()
-        assert set(d) >= {"c_f", "statistic", "curve", "E", "t_window"}
-        assert len(d["curve"]["s"]) == len(d["curve"]["measure"]) == default_s_grid().size
+        assert rep.s_grid.tolist() == default_s_grid().tolist()
+        assert rep.measures.size == rep.products().size == default_s_grid().size
+        assert rep.statistic == rep.products().max()
 
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_history_with_a_non_finite_cell_is_rejected(self, bad):
+        # an all-NaN history read as a passing statistic of 0
+        grid = Grid(Lx=4.0, Lv=4.0, Nx=32, Nv=32)
+        values = np.full((2, 32, 32), np.e**5)
+        values[1, 16, 16] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpaceTimeField(values, np.array([0.25, 0.5]), grid)
+        with pytest.raises(ValueError, match="finite"):
+            SpaceTimeField(np.full((1, 32, 32), bad), np.array([0.5]), grid)
 
     @pytest.mark.parametrize(
         "s_grid, c, match",
@@ -231,11 +242,11 @@ class TestLevelSets:
     def test_matches_dense_reference(self, nx, nv, nt, seed, c, floor):
         # pool values repeat, and thresholds are drawn from the excess of cells in
         # the window and E, so cells tie with a threshold (and do not count);
-        # cells sit below, at and above the floor, and NaN and +inf cells occur
+        # cells sit below, at and above the floor
         rng = np.random.default_rng(seed)
         grid = Grid(Lx=4.0, Lv=4.0, Nx=nx, Nv=nv)
         times = np.cumsum(rng.uniform(0.01, 0.2, nt))
-        pool = np.array([0.0, -1.0, 0.5 * floor, floor, 1.0, np.e**3, np.nan, np.inf])
+        pool = np.array([0.0, -1.0, 0.5 * floor, floor, 1.0, np.e**3])
         values = np.where(
             rng.random((nt, nx, nv)) < 0.5,
             rng.choice(pool, (nt, nx, nv)),
@@ -252,7 +263,7 @@ class TestLevelSets:
             (v[iv[0]] - rng.choice([0.0, 0.3]) * grid.dv, v[iv[1]] + rng.choice([0.0, 0.3]) * grid.dv + (iv[0] == iv[1])),
         )
         inside = np.log(np.maximum(values[i : j + 1, ix[0] : ix[1] + 1, iv[0] : iv[1] + 1], floor)) - c
-        ties = inside[np.isfinite(inside) & (inside > 0)]
+        ties = inside[inside > 0]
         s_grid = np.concatenate([rng.choice(default_s_grid(), 4), rng.choice(ties, min(ties.size, 6))])
         rep = level_set_statistic(f, c=c, s_grid=s_grid, E=E, t_window=t_window, floor=floor)
         want = dense_level_set_measures(f, c, s_grid, E, t_window, floor)

@@ -767,6 +767,14 @@ class TestKernelEstimate:
 
 
 class TestDiagnosticsAndRemollify:
+    def test_package_exports_every_module_name(self):
+        # the package exports exactly its modules' public names, remollify among solver's
+        assert "remollify" in solver_module.__all__
+        modules = ("phase_geometry", "profiles", "coefficients", "solver", "nash_g", "chains", "trajectories")
+        names = {name for m in modules for name in getattr(kolkit, m).__all__}
+        assert sorted(kolkit.__all__) == sorted(names | {"__version__"})
+        assert all(getattr(kolkit, name) is not None for name in kolkit.__all__)
+
     def test_diagnostics_keys(self):
         g = Grid(Lx=3.0, Lv=4.0, Nx=32, Nv=32)
         f = init_delta((0.0, 0.0), 0.3, g)

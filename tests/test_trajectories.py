@@ -240,6 +240,8 @@ class TestCheckPlumbing:
         d = json.loads(json.dumps(straight_report.to_dict()))
         assert d["family"] == "straight"
         assert set(d["pass_flags"]) >= {"critical", "kinetic_relation", "property4"}
+        # every field but the two arrays
+        assert len(d) == 17 and not {"r_grid", "curves"} & set(d)
 
     def test_singular_family_warns_instead_of_raising(self):
         dead = TrajectoryFamily(
