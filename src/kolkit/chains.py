@@ -111,6 +111,8 @@ class ChainSpec:
 
     def _fields(self, max_nodes: int) -> tuple:
         # to_dict's scalar fields, and the node stride its centres are read at
+        if not (max_nodes >= 1):
+            raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
         n = self.k + 1
         stride = int(np.ceil(n / max_nodes)) if n > max_nodes else 1
         doc = {
@@ -384,8 +386,15 @@ def _free(lo, hi, k):
 
 
 def _step_norms(x, v, dt):
-    # |v_{j+1} - v_j| and |x_{j+1} - x_j - dt v_j| for consecutive rows
-    return np.linalg.norm(v[1:] - v[:-1], axis=1), np.linalg.norm(x[1:] - x[:-1] - dt * v[:-1], axis=1)
+    # |v_{j+1} - v_j| and |x_{j+1} - x_j - dt v_j| for consecutive rows; in d = 1
+    # a row's norm is |u|, np.linalg.norm's sqrt(u^2) to the bit unless u^2
+    # underflows or overflows, and several times faster than its reduction
+    dv = v[1:] - v[:-1]
+    dx = x[1:] - x[:-1]
+    dx -= dt * v[:-1]
+    if dv.shape[1] == 1:
+        return np.abs(dv, out=dv)[:, 0], np.abs(dx, out=dx)[:, 0]
+    return np.linalg.norm(dv, axis=1), np.linalg.norm(dx, axis=1)
 
 
 def perturbation_check(
@@ -406,11 +415,12 @@ def perturbation_check(
     points per node (fixed seed) only re-confirm it in floating point.  Each
     inequality is tested as `value <= bound`, so a NaN fails it.
 
-    Memory: the screen and each sample walk the chain in blocks of 2^14
-    nodes, the last node of a block carried into the next, so besides the
-    chain itself the check holds a few block-sized arrays whatever
-    samples_per_step and k are.  The samples are drawn from one
-    default_rng(seed), block by block.
+    Memory: the screen walks the chain in blocks of 2^14 nodes, so besides
+    the chain itself it holds a few block-sized arrays whatever k is.  The
+    samples are drawn from one default_rng(seed), block by block, into two
+    reused block buffers, the last node of a block carried into the next, so
+    they add nothing to the screen's peak whatever samples_per_step is, and
+    the random draws dominate their time.
     """
     eta = chain.eta if eta is None else float(eta)
     if not (0.0 <= eta < np.inf):
@@ -433,21 +443,33 @@ def perturbation_check(
         if not (np.all(v_worst <= v_tol) and np.all(x_worst <= x_tol)):
             return False
 
+    # one sample's block of nodes goes into rows 1.. of each buffer; row 0 carries
+    # the previous block's last node (a full block's, so the buffer's last row)
     rng = np.random.default_rng(seed)
+    x = np.empty((min(_BLOCK, k + 1) + 1, chain.d))
+    v = np.empty_like(x)
+    draws = ((x, xs, eta * dt**1.5), (v, vs, eta * np.sqrt(dt)))
     for _ in range(samples_per_step):
-        x = v = xs[:0]  # no node to carry into the first block
         for lo, hi in _node_blocks(k):
-            # free is 0 or 1, so scaling by (radius * free) rounds as radius then free
-            free = _free(lo, hi, k)[:, None]
-            ux = rng.uniform(-1.0, 1.0, (hi - lo, chain.d))
-            ux *= (eta * dt**1.5) * free
-            ux += xs[lo:hi]
-            uv = rng.uniform(-1.0, 1.0, (hi - lo, chain.d))
-            uv *= (eta * np.sqrt(dt)) * free
-            uv += vs[lo:hi]
-            x, v = np.concatenate((x[-1:], ux)), np.concatenate((v[-1:], uv))
-            dv, dxr = _step_norms(x, v, dt)
-            if not (np.all(dv <= v_tol) and np.all(dxr <= x_tol)):
+            if lo:
+                x[0], v[0] = x[-1], v[-1]
+            for buf, centres, radius in draws:
+                u = buf[1 : hi - lo + 1]
+                # 2u is exact, so 2u - 1 is rng.uniform(-1.0, 1.0)'s draw to the bit
+                rng.random(out=u)
+                u *= 2.0
+                u -= 1.0
+                u *= radius
+                # the fixed endpoints' offsets are their draws times 0, not 0: a
+                # centre of -0.0 then keeps the signed zero of the whole-array sample
+                if lo == 0:
+                    u[0] *= 0.0
+                if hi == k + 1:
+                    u[-1] *= 0.0
+                u += centres[lo:hi]
+            first = 0 if lo else 1
+            dv, dxr = _step_norms(x[first : hi - lo + 1], v[first : hi - lo + 1], dt)
+            if not (dv.max() <= v_tol and dxr.max() <= x_tol):
                 return False
     return True
 

@@ -75,7 +75,11 @@ class NormalizedGap:
         tau = float(self.tau)
         if not (tau > 0.0 and np.isfinite(tau)):
             raise ValueError(f"gap requires tau > 0, got {tau}")
-        for name, value in (("tau", tau), ("X", _vector(self.X)), ("V", _vector(self.V))):
+        X = _vector(self.X)
+        V = _vector(self.V)
+        if X.shape != V.shape:
+            raise ValueError(f"X and V must share a dimension, got {X.shape} vs {V.shape}")
+        for name, value in (("tau", tau), ("X", X), ("V", V)):
             object.__setattr__(self, name, value)
 
     @classmethod

@@ -151,6 +151,12 @@ class TestNormalizedGap:
         with pytest.raises(TypeError):
             NormalizedGap(tau=4.0, X=[8.0], V=[2.0], Xbar=[2.0], Vbar=[1.0])
 
+    def test_x_and_v_must_share_a_dimension(self):
+        with pytest.raises(ValueError, match=r"\(2,\) vs \(1,\)"):
+            NormalizedGap.from_raw(1.0, [1.0, 2.0], [3.0])
+        with pytest.raises(ValueError, match=r"\(1,\) vs \(3,\)"):
+            NormalizedGap(tau=1.0, X=1.0, V=[1.0, 2.0, 3.0])
+
     @given(ratio, coord, coord)
     def test_kinetic_exponent_scale_invariant(self, tau, x, v):
         # E depends only on the scale-free representation
