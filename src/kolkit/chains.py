@@ -70,6 +70,13 @@ class ChainSpec:
     xs, vs have shape (k+1, d); mu is the quadratic-correction coefficient
     (d,); eta is the tube radius used for perturbation arguments.  The three
     arrays are made read-only, so their checks hold for the chain's life.
+
+    The constructor accepts any eta in (0, rho0/4], but only
+    eta <= rho0 / (4 sqrt(d)), the radius build_chain picks, keeps the
+    screen's worst step within its bound in every d.  In d >= 2 a hand-built
+    eta above it can fail perturbation_check's screen: the 2-d chain to
+    Xbar = (1.0, 0.5), Vbar = (2.0, 0.1) passes at its built radius and
+    fails at eta = rho0/4.
     """
 
     k: int

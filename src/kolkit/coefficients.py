@@ -60,6 +60,19 @@ def _cell_uniform(seed: int, it, ix, iv) -> np.ndarray:
     return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
+def _classes(kx: np.ndarray, kv: np.ndarray) -> tuple:
+    # (rx, jx, rv, jv) of the distinct keys of two 1-d arrays: kx[rx][jx] == kx, kv[rv][jv] == kv;
+    # a dict of first positions, as np.unique's sort would add its code pages to a run's peak RSS
+    out = []
+    for keys in (kx.tolist(), kv.tolist()):
+        first = {}
+        for i, k in enumerate(keys):
+            first.setdefault(k, i)
+        ids = {k: c for c, k in enumerate(first)}
+        out += [list(first.values()), [ids[k] for k in keys]]
+    return tuple(np.array(u, dtype=np.intp) for u in out)
+
+
 class CoefficientField:
     """A named coefficient field with a vectorized scalar evaluator.
 
@@ -67,22 +80,30 @@ class CoefficientField:
     coefficient (the d x d matrix is value * I).  time_key(t) is a hashable
     identifying a(t, ., .) as a function of (x, v) (None when every t is
     distinct), which lets a solver run reuse one factorization per time
-    slice for piecewise-in-time fields.
+    slice for piecewise-in-time fields.  classes(x, v) groups the points of
+    two finite 1-d axes on which the field takes the same value at every t,
+    which lets a solver evaluate and factor one grid row per class.
     """
 
-    def __init__(self, kind, params, seed, d, evaluator, time_key):
+    def __init__(self, kind, params, seed, d, evaluator, time_key, classes):
         self.kind = kind
         self.params = dict(params)
         self.seed = int(seed)
         self.d = int(d)
         self._evaluator = evaluator
         self._time_key = time_key
+        self._classes = classes
 
     def value(self, t, x, v):
         return np.asarray(self._evaluator(t, x, v), dtype=float)
 
     def time_key(self, t):
         return self._time_key(t)
+
+    def classes(self, x, v) -> tuple:
+        """Index arrays (rx, jx, rv, jv) with value(t, x[rx][jx], v[rv][jv]) == value(t, x, v)
+        bit for bit at every t: rx picks one point of each class of x, jx is each point's class."""
+        return self._classes(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "params": _jsonable(self.params), "seed": self.seed, "d": self.d}
@@ -143,7 +164,10 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         def evaluator(t, x, v, a0=a0):
             return np.broadcast_to(a0, np.broadcast(np.asarray(t), np.asarray(x), np.asarray(v)).shape).copy()
 
-        return CoefficientField(kind, params, seed, d, evaluator, lambda t: 0)
+        def classes(x, v):
+            return _classes(np.zeros(x.size), np.zeros(v.size))
+
+        return CoefficientField(kind, params, seed, d, evaluator, lambda t: 0, classes)
 
     if kind == "oscillatory":
         base = _param(params, "base", 1.0)
@@ -163,8 +187,12 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
                 mod = mod * np.cos(2 * np.pi * ft * np.asarray(t, dtype=float))
             return base + amp * mod
 
+        def classes(x, v):
+            # sin(2 pi 0 u) is +-0, so a zero frequency leaves a value that its axis cannot change
+            return _classes(np.arange(x.size) * (fx != 0.0), np.arange(v.size) * (fv != 0.0))
+
         time_key = (lambda t: None) if ft != 0.0 else (lambda t: 0)
-        return CoefficientField(kind, params, seed, d, evaluator, time_key)
+        return CoefficientField(kind, params, seed, d, evaluator, time_key, classes)
 
     cells = _param(params, "cells", (0.25, 0.25, 0.25), 3)
     if any(c <= 0 for c in cells):
@@ -173,12 +201,12 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
     ct, cx, cv = cells
     ot, ox, ov = origin
 
+    def index(u, o, c):
+        # half-open boxes [o + i*c, o + (i+1)*c); the index keeps its argument's shape
+        return np.floor((np.asarray(u, dtype=float) - o) / c).astype(np.int64)
+
     def cell_index(t, x, v):
-        # half-open boxes [o + i*c, o + (i+1)*c); each index keeps its argument's shape
-        it = np.floor((np.asarray(t, dtype=float) - ot) / ct).astype(np.int64)
-        ix = np.floor((np.asarray(x, dtype=float) - ox) / cx).astype(np.int64)
-        iv = np.floor((np.asarray(v, dtype=float) - ov) / cv).astype(np.int64)
-        return it, ix, iv
+        return index(t, ot, ct), index(x, ox, cx), index(v, ov, cv)
 
     def time_key(t, ct=ct, ot=ot):
         return math.floor((float(t) - ot) / ct)
@@ -194,7 +222,11 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
             parity = (it + ix + iv) & 1
             return np.where(parity == 0, lo, hi).astype(float)
 
-        return CoefficientField(kind, params, seed, d, evaluator, time_key)
+        def classes(x, v):
+            # the value depends on each index through its parity only
+            return _classes(index(x, ox, cx) & 1, index(v, ov, cv) & 1)
+
+        return CoefficientField(kind, params, seed, d, evaluator, time_key, classes)
 
     # random-piecewise
     vmin, vmax = _param(params, "values_range", (0.5, 2.0), 2)
@@ -207,7 +239,10 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         u = _cell_uniform(seed, it, ix, iv)
         return vmin + (vmax - vmin) * u
 
-    return CoefficientField(kind, params, seed, d, evaluator, time_key)
+    def classes(x, v):
+        return _classes(index(x, ox, cx), index(v, ov, cv))
+
+    return CoefficientField(kind, params, seed, d, evaluator, time_key, classes)
 
 
 def dilated_field(base: CoefficientField, r: float) -> CoefficientField:
@@ -227,8 +262,11 @@ def dilated_field(base: CoefficientField, r: float) -> CoefficientField:
         k = base.time_key(r * r * float(t))
         return None if k is None else ("dilated", k)
 
+    def classes(x, v):
+        return base.classes(r**3 * x, r * v)
+
     params = {"r": r, "base": base.descriptor()}
-    return CoefficientField("dilated", params, base.seed, base.d, evaluator, time_key)
+    return CoefficientField("dilated", params, base.seed, base.d, evaluator, time_key, classes)
 
 
 def reversed_flipped_field(base: CoefficientField, t_total: float) -> CoefficientField:
@@ -244,5 +282,8 @@ def reversed_flipped_field(base: CoefficientField, t_total: float) -> Coefficien
         k = base.time_key(t_total - float(s))
         return None if k is None else ("reversed", k)
 
+    def classes(x, v):
+        return base.classes(-x, v)
+
     params = {"t_total": t_total, "base": base.descriptor()}
-    return CoefficientField("reversed-flipped", params, base.seed, base.d, evaluator, time_key)
+    return CoefficientField("reversed-flipped", params, base.seed, base.d, evaluator, time_key, classes)

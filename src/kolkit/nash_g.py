@@ -84,7 +84,7 @@ def g_functional(
     weight = weight or GWeight()
     if source_offset is not None:
         off = float(np.sqrt(sum(float(c) ** 2 for c in source_offset)))
-        if off > 1.0 + 1e-12:
+        if not (off <= 1.0 + 1e-12):  # NaN fails it too
             raise DomainError(f"source offset norm {off:.4f} exceeds 1")
     return _weighted_log(kernel_slice, weight, floor)
 

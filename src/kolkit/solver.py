@@ -21,6 +21,13 @@ CFL bound, binds the transport sweep and makes the diffusion-factor slot and
 the sweep's courant row and scratch arrays, once per run.  A step writes into
 one fresh array of its own, so a returned Field never aliases that scratch.
 
+A factor build costs per distinct x-row of the coefficient, not per grid
+row.  The constructor takes the field's classes on the grid axes
+(`CoefficientField.classes`) once; each build evaluates the field at one
+point per class, factors one row per x-class as one system (the v-walls
+decouple the x-rows, so each row's factor depends on its own coefficients
+only), and copies each class's factor row to the grid rows of that class.
+
 With record_every=k a run also keeps its space-time history, one
 `SpaceTimeField` (`EvolveResult.history`, `KernelEstimate.history`) holding
 the initial state, every k-th step and the final state; each recorded state
@@ -173,25 +180,28 @@ class Field:
         return Field(self.values.copy(), self.t, self.grid)
 
     def interp(self, xq, vq) -> np.ndarray:
-        """Bilinear sample; periodic wrap in x, clamp in v."""
+        """Bilinear sample; periodic wrap in x, clamp in v; NaN at a NaN on either axis or an infinite x."""
         g = self.grid
-        xq = np.asarray(xq, dtype=float)
-        vq = np.asarray(vq, dtype=float)
-        u = (xq + g.Lx) / g.dx - 0.5
+        u = (np.asarray(xq, dtype=float) + g.Lx) / g.dx - 0.5
+        w = np.clip((np.asarray(vq, dtype=float) + g.Lv) / g.dv - 0.5, 0.0, g.Nv - 1.0)
+        # such a point lies in no cell: it is sampled at cell (0, 0), with no integer cast of a
+        # non-finite value, and its sample is replaced by NaN
+        bad = ~np.isfinite(u) | np.isnan(w)
+        u, w = np.where(bad, 0.0, u), np.where(bad, 0.0, w)
         i0 = np.floor(u).astype(np.int64)
         wx = u - i0
         i0 %= g.Nx
         i1 = (i0 + 1) % g.Nx
-        w = np.clip((vq + g.Lv) / g.dv - 0.5, 0.0, g.Nv - 1.0)
         j0 = np.minimum(np.floor(w).astype(np.int64), g.Nv - 2)
         wv = w - j0
         f = self.values
-        return (
+        out = (
             f[i0, j0] * (1 - wx) * (1 - wv)
             + f[i1, j0] * wx * (1 - wv)
             + f[i0, j0 + 1] * (1 - wx) * wv
             + f[i1, j0 + 1] * wx * wv
         )
+        return np.where(bad, np.nan, out)
 
 
 @dataclass
@@ -433,19 +443,35 @@ class Stepper:
         # read through the module: the first stepper of a process loads LAPACK, and a patched routine is used
         self.pttrf, self.pttrs = (getattr(sys.modules[__name__], n) for n in ("dpttrf", "dpttrs"))
         self._key = self._ld = None
-        # x-major interface harmonic means (zero at the v-walls), pttrf's diagonal,
-        # and its off-diagonal with one spare entry
-        n = grid.Nx * grid.Nv
-        self.ah, self.diag, self.off = np.zeros(n + 1), np.empty(n), np.empty(n)
+        # the coefficient's classes on the grid axes: a build evaluates it at one point per
+        # class and factors one x-row per x-class, the class's representative row
+        self.rx, self.jx, rv, self.jv = field.classes(grid.x_centers, grid.v_centers)
+        self.xr, self.vr = grid.x_centers[self.rx][:, None], grid.v_centers[rv][None, :]
+        # on the representative rows, x-major: the interface harmonic means (zero at the
+        # v-walls), pttrf's diagonal, and its off-diagonal with one spare entry; then the
+        # factor of every row, with one spare entry in e
+        m, n = self.rx.size * grid.Nv, grid.Nx * grid.Nv
+        self.ah, self.diag, self.off = np.zeros(m + 1), np.empty(m), np.empty(m)
+        self.d, self.e = np.empty(n), np.empty(n)
         self.sweep = _Sweep((grid.v_centers * (dt / grid.dx))[None, :], (grid.Nx, grid.Nv))
         self.transport = self.sweep.ppm if config.transport_order == 3 else self.sweep.upwind
 
     def _diffusion_factor(self, t_sub: float) -> tuple:
-        """pttrf factor (d, e) of the x-major flattened system; the v-walls decouple its x-rows."""
+        """pttrf factor (d, e) of the x-major flattened system.
+
+        The v-walls decouple its x-rows, and a row's factor depends on its own
+        coefficients only, so the representative rows are factored as one
+        system and each row of (d, e) is a copy of its class's row.
+        """
         grid, ah, diag, off = self.grid, self.ah, self.diag, self.off
-        a = np.broadcast_to(self.field.value(t_sub, *grid.meshes()), (grid.Nx, grid.Nv)).ravel()
+        rows = (self.rx.size, grid.Nv)
+        a = self.field.value(t_sub, self.xr, self.vr)
         if (a <= 0).any():
             raise SolverError(f"coefficient is not positive on the grid at t={t_sub}")
+        # the representative rows at full width, held in off until off is written
+        a = np.broadcast_to(a, (rows[0], self.vr.size))
+        np.take(a, self.jv, axis=1, out=off.reshape(rows), mode="clip")
+        a = off
         # ah = 2 al ar / (al + ar) in flat order, sum held in diag; pairs across x-rows are walls
         al, ar, hm = a[:-1], a[1:], ah[1:-1]
         np.add(al, ar, out=diag[:-1])
@@ -460,10 +486,15 @@ class Stepper:
         np.multiply(mu, ah[1:], out=off)
         np.add(diag, off, out=diag)
         np.multiply(-mu, ah[1:], out=off)
-        d, e, info = self.pttrf(diag, off[:-1], overwrite_d=1, overwrite_e=1)
+        # pttrf factors the contiguous diag and off[:-1] in place
+        _, _, info = self.pttrf(diag, off[:-1], overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise SolverError(f"diffusion matrix is not positive definite at t={t_sub} (info={info})")
-        return d, e
+        # each row is its class's row; off's spare entry is the last row's wall, -0.0
+        full = (grid.Nx, grid.Nv)
+        np.take(diag.reshape(rows), self.jx, axis=0, out=self.d.reshape(full), mode="clip")
+        np.take(off.reshape(rows), self.jx, axis=0, out=self.e.reshape(full), mode="clip")
+        return self.d, self.e[:-1]
 
     def solve(self, t_sub: float, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Backward-Euler diffusion of rhs, coefficient frozen at t_sub; overwrite may reuse rhs."""

@@ -34,6 +34,13 @@ def reference_value(desc, t, x, v):
         return reference_value(p["base"], r * r * t, r**3 * x, r * v)
     if kind == "reversed-flipped":
         return reference_value(p["base"], p["t_total"] - t, -x, v)
+    if kind == "constant":
+        return np.full(np.broadcast_shapes(t.shape, x.shape, v.shape), p["value"])
+    if kind == "oscillatory":
+        mod = np.sin(2 * np.pi * p["freq_x"] * x) * np.sin(2 * np.pi * p["freq_v"] * v)
+        if p["freq_t"] != 0.0:
+            mod = mod * np.cos(2 * np.pi * p["freq_t"] * t)
+        return p["base"] + p["amplitude"] * mod
     (ct, cx, cv), (ot, ox, ov) = p["cells"], p["origin"]
     it = np.floor((t - ot) / ct).astype(np.int64)
     ix = np.floor((x - ox) / cx).astype(np.int64)
@@ -209,20 +216,25 @@ def _arguments(case, rng, scale, n, m):
 
 
 class TestPerShapeEvaluation:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        kind=st.sampled_from(["checkerboard", "random-piecewise"]),
+        kind=st.sampled_from(["constant", "checkerboard", "oscillatory", "random-piecewise"]),
         wrap=st.sampled_from(["direct", "dilated", "reversed"]),
         case=st.sampled_from(["scalars", "vectors", "meshes", "full", "t-list"]),
         cells=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+        freqs=st.tuples(*[st.sampled_from([0.0, 1.0, 2.5])] * 3),
         scale=st.sampled_from([0.5, 4.0, 1e3, 1e6]),
         n=st.integers(1, 9),
         m=st.integers(1, 9),
         seed=st.integers(0, 2**63 - 1),
     )
-    def test_matches_broadcast_reference(self, kind, wrap, case, cells, scale, n, m, seed):
+    def test_matches_broadcast_reference(self, kind, wrap, case, cells, freqs, scale, n, m, seed):
         # negative and large coordinates land in negative and far cells
-        f = make_field(kind, {"cells": cells, "random_origin": True}, seed=seed)
+        params = {
+            "constant": {"value": 1.5},
+            "oscillatory": dict(zip(["freq_x", "freq_v", "freq_t"], freqs)),
+        }.get(kind, {"cells": cells, "random_origin": True})
+        f = make_field(kind, params, seed=seed)
         if wrap == "dilated":
             f = dilated_field(f, 1.7)
         elif wrap == "reversed":
@@ -231,6 +243,14 @@ class TestPerShapeEvaluation:
         got, want = f.value(t, x, v), reference_value(f.descriptor(), t, x, v)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+        if case == "meshes":
+            # one evaluation per class of each grid axis, gathered back to the grid, is the
+            # grid's evaluation; a constant takes one class and a checkerboard two per axis
+            rx, jx, rv, jv = f.classes(x[:, 0], v[0])
+            rep = np.broadcast_to(f.value(t, x[rx], v[:, rv]), (rx.size, rv.size))
+            assert np.array_equal(rep[jx][:, jv], np.broadcast_to(want, (x.size, v.size)))
+            most = {"constant": 1, "checkerboard": 2}.get(kind, max(x.size, v.size))
+            assert rx.size <= most and rv.size <= most
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)

@@ -94,6 +94,10 @@ class TestGFunctional:
         g_functional(flat(1.0), source_offset=(0.6, 0.8))  # norm exactly 1
         with pytest.raises(DomainError):
             g_functional(flat(1.0), source_offset=(0.8, 0.7))
+        # NaN fails every comparison, so the check is written to fail it
+        for bad in [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0)]:
+            with pytest.raises(DomainError, match="source offset norm"):
+                g_functional(flat(1.0), source_offset=bad)
 
     def test_log_mean_c_matches(self):
         rng = np.random.default_rng(12)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy.ndimage import gaussian_filter
 
 import kolkit
 import kolkit.solver as solver_module
-from kolkit.coefficients import make_field
+from kolkit.coefficients import dilated_field, make_field, reversed_flipped_field
 from kolkit.nash_g import adjoint_kernel_residual
 from kolkit.profiles import explicit_kernel_mollified
 from kolkit.solver import (
@@ -202,6 +203,21 @@ class TestField:
         assert f.interp(x, 0.0) == pytest.approx(f.interp(x - 4.0, 0.0), abs=1e-14)
         # beyond the v-wall the sample clamps to the edge row
         assert f.interp(x, 5.0) == pytest.approx(f.interp(x, g.v_centers[-1]), abs=1e-14)
+
+    def test_interp_is_nan_off_the_grid_without_a_warning(self):
+        # a NaN on either axis or an infinite x lies in no cell; an infinite v clamps to a wall
+        g = Grid(Lx=2.0, Lv=2.0, Nx=32, Nv=32)
+        f = Field(np.random.default_rng(3).random((32, 32)), 0.0, g)
+        xq = np.array([np.nan, 0.3, np.inf, -np.inf, np.nan, 0.3, 0.3])
+        vq = np.array([0.1, np.nan, 0.1, 0.1, np.nan, np.inf, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.interp(xq, vq)
+            assert np.isnan(f.interp(np.nan, 0.0)) and np.isnan(f.interp(0.0, np.nan))
+        assert np.isnan(got[:5]).all()
+        assert got[5] == f.interp(0.3, g.v_centers[-1])
+        # the finite points keep their samples, also when a NaN point shares the call
+        assert got[6] == f.interp(0.3, 0.1)
 
 
 class TestInitDelta:
@@ -541,10 +557,11 @@ class TestStepper:
             # every per-block view lies in one of the sweep's own arrays
             views = [v for blk in sweep.blocks for v in blk[2:]]
             assert all(any(np.shares_memory(v, a) for a in scratch) for v in views)
-            # the factor-build arrays, which pttrf overwrites in place with the factor
-            factor = [stepper.ah, stepper.diag, stepper.off]
+            # the factor-build arrays of the representative rows, and the factor of every row,
+            # which the build expands into the stepper's own (d, e) arrays
+            factor = [stepper.ah, stepper.diag, stepper.off, stepper.d, stepper.e]
             d, e = stepper._ld
-            assert np.shares_memory(d, stepper.diag) and np.shares_memory(e, stepper.off)
+            assert d is stepper.d and e.base is stepper.e and e.size == d.size - 1
             for prev, now, want in zip(shared, shared[1:], fresh[1:]):
                 assert now.t == want.t
                 assert now.values.tobytes() == want.values.tobytes()
@@ -571,22 +588,44 @@ class TestStepper:
         want = step(state, CONST, run["config"]).values
         assert step(state, CONST, run["config"], stepper=same).values.tobytes() == want.tobytes()
 
-    @settings(max_examples=40, deadline=None)
+    # on the grids below dx lies in [0.67, 2], so x-cells of 0.1 are narrower than a grid
+    # cell and x-cells of 5 span several, whose rows share one class
+    FACTOR_FIELDS = {
+        "constant": lambda seed: make_field("constant", {"value": 1.5}),
+        "checkerboard": lambda seed: make_field("checkerboard", {"random_origin": True}, seed=seed),
+        "random-piecewise, narrow cells": lambda seed: make_field(
+            "random-piecewise", {"cells": (0.5, 0.1, 0.25), "random_origin": True}, seed=seed
+        ),
+        "random-piecewise, wide cells": lambda seed: make_field(
+            "random-piecewise", {"cells": (0.5, 5.0, 0.25), "random_origin": True}, seed=seed
+        ),
+        "oscillatory": lambda seed: make_field("oscillatory", {"freq_t": 1.0}),
+        "oscillatory, freq_x 0": lambda seed: make_field("oscillatory", {"freq_x": 0.0, "freq_t": 1.0}),
+        "dilated": lambda seed: dilated_field(
+            make_field("random-piecewise", {"cells": (0.5, 5.0, 0.25), "random_origin": True}, seed=seed), 1.3
+        ),
+        "reversed": lambda seed: reversed_flipped_field(
+            make_field("random-piecewise", {"cells": (0.5, 0.1, 0.25), "random_origin": True}, seed=seed), 2.0
+        ),
+    }
+
+    @settings(max_examples=60, deadline=None)
     @given(
         nx=st.integers(16, 48),
         nv=st.integers(16, 48),
-        kind=st.sampled_from(["checkerboard", "random-piecewise", "oscillatory"]),
+        case=st.sampled_from(sorted(FACTOR_FIELDS)),
         seed=st.integers(0, 2**31 - 1),
         dt_half=st.floats(1e-4, 0.1),
         t_sub=st.floats(-2.0, 2.0),
     )
-    def test_factor_matches_allocating_reference(self, nx, nv, kind, seed, dt_half, t_sub):
+    def test_factor_matches_allocating_reference(self, nx, nv, case, seed, dt_half, t_sub):
         # every entry, down to the -0.0 coupling across each v-wall, over two builds in one stepper;
         # the box is wide enough that dt = 0.2 on 48 cells meets the CFL bound
         grid = Grid(Lx=16.0, Lv=3.0, Nx=nx, Nv=nv)
-        params = {"freq_t": 1.0} if kind == "oscillatory" else {"random_origin": True}
-        field = make_field(kind, params, seed=seed)
+        field = self.FACTOR_FIELDS[case](seed)
         stepper = Stepper(field, grid, SolverConfig(dt=2.0 * dt_half))
+        if case not in ("oscillatory", "random-piecewise, narrow cells", "reversed"):
+            assert stepper.rx.size < nx  # the build factors fewer rows than the grid has
         for t in (t_sub, t_sub + 1.0):
             got, want = stepper._diffusion_factor(t), reference_factor(field, t, grid, dt_half)
             assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
