@@ -48,7 +48,7 @@ rows = []
 for Xbar, Vbar in targets:
     chain = build_chain(Xbar, Vbar, p, k0=args.k0)
     validate_chain(chain, target=(Xbar, Vbar))
-    ok = perturbation_check(chain, samples_per_step=4)
+    ok = perturbation_check(chain)
     logb = chain_lower_bound(chain, p, log=True)
     rows.append((Xbar[0], Vbar[0], chain.k, chain.dt, ok, logb))
 

@@ -71,12 +71,11 @@ class ChainSpec:
     (d,); eta is the tube radius used for perturbation arguments.  The three
     arrays are made read-only, so their checks hold for the chain's life.
 
-    The constructor accepts any eta in (0, rho0/4], but only
-    eta <= rho0 / (4 sqrt(d)), the radius build_chain picks, keeps the
-    screen's worst step within its bound in every d.  In d >= 2 a hand-built
-    eta above it can fail perturbation_check's screen: the 2-d chain to
-    Xbar = (1.0, 0.5), Vbar = (2.0, 0.1) passes at its built radius and
-    fails at eta = rho0/4.
+    eta must lie in (0, rho0 / (4 sqrt(d))], up to the radius build_chain
+    picks: a point of the per-coordinate box lies within eta sqrt(d) of its
+    centre, so a larger eta can fail perturbation_check's screen in d >= 2
+    (the 2-d chain to Xbar = (1.0, 0.5), Vbar = (2.0, 0.1) fails it at
+    eta = rho0/4).
     """
 
     k: int
@@ -101,8 +100,9 @@ class ChainSpec:
             raise ValueError("centres xs, vs and mu must be finite")
         for u in centres:
             u.flags.writeable = False
-        if not (0.0 < self.eta <= self.rho0 / 4.0 + 1e-15):
-            raise ValueError(f"eta must lie in (0, rho0/4], got {self.eta}")
+        bound = _tube_radius(self.rho0, self.d)
+        if not (0.0 < self.eta <= bound + 1e-15):
+            raise ValueError(f"eta must lie in (0, rho0 / (4 sqrt(d))] = (0, {bound:.6g}], got {self.eta}")
 
     @property
     def dt(self) -> float:
@@ -192,6 +192,11 @@ class ChainSpec:
             return "".join(chunks)
         fh.writelines(chunks)
         return None
+
+
+def _tube_radius(rho0, d):
+    # the largest eta whose whole perturbation box keeps the step slack in d dimensions
+    return rho0 / (4.0 * float(np.sqrt(d)))
 
 
 def _increment_extremes(Xbar, Vbar, mu, k):
@@ -318,7 +323,7 @@ def build_chain(Xbar, Vbar, p: NearDiagonalParams, k0: float | None = None) -> C
         vs = np.empty_like(xs)
         _velocities(vs, Vbar, mu)
 
-    eta = p.rho0 / (4.0 * float(np.sqrt(len(Xbar))))
+    eta = _tube_radius(p.rho0, len(Xbar))
     chain = ChainSpec(k=k, xs=xs, vs=vs, mu=mu, eta=eta, rho0=p.rho0, k0=float(k0))
     validate_chain(chain, target=(Xbar, Vbar))
     return chain
@@ -368,8 +373,8 @@ def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -
         )
 
 
-# nodes per block: build_chain, validate_chain, the corner screen and every
-# perturbation sample walk the chain in blocks of this many nodes
+# nodes per block: build_chain, validate_chain and the corner screen walk the
+# chain in blocks of this many nodes
 _BLOCK = 1 << 14
 # centre rows per piece of to_json's text: formatting a row takes about 30 times
 # its 8 bytes a coordinate in Python floats and strings, so a piece holds about
@@ -406,9 +411,8 @@ def _step_norms(x, v, dt):
 
 def perturbation_check(
     chain: ChainSpec,
-    samples_per_step: int = 8,
+    samples_per_step: int = 0,
     eta: float | None = None,
-    seed: int = 0,
     rtol: float = 1e-12,
 ) -> bool:
     """Do all tube perturbations still satisfy the two step inequalities?
@@ -417,23 +421,23 @@ def perturbation_check(
     |eta_j - v_j| <= eta sqrt(dt) (per coordinate); the endpoints stay
     fixed.  A box point lies within rad = eta sqrt(d) of its centre, so by the
     triangle inequality each perturbed increment is at most the centre one plus
-    the radii of the nodes it moves (and dt times a velocity radius): the corner
-    screen bounds every point of the box, and samples_per_step random interior
-    points per node (fixed seed) only re-confirm it in floating point.  Each
-    inequality is tested as `value <= bound`, so a NaN fails it.
+    the radii of the nodes it moves (and dt times a velocity radius).  This
+    corner screen bounds every point of the box, so it is the proof and the
+    whole check: random points of the box could only re-confirm its verdict,
+    and samples_per_step, kept as a keyword, must be 0.  Each inequality is
+    tested as `value <= bound`, so a NaN fails it.
 
     Memory: the screen walks the chain in blocks of 2^14 nodes, so besides
-    the chain itself it holds a few block-sized arrays whatever k is.  The
-    samples are drawn from one default_rng(seed), block by block, into two
-    reused block buffers, the last node of a block carried into the next, so
-    they add nothing to the screen's peak whatever samples_per_step is, and
-    the random draws dominate their time.
+    the chain itself it holds a few block-sized arrays whatever k is.
     """
     eta = chain.eta if eta is None else float(eta)
     if not (0.0 <= eta < np.inf):
         raise ValueError(f"tube radius must be finite and nonnegative, got {eta}")
-    if samples_per_step < 0:
-        raise ValueError(f"samples_per_step must be nonnegative, got {samples_per_step}")
+    if samples_per_step != 0:
+        raise ValueError(
+            f"samples_per_step must be 0, got {samples_per_step}: the corner screen "
+            "bounds every point of the tube, so no sample can change its verdict"
+        )
     xs, vs, k, dt, rho0 = chain.xs, chain.vs, chain.k, chain.dt, chain.rho0
     v_tol = rho0 * np.sqrt(dt) * (1.0 + rtol)
     x_tol = rho0 * dt**1.5 * (1.0 + rtol)
@@ -449,35 +453,6 @@ def perturbation_check(
         x_worst = resid + rad * dt**1.5 * (free[:-1] + free[1:]) + dt * rad * np.sqrt(dt) * free[:-1]
         if not (np.all(v_worst <= v_tol) and np.all(x_worst <= x_tol)):
             return False
-
-    # one sample's block of nodes goes into rows 1.. of each buffer; row 0 carries
-    # the previous block's last node (a full block's, so the buffer's last row)
-    rng = np.random.default_rng(seed)
-    x = np.empty((min(_BLOCK, k + 1) + 1, chain.d))
-    v = np.empty_like(x)
-    draws = ((x, xs, eta * dt**1.5), (v, vs, eta * np.sqrt(dt)))
-    for _ in range(samples_per_step):
-        for lo, hi in _node_blocks(k):
-            if lo:
-                x[0], v[0] = x[-1], v[-1]
-            for buf, centres, radius in draws:
-                u = buf[1 : hi - lo + 1]
-                # 2u is exact, so 2u - 1 is rng.uniform(-1.0, 1.0)'s draw to the bit
-                rng.random(out=u)
-                u *= 2.0
-                u -= 1.0
-                u *= radius
-                # the fixed endpoints' offsets are their draws times 0, not 0: a
-                # centre of -0.0 then keeps the signed zero of the whole-array sample
-                if lo == 0:
-                    u[0] *= 0.0
-                if hi == k + 1:
-                    u[-1] *= 0.0
-                u += centres[lo:hi]
-            first = 0 if lo else 1
-            dv, dxr = _step_norms(x[first : hi - lo + 1], v[first : hi - lo + 1], dt)
-            if not (dv.max() <= v_tol and dxr.max() <= x_tol):
-                return False
     return True
 
 

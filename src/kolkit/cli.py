@@ -335,9 +335,12 @@ def _cmd_chain(cfg, outdir):
     Xbar = _get(cfg, "Xbar", (float, [float, ...]))
     Vbar = _get(cfg, "Vbar", (float, [float, ...]))
     k0 = _get(cfg, "k0", float, None)
-    samples = _get(cfg, "samples_per_step", int, 8)
-    if samples < 0:
-        raise ConfigFileError(f"config field 'samples_per_step' must be >= 0, got {samples}")
+    samples = _get(cfg, "samples_per_step", int, 0)
+    if samples != 0:
+        raise ConfigFileError(
+            f"config field 'samples_per_step' must be 0, got {samples}: "
+            "the corner screen bounds every point of the tube"
+        )
     try:
         p = chains.NearDiagonalParams(rho0=_get(cfg, "rho0", float, 0.25), c0=_get(cfg, "c0", float, 0.05))
     except ValueError as e:
@@ -346,7 +349,7 @@ def _cmd_chain(cfg, outdir):
         chain = chains.build_chain(Xbar, Vbar, p, k0=k0)
     except (ValueError, chains.ChainConstructionError) as e:
         raise ConfigFileError(f"chain target: {e}") from e
-    ok = chains.perturbation_check(chain, samples_per_step=samples)
+    ok = chains.perturbation_check(chain)
     log_bound = chains.chain_lower_bound(chain, p, log=True)
     with _replacing(outdir / "chain.json") as fh:
         chain.to_json(fh, indent=1)

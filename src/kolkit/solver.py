@@ -2,16 +2,29 @@
 
 Strang splitting: half-step implicit diffusion in v, full conservative
 transport in x, half-step diffusion.  Transport uses a flux-form piecewise
-parabolic reconstruction with the classic monotonicity limiter, so mass is
-conserved to rounding and nonnegativity is preserved under the CFL bound
-dt <= dx / Lv; it runs the right-moving branch only, on the v < 0 columns
-mirrored in x, a cache-sized block of rows at a time.  Diffusion is
-backward Euler in flux form with harmonic-mean interface coefficients (the
-standard choice for discontinuous a).  The tridiagonal system is symmetric
-and strictly diagonally dominant with a positive diagonal, hence positive
-definite; LAPACK pttrf factors it as L D L^T with d > 0 and off-diagonals
-of L <= 0, so the substitutions preserve sign without any pivoting, and
-the solve keeps column sums.  x is periodic, v has zero-flux walls.
+parabolic reconstruction with the classic monotonicity limiter (Colella &
+Woodward 1984), so mass is conserved to rounding; it runs the right-moving
+branch only, on the v < 0 columns mirrored in x, a cache-sized block of rows
+at a time.  Diffusion is backward Euler in flux form with harmonic-mean
+interface coefficients (the standard choice for discontinuous a).  The
+tridiagonal system is symmetric and strictly diagonally dominant with a
+positive diagonal, hence positive definite, and the solve keeps column sums.
+x is periodic, v has zero-flux walls.
+
+A step maps a nonnegative density to a nonnegative one in exact
+arithmetic, and no clamp follows it.  The face clamp, the extremum
+flattening and the overshoot fixes leave each cell's parabola monotone
+between two nonnegative face values, so it is nonnegative on its cell.
+Under the CFL bound dt <= dx / Lv each courant number c is at most 1, so a
+cell's outflow, the integral of its parabola over the fraction c of the
+cell, is at most its mass, and its inflow is nonnegative (the upwind sweep
+is the convex mix (1 - c) f_i + c f_{i-1}).  LAPACK pttrf factors the
+diffusion matrix as L D L^T with d > 0 and off-diagonals of L <= 0, so the
+forward and back substitutions and the division by d keep the sign, with
+no pivoting.  Rounding lies outside this argument: a negative value or a
+-0.0 made by a step would show in the tests' min >= 0 and sign-bit checks,
+not be hidden.
+
 dpttrf/dpttrs come from scipy's compiled `_flapack` module, which the first
 `Stepper` of a process loads, without `scipy.linalg`'s package init; a
 process that never steps never imports scipy.
@@ -188,6 +201,8 @@ class Field:
         # non-finite value, and its sample is replaced by NaN
         bad = ~np.isfinite(u) | np.isnan(w)
         u, w = np.where(bad, 0.0, u), np.where(bad, 0.0, w)
+        # fmod is exact and keeps any |u| < Nx, so the cast below stays within int64 at any finite x
+        u = np.fmod(u, g.Nx)
         i0 = np.floor(u).astype(np.int64)
         wx = u - i0
         i0 %= g.Nx
@@ -514,7 +529,6 @@ class Stepper:
         # the first solve makes the step's own array; every later stage writes into it
         f = self.solve(t + 0.25 * dt, state.values)
         self.transport(f, out=f)
-        np.maximum(f, 0.0, out=f)
         f = self.solve(t + 0.75 * dt, f, overwrite=True)
         try:
             return Field(f, t + dt, self.grid)

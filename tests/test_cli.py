@@ -206,6 +206,7 @@ class TestConfigErrors:
             ("level-set", {"record_every": -3}, "record_every"),
             ("chain", {"Xbar": [0.0], "Vbar": [1.0], "samples_per_step": "many"}, "samples_per_step"),
             ("chain", {"Xbar": [0.0], "Vbar": [1.0], "samples_per_step": -5}, "samples_per_step"),
+            ("chain", {"Xbar": [0.0], "Vbar": [1.0], "samples_per_step": 8}, "'samples_per_step' must be 0"),
             ("chain", {"Xbar": [0.0], "Vbar": [1.0], "samples_per_step": True}, "samples_per_step"),
             ("trajectories", {"family": "straight", "T": "one"}, "'T'"),
             ("trajectories", {"family": "straight", "d": "two"}, "'d'"),
@@ -289,6 +290,7 @@ class TestConfigErrors:
             "level-set-record_every-negative",
             "chain-samples_per_step-string",
             "chain-samples_per_step-negative",
+            "chain-samples_per_step-nonzero",
             "chain-samples_per_step-bool",
             "trajectories-T-string",
             "trajectories-d-string",

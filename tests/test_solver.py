@@ -219,6 +219,16 @@ class TestField:
         # the finite points keep their samples, also when a NaN point shares the call
         assert got[6] == f.interp(0.3, 0.1)
 
+    @pytest.mark.parametrize("x", [1e19, 1e300, -1e19, -1e300])
+    def test_interp_far_x_is_a_sample_of_the_field(self, x):
+        # a finite x beyond the int64 range of cells wraps like any other x
+        g = Grid(Lx=2.0, Lv=2.0, Nx=32, Nv=32)
+        f = Field(np.random.default_rng(3).random((32, 32)), 0.0, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.interp(x, 0.1)
+        assert f.values.min() <= got <= f.values.max()
+
 
 class TestInitDelta:
     def test_unit_mass(self):
@@ -389,6 +399,8 @@ class TestInvariants:
         for prev, now, again in zip([state] + first, first, second):
             assert abs(now.mass() - prev.mass()) <= 1e-12
             assert now.min() >= 0.0
+            # no clamp follows a step, so this also sees a -0.0 that a step made
+            assert not np.signbit(now.values).any()
             assert now.values.tobytes() == again.values.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -423,7 +435,8 @@ class TestInvariants:
         for got, want in [(sweep.ppm(f), reference_ppm(f, courant)),
                           (sweep.upwind(f), reference_upwind(f, courant))]:
             if signed_zeros:
-                # the mirrored columns may flip the sign of a zero; the step's clamp drops it
+                # the mirrored columns may flip the sign of a zero, but only of a -0.0
+                # input, and no step makes one
                 assert np.array_equal(got, want)
                 assert np.maximum(got, 0.0).tobytes() == np.maximum(want, 0.0).tobytes()
             else:
