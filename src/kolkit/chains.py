@@ -409,11 +409,14 @@ def _step_norms(x, v, dt):
     return np.linalg.norm(dv, axis=1), np.linalg.norm(dx, axis=1)
 
 
+# relative slack on the screen's two step bounds, which the rounding of its sums may reach
+_SCREEN_RTOL = 1e-12
+
+
 def perturbation_check(
     chain: ChainSpec,
     samples_per_step: int = 0,
     eta: float | None = None,
-    rtol: float = 1e-12,
 ) -> bool:
     """Do all tube perturbations still satisfy the two step inequalities?
 
@@ -439,8 +442,8 @@ def perturbation_check(
             "bounds every point of the tube, so no sample can change its verdict"
         )
     xs, vs, k, dt, rho0 = chain.xs, chain.vs, chain.k, chain.dt, chain.rho0
-    v_tol = rho0 * np.sqrt(dt) * (1.0 + rtol)
-    x_tol = rho0 * dt**1.5 * (1.0 + rtol)
+    v_tol = rho0 * np.sqrt(dt) * (1.0 + _SCREEN_RTOL)
+    x_tol = rho0 * dt**1.5 * (1.0 + _SCREEN_RTOL)
 
     # eta = 0 and k = 1 need no special casing: the perturbation radii
     # vanish and the screen reduces to the centre-chain pair checks

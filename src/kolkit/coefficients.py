@@ -85,11 +85,10 @@ class CoefficientField:
     which lets a solver evaluate and factor one grid row per class.
     """
 
-    def __init__(self, kind, params, seed, d, evaluator, time_key, classes):
+    def __init__(self, kind, params, seed, evaluator, time_key, classes):
         self.kind = kind
         self.params = dict(params)
         self.seed = int(seed)
-        self.d = int(d)
         self._evaluator = evaluator
         self._time_key = time_key
         self._classes = classes
@@ -106,7 +105,8 @@ class CoefficientField:
         return self._classes(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
     def descriptor(self) -> dict:
-        return {"kind": self.kind, "params": _jsonable(self.params), "seed": self.seed, "d": self.d}
+        # every field is a coefficient of the d = 1 solver
+        return {"kind": self.kind, "params": _jsonable(self.params), "seed": self.seed, "d": 1}
 
     def __repr__(self):
         return f"CoefficientField({self.kind!r}, seed={self.seed}, params={self.params!r})"
@@ -137,7 +137,7 @@ def _origin(params, rng, cells):
     return _param(params, "origin", (0.0, 0.0, 0.0), 3)
 
 
-def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1) -> CoefficientField:
+def make_field(kind: str, params: dict | None = None, seed: int = 0) -> CoefficientField:
     """Build one of the shipped coefficient kinds.
 
     constant:          {"value": a0}
@@ -167,7 +167,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
         def classes(x, v):
             return _classes(np.zeros(x.size), np.zeros(v.size))
 
-        return CoefficientField(kind, params, seed, d, evaluator, lambda t: 0, classes)
+        return CoefficientField(kind, params, seed, evaluator, lambda t: 0, classes)
 
     if kind == "oscillatory":
         base = _param(params, "base", 1.0)
@@ -192,7 +192,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
             return _classes(np.arange(x.size) * (fx != 0.0), np.arange(v.size) * (fv != 0.0))
 
         time_key = (lambda t: None) if ft != 0.0 else (lambda t: 0)
-        return CoefficientField(kind, params, seed, d, evaluator, time_key, classes)
+        return CoefficientField(kind, params, seed, evaluator, time_key, classes)
 
     cells = _param(params, "cells", (0.25, 0.25, 0.25), 3)
     if any(c <= 0 for c in cells):
@@ -226,7 +226,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
             # the value depends on each index through its parity only
             return _classes(index(x, ox, cx) & 1, index(v, ov, cv) & 1)
 
-        return CoefficientField(kind, params, seed, d, evaluator, time_key, classes)
+        return CoefficientField(kind, params, seed, evaluator, time_key, classes)
 
     # random-piecewise
     vmin, vmax = _param(params, "values_range", (0.5, 2.0), 2)
@@ -242,7 +242,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0, d: int = 1)
     def classes(x, v):
         return _classes(index(x, ox, cx), index(v, ov, cv))
 
-    return CoefficientField(kind, params, seed, d, evaluator, time_key, classes)
+    return CoefficientField(kind, params, seed, evaluator, time_key, classes)
 
 
 def dilated_field(base: CoefficientField, r: float) -> CoefficientField:
@@ -266,7 +266,7 @@ def dilated_field(base: CoefficientField, r: float) -> CoefficientField:
         return base.classes(r**3 * x, r * v)
 
     params = {"r": r, "base": base.descriptor()}
-    return CoefficientField("dilated", params, base.seed, base.d, evaluator, time_key, classes)
+    return CoefficientField("dilated", params, base.seed, evaluator, time_key, classes)
 
 
 def reversed_flipped_field(base: CoefficientField, t_total: float) -> CoefficientField:
@@ -286,4 +286,4 @@ def reversed_flipped_field(base: CoefficientField, t_total: float) -> Coefficien
         return base.classes(-x, v)
 
     params = {"t_total": t_total, "base": base.descriptor()}
-    return CoefficientField("reversed-flipped", params, base.seed, base.d, evaluator, time_key, classes)
+    return CoefficientField("reversed-flipped", params, base.seed, evaluator, time_key, classes)

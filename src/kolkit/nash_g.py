@@ -102,10 +102,13 @@ def log_mean_c(f: Field, weight: GWeight | None = None, floor: float = 1e-30) ->
     return _weighted_log(f, weight or GWeight(), floor)
 
 
-def default_s_grid(per_octave: int = 2) -> np.ndarray:
+# level-set thresholds per doubling of s
+_S_PER_OCTAVE = 2
+
+
+def default_s_grid() -> np.ndarray:
     # geometric sweep 2^-4 .. 2^12; the sup over s is bracketed by sampling
-    n = 16 * per_octave + 1
-    return np.geomspace(2.0**-4, 2.0**12, n)
+    return np.geomspace(2.0**-4, 2.0**12, 16 * _S_PER_OCTAVE + 1)
 
 
 @dataclass

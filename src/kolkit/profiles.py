@@ -2,9 +2,12 @@
 
 The kinetic exponent E = |X|^2/tau^3 + |V|^2/tau drives both envelope
 shapes C * tau^(-2d) * exp(-c E).  For constant diffusion a = sigma2 * I
-the fundamental solution is an explicit Gaussian whose per-dimension
-covariance in (X, V) is 2*sigma2 * [[tau^3/3, tau^2/2], [tau^2/2, tau]];
-it is the oracle every envelope fit is calibrated against.
+the solution from a Gaussian source of widths (w0x, w0v) is one explicit
+Gaussian: per dimension its covariance in (X, V) is the point-source
+covariance 2*sigma2 * [[tau^3/3, tau^2/2], [tau^2/2, tau]] plus M W0 M',
+with W0 = diag(w0x^2, w0v^2) carried by the free flow M = [[1, tau], [0, 1]].
+Zero widths give the fundamental solution itself; it is the oracle every
+envelope fit is calibrated against.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .phase_geometry import NormalizedGap, PhasePoint, normalize_gap
+from .phase_geometry import NormalizedGap
 
 __all__ = [
     "ProfileConstants",
@@ -22,8 +25,6 @@ __all__ = [
     "kinetic_exponent",
     "upper_profile",
     "lower_profile",
-    "explicit_kernel",
-    "explicit_kernel_grid",
     "explicit_kernel_mollified",
     "fit_envelope",
 ]
@@ -82,51 +83,21 @@ def lower_profile(c: ProfileConstants, gap: NormalizedGap, d: int | None = None)
     return c.c0_low * gap.tau ** (-2 * d) * float(np.exp(-c.c1_low * kinetic_exponent(gap)))
 
 
-def _kernel_quadform(tau, X, V, sigma2):
-    # inverse of 2*sigma2*[[tau^3/3, tau^2/2],[tau^2/2, tau]] applied per dimension:
-    # (1/2) z' S^-1 z = (3 X^2 / tau^3 - 3 X V / tau^2 + V^2 / tau) / sigma2
-    return (3.0 * X * X / tau**3 - 3.0 * X * V / tau**2 + V * V / tau) / sigma2
-
-
-def explicit_kernel_grid(sigma2: float, tau, X, V):
-    """Constant-coefficient kernel value at transported gap (X, V), vectorized.
-
-    X and V are arrays of matching shape (one spatial dimension per call);
-    for d > 1 multiply the per-dimension factors.
-    """
-    sigma2 = float(sigma2)
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
-        raise ValueError("explicit kernel needs tau > 0")
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    det = (2.0 * sigma2) ** 2 * tau**4 / 12.0
-    norm = 1.0 / (2.0 * np.pi * np.sqrt(det))
-    return norm * np.exp(-_kernel_quadform(tau, X, V, sigma2))
-
-
-def explicit_kernel(sigma2: float, z_to: PhasePoint, z_from: PhasePoint) -> float:
-    """Fundamental solution for a = sigma2 * I between two phase points."""
-    gap = normalize_gap(z_from, z_to)
-    val = 1.0
-    for i in range(gap.d):
-        val *= float(explicit_kernel_grid(sigma2, gap.tau, gap.X[i], gap.V[i]))
-    return val
-
-
 def explicit_kernel_mollified(sigma2: float, tau: float, X, V, w0x: float, w0v: float):
     """Exact evolution of a Gaussian bump of std (w0x, w0v) under constant a.
 
     The free flow transports initial covariance diag(w0x^2, w0v^2) by
     M = [[1, tau], [0, 1]], so the solution stays Gaussian with covariance
-    Sigma(tau) + M diag(w0x^2, w0v^2) M'.  One spatial dimension per call.
+    Sigma(tau) + M diag(w0x^2, w0v^2) M'.  Zero widths give the point-source
+    kernel.  One spatial dimension per call.
     """
-    sigma2 = float(sigma2)
-    tau = float(tau)
-    if sigma2 <= 0 or tau <= 0:
-        raise ValueError("need sigma2 > 0 and tau > 0")
+    sigma2, tau, w0x, w0v = float(sigma2), float(tau), float(w0x), float(w0v)
+    for name, val in (("sigma2", sigma2), ("tau", tau)):
+        if not 0.0 < val < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val}")
+    for name, val in (("w0x", w0x), ("w0v", w0v)):
+        if not 0.0 <= val < np.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {val}")
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
     sxx = 2.0 * sigma2 * tau**3 / 3.0 + w0x**2 + tau**2 * w0v**2

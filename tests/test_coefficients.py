@@ -149,6 +149,8 @@ class TestMakeField:
         g = make_field(desc["kind"], desc["params"], seed=desc["seed"])
         t, x, v = random_pts()
         assert np.array_equal(f.value(t, x, v), g.value(t, x, v))
+        # every field is a coefficient of the d = 1 solver, and says so
+        assert desc["d"] == 1 and dilated_field(f, 2.0).descriptor()["d"] == 1
 
 
 class TestWrappers:

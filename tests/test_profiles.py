@@ -1,15 +1,13 @@
-"""Closed-form kernel, its mollified variant, and the envelope fitting."""
+"""The closed-form kernel, at zero and positive source widths, and the envelope fitting."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kolkit.phase_geometry import NormalizedGap, PhasePoint, normalize_gap
+from kolkit.phase_geometry import NormalizedGap
 from kolkit.profiles import (
     FitError,
     ProfileConstants,
-    explicit_kernel,
-    explicit_kernel_grid,
     explicit_kernel_mollified,
     fit_envelope,
     kinetic_exponent,
@@ -18,6 +16,11 @@ from kolkit.profiles import (
 )
 
 PEAK = np.sqrt(3.0) / (2.0 * np.pi)  # on-diagonal value at sigma2 = tau = 1
+
+
+def point_kernel(sigma2, tau, X, V):
+    # the fundamental solution: the mollified kernel from a source of zero width
+    return explicit_kernel_mollified(sigma2, tau, X, V, 0.0, 0.0)
 
 
 def wide_lattice(tau, sigma2=1.0, n=1201, spread=10.0):
@@ -31,13 +34,13 @@ def wide_lattice(tau, sigma2=1.0, n=1201, spread=10.0):
 
 class TestExplicitKernel:
     def test_peak_value(self):
-        val = explicit_kernel_grid(1.0, 1.0, 0.0, 0.0)
+        val = point_kernel(1.0, 1.0, 0.0, 0.0)
         assert val == pytest.approx(PEAK, rel=1e-14)
 
     def test_unit_mass(self):
         for tau in (0.25, 1.0, 4.0):
             (X, V), dA = wide_lattice(tau)
-            mass = explicit_kernel_grid(1.0, tau, X, V).sum() * dA
+            mass = point_kernel(1.0, tau, X, V).sum() * dA
             assert abs(mass - 1.0) <= 1e-6
 
     def test_scaling_identity(self):
@@ -47,40 +50,57 @@ class TestExplicitKernel:
             tau = rng.uniform(0.1, 4.0)
             X, V = rng.uniform(-2, 2, 2)
             r = rng.uniform(0.3, 3.0)
-            lhs = explicit_kernel_grid(1.0, r**2 * tau, r**3 * X, r * V)
-            rhs = explicit_kernel_grid(1.0, tau, X, V) / r**4
+            lhs = point_kernel(1.0, r**2 * tau, r**3 * X, r * V)
+            rhs = point_kernel(1.0, tau, X, V) / r**4
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_axis_decay_rates(self):
         # log kernel is logC - 3E along V=0 and logC - E along X=0 at tau=1
         E = np.linspace(0.2, 4.0, 16)
-        on_x = np.log(explicit_kernel_grid(1.0, 1.0, np.sqrt(E), 0.0))
-        on_v = np.log(explicit_kernel_grid(1.0, 1.0, 0.0, np.sqrt(E)))
+        on_x = np.log(point_kernel(1.0, 1.0, np.sqrt(E), 0.0))
+        on_v = np.log(point_kernel(1.0, 1.0, 0.0, np.sqrt(E)))
         rate_x = -np.polyfit(E, on_x, 1)[0]
         rate_v = -np.polyfit(E, on_v, 1)[0]
         assert rate_x == pytest.approx(3.0, abs=1e-10)
         assert rate_v == pytest.approx(1.0, abs=1e-10)
 
-    def test_point_form_matches_grid_form(self):
-        z_from = PhasePoint(0.0, 0.5, -1.0)
-        z_to = PhasePoint(2.0, 1.0, 0.5)
-        gap = normalize_gap(z_from, z_to)
-        a = explicit_kernel(1.3, z_to, z_from)
-        b = float(explicit_kernel_grid(1.3, gap.tau, gap.X[0], gap.V[0]))
-        assert a == pytest.approx(b, rel=1e-14)
+    def test_zero_width_matches_point_formula(self):
+        # the point-source formula written out: det of 2*sigma2*[[tau^3/3, tau^2/2], [tau^2/2, tau]]
+        # and its inverse quadratic form (3 X^2/tau^3 - 3 X V/tau^2 + V^2/tau) / sigma2
+        rng = np.random.default_rng(23)
+        sigma2 = rng.uniform(0.1, 4.0, 2000)
+        tau = rng.uniform(0.05, 5.0, 2000)
+        X, V = rng.uniform(-3.0, 3.0, (2, 2000))
+        for s2, t, x, v in zip(sigma2, tau, X, V):
+            quad = (3.0 * x * x / t**3 - 3.0 * x * v / t**2 + v * v / t) / s2
+            want = np.exp(-quad) / (2.0 * np.pi * np.sqrt((2.0 * s2) ** 2 * t**4 / 12.0))
+            assert float(point_kernel(s2, t, x, v)) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @staticmethod
+    def assert_rejects(name, sigma2=1.0, tau=1.0, w0x=0.0, w0v=0.0):
+        with pytest.raises(ValueError, match=name):
+            explicit_kernel_mollified(sigma2, tau, 0.0, 0.0, w0x, w0v)
 
     def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
-            explicit_kernel_grid(0.0, 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            explicit_kernel_grid(1.0, -1.0, 0.0, 0.0)
+        self.assert_rejects("sigma2", sigma2=0.0)
+        self.assert_rejects("tau", tau=-1.0)
+        # a negative width is an error, not its absolute value
+        self.assert_rejects("w0x", w0x=-0.1)
+        self.assert_rejects("w0v", w0v=-0.1)
+
+    def test_rejects_nonfinite_inputs(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            self.assert_rejects("sigma2", sigma2=bad)
+            self.assert_rejects("tau", tau=bad)
+            self.assert_rejects("w0x", w0x=bad)
+            self.assert_rejects("w0v", w0v=bad)
 
 
 class TestMollifiedKernel:
     def test_narrow_bump_recovers_point_kernel(self):
         X = np.linspace(-2, 2, 41)
         V = np.linspace(-2, 2, 41)[:, None]
-        raw = explicit_kernel_grid(1.0, 1.0, X, V)
+        raw = point_kernel(1.0, 1.0, X, V)
         mol = explicit_kernel_mollified(1.0, 1.0, X, V, 1e-8, 1e-8)
         assert np.max(np.abs(raw - mol)) <= 1e-10
 
@@ -102,7 +122,7 @@ class TestMollifiedKernel:
         assert svv == pytest.approx(2 * sigma2 * tau + w0v**2, rel=1e-6)
 
     def test_mollified_peak_below_point_peak(self):
-        raw = explicit_kernel_grid(1.0, 1.0, 0.0, 0.0)
+        raw = point_kernel(1.0, 1.0, 0.0, 0.0)
         mol = explicit_kernel_mollified(1.0, 1.0, 0.0, 0.0, 0.2, 0.2)
         assert 0 < float(mol) < float(raw)
 
@@ -134,7 +154,7 @@ def axis_samples(sigma2=1.0, taus=(0.5, 1.0, 2.0)):
             V = u * np.sqrt(tau)
             for Xi, Vi in ((X, 0.0), (0.0, V), (X, V), (-X, V)):
                 g = NormalizedGap.from_raw(tau, Xi, Vi)
-                samples.append((g, float(explicit_kernel_grid(sigma2, tau, Xi, Vi))))
+                samples.append((g, float(point_kernel(sigma2, tau, Xi, Vi))))
     return samples
 
 
@@ -174,7 +194,7 @@ class TestFitEnvelope:
             for u in u0 + 0.5 * np.arange(n_u):
                 X, V = u * tau**1.5, u * np.sqrt(tau)
                 for Xi, Vi in ((X, 0.0), (0.0, V), (X, V)):
-                    val = explicit_kernel_grid(sigma2, tau, Xi, Vi) * np.exp(noise[len(samples)])
+                    val = point_kernel(sigma2, tau, Xi, Vi) * np.exp(noise[len(samples)])
                     samples.append((NormalizedGap.from_raw(tau, Xi, Vi), float(val)))
         rep = fit_envelope(samples, d=1)
         for g, val in samples:

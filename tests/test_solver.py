@@ -438,7 +438,6 @@ class TestInvariants:
                 # the mirrored columns may flip the sign of a zero, but only of a -0.0
                 # input, and no step makes one
                 assert np.array_equal(got, want)
-                assert np.maximum(got, 0.0).tobytes() == np.maximum(want, 0.0).tobytes()
             else:
                 assert got.tobytes() == want.tobytes()
 
