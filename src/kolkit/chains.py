@@ -53,8 +53,8 @@ class NearDiagonalParams:
     def __post_init__(self):
         if not (0.0 < self.rho0 <= 1.0):
             raise ValueError(f"rho0 must lie in (0, 1], got {self.rho0}")
-        if self.c0 <= 0:
-            raise ValueError(f"c0 must be positive, got {self.c0}")
+        if not (0.0 < self.c0 < np.inf):  # NaN fails it too
+            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
 
 
 def default_k0(p: NearDiagonalParams) -> float:
@@ -112,16 +112,9 @@ class ChainSpec:
     def d(self) -> int:
         return self.xs.shape[1]
 
-    @property
-    def target(self) -> tuple:
-        return self.xs[-1].copy(), self.vs[-1].copy()
-
-    def _fields(self, max_nodes: int) -> tuple:
+    def _fields(self) -> tuple:
         # to_dict's scalar fields, and the node stride its centres are read at
-        if not (max_nodes >= 1):
-            raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
-        n = self.k + 1
-        stride = int(np.ceil(n / max_nodes)) if n > max_nodes else 1
+        stride = int(np.ceil((self.k + 1) / _MAX_NODES))
         doc = {
             "k": self.k,
             "dt": self.dt,
@@ -144,8 +137,8 @@ class ChainSpec:
         if (len(a) - 1) % stride:
             yield a[-1:]
 
-    def to_dict(self, max_nodes: int = 65536) -> dict:
-        doc, stride = self._fields(max_nodes)
+    def to_dict(self) -> dict:
+        doc, stride = self._fields()
         doc["centres"] = {
             key: [row for rows in self._row_blocks(a, stride) for row in rows.tolist()]
             for key, a in (("x", self.xs), ("v", self.vs))
@@ -158,7 +151,7 @@ class ChainSpec:
         # array, and each array _TEXT_ROWS rows at a time, its numbers from
         # json's C encoder laid out with str.join (the C encoder does not run
         # when there is an indent)
-        doc, stride = self._fields(65536)
+        doc, stride = self._fields()
         doc["centres"] = {"v": "<v>", "x": "<x>"}
         enc = json.JSONEncoder(sort_keys=True, **kw)
         rest = enc.encode(doc)
@@ -178,20 +171,12 @@ class ChainSpec:
             yield nl3 + "]" + nl2 + "]"
         yield rest
 
-    def to_json(self, fh=None, **kw) -> str | None:
-        """Byte-identical to json.dumps(self.to_dict(), sort_keys=True, **kw) for
-        json.JSONEncoder's keywords.  Returns that text, or writes it to the
-        file object fh and returns None.
-
-        Memory: the text is made in pieces of at most 2^11 rows of a centre
-        array, so writing to fh holds one piece and its numbers' strings
-        besides the chain (under 1 MiB in d = 1 and 2), whatever k is; only
-        the returned string is the size of the whole text."""
-        chunks = self._json_chunks(**kw)
-        if fh is None:
-            return "".join(chunks)
-        fh.writelines(chunks)
-        return None
+    def to_json(self, fh) -> None:
+        """Write json.dumps(self.to_dict(), sort_keys=True, indent=1), kolkit
+        chain's chain.json, to the text file fh byte for byte, in pieces of at
+        most 2^11 rows of a centre array: besides the chain, the write holds one
+        piece and its numbers' strings (under 1 MiB in d = 1 and 2), whatever k is."""
+        fh.writelines(self._json_chunks(indent=1))
 
 
 def _tube_radius(rho0, d):
@@ -275,33 +260,28 @@ def build_chain(Xbar, Vbar, p: NearDiagonalParams, k0: float | None = None) -> C
     if k0 <= 0:
         raise ValueError(f"k0 must be positive, got {k0}")
 
-    n2 = float(Xbar @ Xbar + Vbar @ Vbar)
-    k = max(1, int(np.ceil(k0 * n2)))
     cap = 10**6
+    with np.errstate(over="ignore"):  # an overflowing |target|^2 reads inf
+        start = np.ceil(k0 * float(Xbar @ Xbar + Vbar @ Vbar))
+    if not (start <= cap):  # a NaN or infinite count fails it too
+        raise ChainConstructionError(f"start count ceil(k0 |target|^2) = {start:.3e} is not finite or over {cap}")
+    k = max(1, int(start))
 
     # cheap O(1) admissibility; scan a little, then gallop and bisect
-    probe = k
-    found = None
-    for _ in range(64):
-        if probe > cap:
-            break
-        if _admissible(Xbar, Vbar, probe, p.rho0):
-            found = probe
-            break
-        probe += 1
+    scan = range(k, min(k + 64, cap + 1))
+    found = next((j for j in scan if _admissible(Xbar, Vbar, j, p.rho0)), None)
     if found is None:
-        lo = hi = probe  # known-bad or cap edge
+        lo = hi = scan.stop  # known-bad or cap edge
         while hi <= cap and not _admissible(Xbar, Vbar, hi, p.rho0):
             lo = hi
             hi *= 2
         if hi > cap:
-            mu = _mu_for(Xbar, Vbar, min(cap, lo))
-            worst = _increment_extremes(Xbar, Vbar, mu, min(cap, lo))
+            at = min(cap, lo)
+            worst = _increment_extremes(Xbar, Vbar, _mu_for(Xbar, Vbar, at), at)
             raise ChainConstructionError(
                 f"no step count up to {cap} satisfies the increment bound for "
-                f"target ({Xbar.tolist()}, {Vbar.tolist()}); at k={min(cap, lo)} the "
-                f"worst increment is {worst:.3e} against "
-                f"{0.5 * p.rho0 / np.sqrt(min(cap, lo)):.3e}"
+                f"target ({Xbar.tolist()}, {Vbar.tolist()}); at k={at} the "
+                f"worst increment is {worst:.3e} against {0.5 * p.rho0 / np.sqrt(at):.3e}"
             )
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -376,6 +356,8 @@ def validate_chain(chain: ChainSpec, target=None, endpoint_tol: float = 1e-10) -
 # nodes per block: build_chain, validate_chain and the corner screen walk the
 # chain in blocks of this many nodes
 _BLOCK = 1 << 14
+# at most this many centre rows go into to_dict and to_json (at the least stride that fits), plus the last node
+_MAX_NODES = 65536
 # centre rows per piece of to_json's text: formatting a row takes about 30 times
 # its 8 bytes a coordinate in Python floats and strings, so a piece holds about
 # 0.45 MB in d = 1

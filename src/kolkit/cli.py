@@ -4,13 +4,14 @@ Commands: simulate | verify-bounds | g-bound | level-set | chain |
 trajectories | adjoint.  Exit codes: 0 = ran and all requested assertions
 passed, 1 = ran but a verification assertion failed, 2 = config error
 (the diagnostic names the offending field), including an out-of-range
-value, the non-standard JSON constants NaN and +-Infinity, and a config
-that puts a functional outside its domain (nash_g.DomainError),
-3 = numerical failure (solver.SolverError, profiles.FitError), whose
-summary records the error.  Every summary embeds the resolved config; with
-fixed seeds the summary is byte-stable apart from the timestamp field.  This
-is kolkit's only module that writes files: every artifact goes to a temporary
-file that is renamed into place (_replacing), so none is ever left torn.
+value, a number beyond the float range, the non-standard JSON constants
+NaN and +-Infinity, and a config that puts a functional outside its
+domain (nash_g.DomainError), 3 = numerical failure (solver.SolverError,
+profiles.FitError), whose summary records the error.  Every summary embeds
+the resolved config; with fixed seeds the summary is byte-stable apart from
+the timestamp field.  This is kolkit's only module that writes files: every
+artifact goes to a temporary file that is renamed into place (_replacing),
+so none is ever left torn.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ def _build_solver(cfg) -> solver.SolverConfig:
     try:
         return solver.SolverConfig(
             dt=_get(s, "dt", float),
-            transport_order=_get(s, "transport_order", int, 3),
-            w0_cells=_get(s, "w0_cells", float, 3.0),
-            tail_tol=_get(s, "tail_tol", float, 1e-8),
+            transport_order=_get(s, "transport_order", int, solver.SolverConfig.transport_order),
+            w0_cells=_get(s, "w0_cells", float, solver.SolverConfig.w0_cells),
+            tail_tol=_get(s, "tail_tol", float, solver.SolverConfig.tail_tol),
         )
     except solver.ConfigError as e:
         raise ConfigFileError(f"solver: {e}") from e
@@ -155,7 +156,7 @@ def _build_field(desc, where="field"):
 def _build_weight(cfg, grid):
     # checked against the box here, before any member's kernel runs
     try:
-        weight = nash_g.GWeight(R=_get(cfg, "weight_radius", float, 4.0))
+        weight = nash_g.GWeight(R=_get(cfg, "weight_radius", float, nash_g.GWeight.R))
         weight.values(grid)
     except ValueError as e:
         raise ConfigFileError(f"weight_radius: {e}") from e
@@ -342,7 +343,8 @@ def _cmd_chain(cfg, outdir):
             "the corner screen bounds every point of the tube"
         )
     try:
-        p = chains.NearDiagonalParams(rho0=_get(cfg, "rho0", float, 0.25), c0=_get(cfg, "c0", float, 0.05))
+        defaults = chains.NearDiagonalParams
+        p = defaults(rho0=_get(cfg, "rho0", float, defaults.rho0), c0=_get(cfg, "c0", float, defaults.c0))
     except ValueError as e:
         raise ConfigFileError(f"rho0/c0: {e}") from e
     try:
@@ -352,7 +354,7 @@ def _cmd_chain(cfg, outdir):
     ok = chains.perturbation_check(chain)
     log_bound = chains.chain_lower_bound(chain, p, log=True)
     with _replacing(outdir / "chain.json") as fh:
-        chain.to_json(fh, indent=1)
+        chain.to_json(fh)
     summary = {
         "k": chain.k,
         "dt": chain.dt,
@@ -441,20 +443,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _no_constant(name: str):
-    # json reads NaN, Infinity and -Infinity, which RFC 8259 leaves out and no field accepts
-    raise ValueError(f"{name} is not a JSON number")
+def _finite(literal: str) -> float:
+    # json reads NaN, Infinity and -Infinity, which RFC 8259 leaves out, and a number beyond
+    # the float range, such as 1e400, as non-finite floats, which no field accepts
+    value = float(literal)
+    if abs(value) < np.inf:
+        return value
+    why = "is out of the float range" if literal[-1].isdigit() else "is not a JSON number"
+    raise ValueError(f"{literal} {why}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh, parse_constant=_no_constant)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as e:
         print(f"config error: cannot read {args.config}: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:  # json.JSONDecodeError, _no_constant, or bytes that are not UTF-8
+    except ValueError as e:  # json.JSONDecodeError, _finite, or bytes that are not UTF-8
         print(f"config error: {args.config} is not valid JSON: {e}", file=sys.stderr)
         return 2
     if not isinstance(cfg, dict):

@@ -245,45 +245,32 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
     return CoefficientField(kind, params, seed, evaluator, time_key, classes)
 
 
-def dilated_field(base: CoefficientField, r: float) -> CoefficientField:
-    """delta_r a: (t, x, v) -> a(r^2 t, r^3 x, r v).  Kernel scaling companion."""
-    r = float(r)
-    if r <= 0:
-        raise ValueError(f"dilation factor must be positive, got {r}")
-
+def _mapped_field(kind, params, base, t_map, sx, sv) -> CoefficientField:
+    # base at (t_map(t), sx x, sv v): one map for the evaluator, the time key and the classes;
+    # a time key is the base's, as a Stepper only compares keys of its own field
     def evaluator(t, x, v):
         return base.value(
-            r * r * np.asarray(t, dtype=float),
-            r**3 * np.asarray(x, dtype=float),
-            r * np.asarray(v, dtype=float),
+            t_map(np.asarray(t, dtype=float)), sx * np.asarray(x, dtype=float), sv * np.asarray(v, dtype=float)
         )
 
     def time_key(t):
-        k = base.time_key(r * r * float(t))
-        return None if k is None else ("dilated", k)
+        return base.time_key(t_map(float(t)))
 
     def classes(x, v):
-        return base.classes(r**3 * x, r * v)
+        return base.classes(sx * x, sv * v)
 
-    params = {"r": r, "base": base.descriptor()}
-    return CoefficientField("dilated", params, base.seed, evaluator, time_key, classes)
+    return CoefficientField(kind, {**params, "base": base.descriptor()}, base.seed, evaluator, time_key, classes)
+
+
+def dilated_field(base: CoefficientField, r: float) -> CoefficientField:
+    """delta_r a: (t, x, v) -> a(r^2 t, r^3 x, r v).  Kernel scaling companion."""
+    r = float(r)
+    if not (0.0 < r < np.inf):  # NaN fails it too
+        raise ValueError(f"dilation factor must be positive and finite, got {r}")
+    return _mapped_field("dilated", {"r": r}, base, lambda t: r * r * t, r**3, r)
 
 
 def reversed_flipped_field(base: CoefficientField, t_total: float) -> CoefficientField:
     """(sigma, x, v) -> a(t_total - sigma, -x, v); companion-equation coefficient."""
     t_total = float(t_total)
-
-    def evaluator(s, x, v):
-        return base.value(
-            t_total - np.asarray(s, dtype=float), -np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        )
-
-    def time_key(s):
-        k = base.time_key(t_total - float(s))
-        return None if k is None else ("reversed", k)
-
-    def classes(x, v):
-        return base.classes(-x, v)
-
-    params = {"t_total": t_total, "base": base.descriptor()}
-    return CoefficientField("reversed-flipped", params, base.seed, evaluator, time_key, classes)
+    return _mapped_field("reversed-flipped", {"t_total": t_total}, base, lambda s: t_total - s, -1.0, 1.0)

@@ -43,6 +43,8 @@ class GWeight:
     R: float = 4.0
 
     def __post_init__(self):
+        if not (0.0 < self.R < np.inf):  # NaN fails it too
+            raise ValueError(f"truncation radius must be positive and finite, got {self.R}")
         tail = np.exp(-np.pi * self.R**2)
         if tail > 1e-10:
             raise ValueError(f"truncation radius {self.R} leaves a weight tail of {tail:.2e}")

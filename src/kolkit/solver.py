@@ -189,9 +189,6 @@ class Field:
     def min(self) -> float:
         return float(self.values.min())
 
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.t, self.grid)
-
     def interp(self, xq, vq) -> np.ndarray:
         """Bilinear sample; periodic wrap in x, clamp in v; NaN at a NaN on either axis or an infinite x."""
         g = self.grid
@@ -737,7 +734,7 @@ def chapman_kolmogorov_residual(
     w0 = (config.w0_cells * grid.dx, config.w0_cells * grid.dv)
     state = init_delta((y, w), w0, grid, t=t0)
     mid = evolve(state, field, config, t1).field
-    direct = evolve(mid.copy(), field, config, t2).field
+    direct = evolve(mid, field, config, t2).field
     composed = evolve(remollify(mid, config.w0_cells), field, config, t2).field
     return float(np.abs(direct.values - composed.values).sum() * grid.cell_volume)
 

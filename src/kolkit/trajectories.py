@@ -377,11 +377,10 @@ def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) ->
     h = np.minimum(np.minimum(1e-5, 0.5 * r_grid), 0.5 * (1.0 - r_grid))
     h_div = np.where(h > 0, h, 1.0)[:, None]
     root = np.sqrt(r_grid)
+    # sx + sv > 0 in every pair: the first ends at v = 1 and the others are drawn
     for (x0s, v0s), (x1s, v1s) in pairs:
         sx = float(np.linalg.norm(x0s) + np.linalg.norm(x1s))
         sv = float(np.linalg.norm(v0s) + np.linalg.norm(v1s))
-        if sx + sv == 0.0:
-            continue
         gx, gv = _gamma_xv(fam, r_grid, x0s, v0s, x1s, v1s)
         _, vp = _gamma_xv(fam, r_grid + h, x0s, v0s, x1s, v1s)
         _, vm = _gamma_xv(fam, r_grid - h, x0s, v0s, x1s, v1s)

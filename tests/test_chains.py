@@ -1,5 +1,6 @@
 """Chain construction, validation, perturbation tubes, kernel bounds."""
 
+import io
 import json
 import tracemalloc
 
@@ -116,6 +117,15 @@ def writable(chain):
     return chain
 
 
+def chain_text(chain, kw=None):
+    """The text ChainSpec.to_json writes, or given JSON keywords kw, its piece writer's text."""
+    if kw is not None:
+        return "".join(chain._json_chunks(**kw))
+    fh = io.StringIO()
+    chain.to_json(fh)
+    return fh.getvalue()
+
+
 def traced_peak(fn):
     """Bytes fn allocates at its peak above what was allocated before it, by tracemalloc."""
     tracemalloc.start()
@@ -138,7 +148,8 @@ TARGETS = st.integers(1, 2).flatmap(
         st.floats(1.0, 64.0),
     )
 )
-JSON_KW = [{}, {"indent": 1}, {"indent": 2}, {"indent": "\t"}, {"separators": (",", ":")}]
+# layouts of the piece writer; to_json writes the first, kolkit chain's chain.json
+JSON_KW = [{"indent": 1}, {}, {"indent": 2}, {"indent": "\t"}, {"separators": (",", ":")}]
 
 
 class TestParams:
@@ -149,6 +160,11 @@ class TestParams:
             NearDiagonalParams(rho0=1.5)
         with pytest.raises(ValueError):
             NearDiagonalParams(c0=-1.0)
+
+    @pytest.mark.parametrize("c0", [np.nan, np.inf])
+    def test_c0_must_be_positive_and_finite(self, c0):
+        with pytest.raises(ValueError, match="c0"):
+            NearDiagonalParams(c0=c0)
 
     def test_default_k0(self):
         assert default_k0(P) == 4096.0
@@ -161,7 +177,7 @@ class TestBuildChain:
         assert chain.k == 4096
         assert chain.dt == pytest.approx(1.0 / 4096)
         assert chain.eta == pytest.approx(P.rho0 / 4.0)
-        X, V = chain.target
+        X, V = chain.xs[-1], chain.vs[-1]
         assert X[0] == pytest.approx(0.0, abs=1e-10)
         assert V[0] == pytest.approx(1.0, abs=1e-10)
         validate_chain(chain, target=([0.0], [1.0]))
@@ -185,6 +201,14 @@ class TestBuildChain:
         # and a genuinely too-fast target exhausts the doubling search
         with pytest.raises(ChainConstructionError):
             build_chain([0.0], [40.0], P, k0=1.0)
+
+    @pytest.mark.parametrize(
+        "Xbar, k0", [([1e300], None), ([np.nan], None), ([0.0], np.inf)], ids=["overflow", "nan", "k0-inf"]
+    )
+    def test_start_count_beyond_the_cap_or_not_finite(self, Xbar, k0):
+        # |Xbar|^2 overflows to inf, a NaN target gives a NaN count and inf k0 (with |target|^2 = 0.25) inf
+        with pytest.raises(ChainConstructionError, match="start count"):
+            build_chain(Xbar, [0.5], P, k0=k0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -225,7 +249,7 @@ class TestBuildChain:
     def test_two_dimensional_target(self):
         chain = build_chain([0.1, -0.2], [0.4, 0.3], P, k0=64.0)
         assert chain.d == 2
-        X, V = chain.target
+        X, V = chain.xs[-1], chain.vs[-1]
         assert np.allclose(X, [0.1, -0.2], atol=1e-10)
         assert np.allclose(V, [0.4, 0.3], atol=1e-10)
 
@@ -351,21 +375,17 @@ class TestChainSpec:
         with pytest.raises(ValueError, match="finite"):
             ChainSpec(k=2, **arrays, eta=0.0625, rho0=0.25, k0=1.0)
 
-    @pytest.mark.parametrize("max_nodes", [0, -3])
-    def test_max_nodes_must_be_positive(self, max_nodes):
-        c = build_chain([0.0], [1.0], P, k0=1.0)
-        with pytest.raises(ValueError, match="max_nodes"):
-            c.to_dict(max_nodes=max_nodes)
-
     def test_serialization_truncates_long_chains(self):
         c = build_chain([0.0], [1.0], P, k0=1.0)  # k = 1021
         d = c.to_dict()
         assert d["node_stride"] == 1 and not d["node_indices_truncated"]
         assert len(d["centres"]["x"]) == c.k + 1
-        small = c.to_dict(max_nodes=16)
-        assert small["node_indices_truncated"]
-        assert small["centres"]["x"][-1] == c.xs[-1].tolist()
-        json.loads(c.to_json())  # round trips
+        long = closed_form_chain(2 * chains._MAX_NODES + 2)  # stride 3, whose rows miss the last node
+        d = long.to_dict()
+        assert d["node_stride"] == 3 and d["node_indices_truncated"]
+        assert len(d["centres"]["x"]) == len(range(0, long.k + 1, 3)) + 1
+        assert d["centres"]["x"][-1] == long.xs[-1].tolist()
+        assert json.loads(chain_text(c)) == c.to_dict()  # round trips
 
     @settings(max_examples=60, deadline=None)
     @given(target=TARGETS, kw=st.sampled_from(JSON_KW))
@@ -373,14 +393,16 @@ class TestChainSpec:
     @example(target=([0.0, 0.0], [0.05, -0.1], 1.0), kw={"indent": 2})  # k = 1, d = 2
     def test_json_is_json_dumps_of_the_dict(self, target, kw):
         c = build_chain(*target[:2], P, k0=target[2])
-        assert_same_text(c.to_json(**kw), json.dumps(c.to_dict(), sort_keys=True, **kw))
+        assert_same_text(chain_text(c), json.dumps(c.to_dict(), sort_keys=True, indent=1))
+        assert_same_text(chain_text(c, kw), json.dumps(c.to_dict(), sort_keys=True, **kw))
 
     @pytest.mark.parametrize("indent", [None, 1, 2])
     def test_truncated_json_is_json_dumps_of_the_dict(self, indent):
         c = build_chain([0.0], [4.0], P)  # k = 65536: one node over the cap
-        want = json.dumps(c.to_dict(), sort_keys=True, indent=indent)
-        assert json.loads(want)["node_stride"] == 2
-        assert_same_text(c.to_json(indent=indent), want)
+        doc = c.to_dict()
+        assert doc["node_stride"] == 2
+        assert_same_text(chain_text(c), json.dumps(doc, sort_keys=True, indent=1))
+        assert_same_text(chain_text(c, {"indent": indent}), json.dumps(doc, sort_keys=True, indent=indent))
 
     @pytest.mark.parametrize(
         "nodes, d",
@@ -395,18 +417,17 @@ class TestChainSpec:
         doc = c.to_dict()
         idx = np.unique(np.r_[np.arange(0, nodes, doc["node_stride"]), nodes - 1])
         assert np.array_equal(doc["centres"]["x"], c.xs[idx]) and np.array_equal(doc["centres"]["v"], c.vs[idx])
-        want = json.dumps(doc, sort_keys=True, **kw)
-        assert_same_text(c.to_json(**kw), want)
+        assert_same_text(chain_text(c, kw), json.dumps(doc, sort_keys=True, **kw))
         with open(tmp_path / "chain.json", "w") as fh:
-            assert c.to_json(fh, **kw) is None
-        assert_same_text((tmp_path / "chain.json").read_text(), want)
+            c.to_json(fh)
+        assert_same_text((tmp_path / "chain.json").read_text(), json.dumps(doc, sort_keys=True, indent=1))
 
     def test_file_peak_memory_is_one_piece(self, tmp_path):
         peaks = {}
         for target in ([0.0], [3.0]), ([0.0], [10.0]):
             c = build_chain(*target, P)  # k = 36,864 and 409,600
             with open(tmp_path / "chain.json", "w") as fh:
-                peaks[c.k] = traced_peak(lambda: c.to_json(fh, indent=1))
+                peaks[c.k] = traced_peak(lambda: c.to_json(fh))
         # the text is written piece by piece: the peak is one piece's, at any k
         assert max(peaks.values()) <= 2**20
         assert abs(peaks[409_600] - peaks[36_864]) <= 2**16

@@ -1,6 +1,7 @@
 """End-to-end command driver tests, all in-process through main(argv)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +18,14 @@ BASE_SOLVER = {"dt": 1.0 / 32, "w0_cells": 2.0, "tail_tol": 1.0}
 NAN, INF = float("nan"), float("inf")
 
 
+def literal(text):
+    """A number that write_cfg writes as the literal text, such as 1e400, which no float holds."""
+    return f"<literal {text}>"
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
-    p.write_text(json.dumps(cfg))
+    p.write_text(re.sub(r'"<literal ([^"]*)>"', r"\1", json.dumps(cfg)))
     return str(p)
 
 
@@ -257,6 +263,13 @@ class TestConfigErrors:
             ("adjoint", {"points": []}, "'points'"),
             ("g-bound", {"source_seed": -1}, "'source_seed'"),
             ("simulate", {"t_final": 10**400}, "'t_final'"),
+            ("chain", {"Xbar": [0.5], "Vbar": [0.5], "c0": literal("1e400")}, "1e400 is out of the float range"),
+            ("level-set", {"E": [[literal("-1e400"), 2], [-2, 2]]}, "-1e400 is out of the float range"),
+            ("chain", {"Xbar": [literal("1e400")], "Vbar": [0.5]}, "1e400 is out of the float range"),
+            ("trajectories", {"family": "log-oscillatory", "beta": literal("1e400")}, "1e400 is out of the"),
+            ("trajectories", {"family": "straight", "T": literal("1e400")}, "1e400 is out of the float range"),
+            ("g-bound", {"floor": literal("1e400")}, "1e400 is out of the float range"),
+            ("g-bound", {"weight_radius": -5}, "weight_radius: truncation radius must be positive"),
             ("verify-bounds", {"taus": [0.5, -(10**400)]}, "'taus[1]'"),
             ("simulate", {"solver": {**BASE_SOLVER, "dt": NAN}}, "NaN is not a JSON number"),
             ("simulate", {"t_final": NAN}, "NaN is not a JSON number"),
@@ -341,6 +354,13 @@ class TestConfigErrors:
             "adjoint-points-empty",
             "g-bound-source_seed-negative",
             "simulate-t_final-overflow",
+            "chain-c0-overflow",
+            "level-set-E-overflow",
+            "chain-Xbar-overflow",
+            "trajectories-beta-overflow",
+            "trajectories-T-overflow",
+            "g-bound-floor-overflow",
+            "g-bound-weight_radius-negative",
             "verify-bounds-taus-overflow",
             "simulate-dt-nan",
             "simulate-t_final-nan",
@@ -474,6 +494,13 @@ class TestChainCommand:
         doc = json.loads((outdir / "summary.json").read_text())
         assert doc["summary"]["perturbation_check"] is True
         assert doc["summary"]["eta"] == 0.25 / (4.0 * np.sqrt(2.0))
+
+    def test_target_whose_start_count_overflows(self, tmp_path, capsys):
+        # |Xbar|^2 = 1e600 is beyond the float range, so the start count k0 |target|^2 is inf
+        code, outdir = run(tmp_path, "chain", {"Xbar": [1e300], "Vbar": [0.5]})
+        assert code == 2
+        assert "chain target: start count" in capsys.readouterr().err
+        assert not list(outdir.glob("*"))
 
     def test_unreachable_target(self, tmp_path, capsys):
         cfg = {"Xbar": [0.0], "Vbar": [40.0], "k0": 1}

@@ -193,6 +193,19 @@ class TestWrappers:
         assert d.time_key(0.01) == d.time_key(0.05)
         assert d.time_key(0.01) != d.time_key(0.07)
 
+    def test_time_keys_are_the_base_keys_at_the_mapped_time(self):
+        # a Stepper compares keys of one field only, so a wrapper's key is its base's
+        base = make_field("random-piecewise", {"cells": (0.1, 0.25, 0.25)}, seed=3)
+        for s in RNG.uniform(-2.0, 2.0, 20):
+            assert dilated_field(base, 1.5).time_key(s) == base.time_key(1.5 * 1.5 * s)
+            assert reversed_flipped_field(base, 2.0).time_key(s) == base.time_key(2.0 - s)
+        assert reversed_flipped_field(make_field("oscillatory", {"freq_t": 1.0}), 2.0).time_key(0.3) is None
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
+    def test_dilation_factor_must_be_positive_and_finite(self, r):
+        with pytest.raises(ValueError, match="dilation factor"):
+            dilated_field(make_field("constant"), r)
+
     def test_constant_field_fixed_by_wrappers(self):
         base = make_field("constant", {"value": 2.0})
         t, x, v = random_pts()

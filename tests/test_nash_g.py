@@ -54,6 +54,12 @@ class TestGWeight:
         with pytest.raises(ValueError):
             GWeight(R=2.0)  # truncation tail 3.5e-6 is too fat
 
+    @pytest.mark.parametrize("R", [np.nan, -5.0, 0.0, np.inf])
+    def test_radius_must_be_positive_and_finite(self, R):
+        # R = -5 would truncate at radius 5, and NaN passes the tail check
+        with pytest.raises(ValueError, match="positive and finite"):
+            GWeight(R=R)
+
     def test_grid_must_contain_ball(self):
         small = Grid(Lx=3.0, Lv=5.0, Nx=32, Nv=32)
         with pytest.raises(DomainError):
