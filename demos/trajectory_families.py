@@ -8,8 +8,9 @@ as r -> 0 decide whether the family can certify kernel positivity down to
 the diagonal.  Two built-in families bracket the landscape:
 
   straight   - kinematically admissible but naive; its rates (4, -2, 5)
-               overshoot the critical targets (2, -1/2, 3) and the report
-               flags it as non-critical.
+               miss the critical targets (2, -1/2, 6): det A and the
+               inverse column overshoot theirs, the Jacobian falls short,
+               and the report flags it as non-critical.
   log_osc    - logarithmically oscillating in the gap; it hits the det and
                inverse-column targets, at the price of a kinetic-relation
                defect that only closes like a power of the oscillation

@@ -95,9 +95,20 @@ def _replacing(path, mode="w"):
         tmp.unlink(missing_ok=True)
 
 
+def _null_if_not_finite(doc):
+    """doc with each NaN or +-inf float replaced by None: RFC 8259 JSON has no token for them."""
+    if isinstance(doc, dict):
+        return {k: _null_if_not_finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_null_if_not_finite(v) for v in doc]
+    if isinstance(doc, float) and not abs(doc) < np.inf:
+        return None
+    return doc
+
+
 def _write_json(path, doc):
     with _replacing(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1, default=float))
+        fh.write(json.dumps(_null_if_not_finite(doc), sort_keys=True, indent=1, default=float, allow_nan=False))
 
 
 def _write_table(path, header, *columns):
@@ -137,10 +148,11 @@ def _build_solver(cfg) -> solver.SolverConfig:
 
 
 def _one_d(cfg):
-    # the solver is d = 1; any other d would describe a run that never happened
+    # the solver, the coefficients and the trajectory families are d = 1 (only chains
+    # take another d); any other d would describe a run that never happened
     d = _get(cfg, "d", int, 1)
     if d != 1:
-        raise ConfigFileError(f"config field 'd' must be 1, the solver's dimension, got {d}")
+        raise ConfigFileError(f"config field 'd' must be 1, the only dimension this command runs in, got {d}")
 
 
 def _build_field(desc, where="field"):
@@ -372,26 +384,27 @@ def _cmd_chain(cfg, outdir):
 def _cmd_trajectories(cfg, outdir):
     name = _get(cfg, "family", str, "straight")
     T = _get(cfg, "T", float, 1.0)
-    d = _get(cfg, "d", int, 1)
-    beta = _get(cfg, "beta", float, 2.0)
-    kappa = _get(cfg, "kappa", float, 1.0)
-    r_points = _get(cfg, "r_points", int, 1024)
-    r_min = _get(cfg, "r_min", float, 1e-6)
+    _one_d(cfg)
+    # only the fields the config holds are passed, so each default is stated once, in the library
+    osc = {k: _get(cfg, k, float) for k in ("beta", "kappa") if k in cfg}
+    grid = {
+        arg: _get(cfg, k, kind) for k, arg, kind in (("r_points", "n", int), ("r_min", "r_min", float)) if k in cfg
+    }
     required = _get(cfg, "require_flags", [str, ...], ["endpoints"])
     for flag in required:
         if flag not in trajectories.PASS_FLAGS:
             raise ConfigFileError(f"require_flags: unknown flag {flag!r}")
     try:
         if name == "straight":
-            fam = trajectories.straight_family(T, d)
+            fam = trajectories.straight_family(T)
         elif name == "log-oscillatory":
-            fam = trajectories.log_oscillatory_family(T, d, beta=beta, kappa=kappa)
+            fam = trajectories.log_oscillatory_family(T, **osc)
         else:
             raise ConfigFileError(f"config field 'family' must be straight|log-oscillatory, got {name!r}")
     except ValueError as e:
         raise ConfigFileError(f"family: {e}") from e
     try:
-        r_grid = trajectories.default_r_grid(n=r_points, r_min=r_min)
+        r_grid = trajectories.default_r_grid(**grid)
     except ValueError as e:
         raise ConfigFileError(f"r_points/r_min: {e}") from e
     rep = trajectories.check_properties(fam, r_grid=r_grid)

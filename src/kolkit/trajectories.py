@@ -1,14 +1,14 @@
 """Trajectory families between phase-space endpoints and their checkers.
 
-A family maps r in [0,1] to (t(r), x(r), v(r)) with affine time, position
-and velocity given by endpoint-linear matrices A(r), B(r), and the kinetic
-constraint dx/dr = (dt/dr) v.  The module ships a closed-form "straight"
-family (velocity quadratic in r) and a configurable log-oscillatory
-candidate; check_properties is the source of truth for which asymptotic
-rates a family actually attains.  The documented rates for criticality are
-det A ~ r^{2d}, |(A^{-1}) velocity column| ~ r^{-1/2}, and endpoint-
-Jacobian determinant ~ r^{2+4d}; the straight family measurably misses
-them (4d, -2, 1+4d), which is exactly what its report should say.
+A family maps r in [0,1] to (t(r), x(r), v(r)) in d = 1, with affine time,
+position and velocity given by endpoint-linear 2 x 2 matrices A(r), B(r),
+and the kinetic constraint dx/dr = (dt/dr) v.  The module ships a
+closed-form "straight" family (velocity quadratic in r) and a configurable
+log-oscillatory candidate; check_properties is the source of truth for
+which asymptotic rates a family actually attains.  The documented rates for
+criticality are det A ~ r^2, |(A^{-1}) velocity column| ~ r^{-1/2}, and
+endpoint-Jacobian determinant ~ r^6; the straight family measurably misses
+them (4, -2, 5), which is exactly what its report should say.
 """
 
 from __future__ import annotations
@@ -37,47 +37,33 @@ class TrajectoryFamily:
 
     (x(r), v(r)) = A(r) (x1, v1) + B(r) (x0, v0) and t(r) = t0 + T r.
     A(r) and B(r) take a scalar or an array of r and return an array of
-    shape np.shape(r) + (2d, 2d); a result without the r axes (one matrix
+    shape np.shape(r) + (2, 2); a result without the r axes (one matrix
     for every r) is broadcast over them.
     """
 
     name: str
     T: float
-    d: int
     A: callable
     B: callable
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension d must be at least 1, got {self.d}")
-
-
-def _as_dvec(u, d):
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (d,):
-        raise ValueError(f"endpoint component has shape {u.shape}, expected ({d},)")
-    return u
 
 
 def _endpoints(endpoints, fam):
     (t0, x0, v0), (t1, x1, v1) = endpoints
     if abs((t1 - t0) - fam.T) > 1e-12 * max(1.0, abs(fam.T)):
         raise ValueError(f"endpoint gap {t1 - t0} does not match the family gap {fam.T}")
-    d = fam.d
-    return float(t0), _as_dvec(x0, d), _as_dvec(v0, d), _as_dvec(x1, d), _as_dvec(v1, d)
+    return float(t0), float(x0), float(v0), float(x1), float(v1)
 
 
-def _matrices(M, r, d):
-    """M(r) as an array of shape np.shape(r) + (2d, 2d)."""
-    return np.broadcast_to(M(r), np.shape(r) + (2 * d, 2 * d))
+def _matrices(M, r):
+    """M(r) as an array of shape np.shape(r) + (2, 2)."""
+    return np.broadcast_to(M(r), np.shape(r) + (2, 2))
 
 
 def _gamma_xv(fam, r, x0, v0, x1, v1):
-    """(x, v) of gamma at r, each of shape np.shape(r) + (d,)."""
-    d = fam.d
-    xv = _matrices(fam.A, r, d) @ np.concatenate([x1, v1])
-    xv += _matrices(fam.B, r, d) @ np.concatenate([x0, v0])
-    return xv[..., :d], xv[..., d:]
+    """(x, v) of gamma at r, each of shape np.shape(r)."""
+    xv = _matrices(fam.A, r) @ np.array([x1, v1])
+    xv += _matrices(fam.B, r) @ np.array([x0, v0])
+    return xv[..., 0], xv[..., 1]
 
 
 def eval_trajectory(fam: TrajectoryFamily, r: float, endpoints) -> PhasePoint:
@@ -90,14 +76,12 @@ def eval_trajectory(fam: TrajectoryFamily, r: float, endpoints) -> PhasePoint:
     return PhasePoint(t=t0 + fam.T * r, x=x, v=v)
 
 
-def _kron_eye(m00, m01, m10, m11, d):
-    """kron([[m00, m01], [m10, m11]], I_d) for every r: shape r.shape + (2d, 2d)."""
-    m = np.stack([np.stack([m00, m01], -1), np.stack([m10, m11], -1)], -2)
-    out = m[..., :, None, :, None] * np.eye(d)[:, None, :]
-    return out.reshape(m.shape[:-2] + (2 * d, 2 * d))
+def _stack(m00, m01, m10, m11):
+    """[[m00, m01], [m10, m11]] for every r: shape r.shape + (2, 2)."""
+    return np.stack([np.stack([m00, m01], -1), np.stack([m10, m11], -1)], -2)
 
 
-def straight_family(T: float, d: int = 1) -> TrajectoryFamily:
+def straight_family(T: float) -> TrajectoryFamily:
     """Closed-form family with velocity quadratic in r.
 
     The unique endpoint-linear interpolation whose velocity is a quadratic
@@ -105,26 +89,25 @@ def straight_family(T: float, d: int = 1) -> TrajectoryFamily:
     satisfies the kinetic relation exactly but is measurably non-critical.
     """
     T = float(T)
-    if T == 0.0:
-        raise ValueError("time gap T must be nonzero")
+    if not 0.0 < abs(T) < np.inf:
+        raise ValueError(f"time gap T must be nonzero and finite, got {T}")
 
     def A(r):
         r = np.asarray(r, dtype=float)
-        return _kron_eye(
-            3 * r**2 - 2 * r**3, T * (r**3 - r**2), (6.0 / T) * (r - r**2), 3 * r**2 - 2 * r, d
+        return _stack(
+            3 * r**2 - 2 * r**3, T * (r**3 - r**2), (6.0 / T) * (r - r**2), 3 * r**2 - 2 * r
         )
 
     def B(r):
         r = np.asarray(r, dtype=float)
-        return _kron_eye(
+        return _stack(
             1 - 3 * r**2 + 2 * r**3,
             T * (r - 2 * r**2 + r**3),
             -(6.0 / T) * (r - r**2),
             1 - 4 * r + 3 * r**2,
-            d,
         )
 
-    return TrajectoryFamily(name="straight", T=T, d=d, A=A, B=B)
+    return TrajectoryFamily(name="straight", T=T, A=A, B=B)
 
 
 def _osc_coeffs(beta: float, kappa: float, T: float):
@@ -143,20 +126,22 @@ def _osc_coeffs(beta: float, kappa: float, T: float):
     return solve, z
 
 
-def log_oscillatory_family(T: float, d: int = 1, beta: float = 2.0, kappa: float = 1.0) -> TrajectoryFamily:
+def log_oscillatory_family(T: float, *, beta: float = 2.0, kappa: float = 1.0) -> TrajectoryFamily:
     """Candidate family whose velocity carries sqrt(r) cos(beta ln r) and
     sqrt(r) sin(beta ln r) modes on top of a linear ramp.
 
     The log-periodic modes keep the endpoint map linear while pushing the
     small-r rates toward the critical ones; the checker reports what the
     chosen (beta, kappa) actually achieve.  beta must be nonzero (the sine
-    mode carries the position-integral constraint).
+    mode carries the position-integral constraint); beta and kappa finite.
     """
     T = float(T)
-    if T == 0.0:
-        raise ValueError("time gap T must be nonzero")
-    if beta == 0.0:
-        raise ValueError("beta must be nonzero for the oscillatory modes to span")
+    if not 0.0 < abs(T) < np.inf:
+        raise ValueError(f"time gap T must be nonzero and finite, got {T}")
+    if not 0.0 < abs(beta) < np.inf:
+        raise ValueError(f"beta must be nonzero (for the oscillatory modes to span) and finite, got {beta}")
+    if not abs(kappa) < np.inf:
+        raise ValueError(f"kappa must be finite, got {kappa}")
     solve, z = _osc_coeffs(beta, kappa, T)
 
     def entries(r, x0, v0, x1, v1):
@@ -176,13 +161,13 @@ def log_oscillatory_family(T: float, d: int = 1, beta: float = 2.0, kappa: float
 
     def A(r):
         (x_x, v_x), (x_v, v_v) = entries(r, 0.0, 0.0, 1.0, 0.0), entries(r, 0.0, 0.0, 0.0, 1.0)
-        return _kron_eye(x_x, x_v, v_x, v_v, d)
+        return _stack(x_x, x_v, v_x, v_v)
 
     def B(r):
         (x_x, v_x), (x_v, v_v) = entries(r, 1.0, 0.0, 0.0, 0.0), entries(r, 0.0, 1.0, 0.0, 0.0)
-        return _kron_eye(x_x, x_v, v_x, v_v, d)
+        return _stack(x_x, x_v, v_x, v_v)
 
-    return TrajectoryFamily(name=f"log-oscillatory(beta={beta}, kappa={kappa})", T=T, d=d, A=A, B=B)
+    return TrajectoryFamily(name=f"log-oscillatory(beta={beta}, kappa={kappa})", T=T, A=A, B=B)
 
 
 def _check_r_grid(r_grid: np.ndarray) -> np.ndarray:
@@ -253,18 +238,10 @@ def _fit_slope(logr, logy):
     return float(coef[1])
 
 
-def _sample_endpoints(fam, n=8):
-    rng = np.random.default_rng(12345)
-    d = fam.d
-    pairs = [((np.zeros(d), np.zeros(d)), (np.zeros(d), np.ones(d)))]
-    for _ in range(n - 1):
-        pairs.append(
-            (
-                (rng.uniform(-2, 2, d), rng.uniform(-2, 2, d)),
-                (rng.uniform(-2, 2, d), rng.uniform(-2, 2, d)),
-            )
-        )
-    return pairs
+def _sample_endpoints(n=8):
+    """n pairs ((x0, v0), (x1, v1)): the first ends at v = 1, the others are drawn."""
+    draws = np.random.default_rng(12345).uniform(-2, 2, (n - 1, 4)).tolist()
+    return [((0.0, 0.0), (0.0, 1.0))] + [((x0, v0), (x1, v1)) for x0, v0, x1, v1 in draws]
 
 
 def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) -> PropertyReport:
@@ -275,27 +252,27 @@ def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) ->
     between the fits on the two halves of that range.  The kinetic relation
     is checked two ways: central differences with the rounding-optimal step
     cbrt(eps r), and per-interval Simpson quadrature.
+    The rate targets 2, -1/2 and 6 are the documented 2d, -1/2 and 2 + 4d at d = 1.
     Singular matrices on the grid are recorded as warnings, not raised.
     """
     r_grid = default_r_grid() if r_grid is None else _check_r_grid(np.asarray(r_grid, dtype=float))
-    d = fam.d
     warnings_list = []
 
-    A = _matrices(fam.A, r_grid, d)
+    A = _matrices(fam.A, r_grid)
     det_A = np.linalg.det(A)
-    det_B = np.linalg.det(_matrices(fam.B, r_grid, d))
+    det_B = np.linalg.det(_matrices(fam.B, r_grid))
     inv_col = np.full(r_grid.size, np.nan)
     regular = np.abs(det_A) > 1e-300
-    inv_col[regular] = np.linalg.norm(np.linalg.inv(A[regular])[..., d:], axis=(-2, -1))
+    inv_col[regular] = np.linalg.norm(np.linalg.inv(A[regular])[..., 1:], axis=(-2, -1))
     warnings_list.extend(f"A(r) singular at r={r:.3e}" for r in r_grid[~regular])
 
     # endpoint matrix conditions
     ends = np.array([0.0, 1.0])
-    A01, B01 = _matrices(fam.A, ends, d), _matrices(fam.B, ends, d)
-    a_ends = max(float(np.abs(A01[0]).max()), float(np.abs(A01[1] - np.eye(2 * d)).max()))
-    b_ends = max(float(np.abs(B01[0] - np.eye(2 * d)).max()), float(np.abs(B01[1]).max()))
+    A01, B01 = _matrices(fam.A, ends), _matrices(fam.B, ends)
+    a_ends = max(float(np.abs(A01[0]).max()), float(np.abs(A01[1] - np.eye(2)).max()))
+    b_ends = max(float(np.abs(B01[0] - np.eye(2)).max()), float(np.abs(B01[1]).max()))
 
-    pairs = _sample_endpoints(fam)
+    pairs = _sample_endpoints()
     t0 = 0.0
 
     # endpoint reproduction through the full evaluation path
@@ -305,8 +282,8 @@ def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) ->
         g1 = eval_trajectory(fam, 1.0, ((t0, x0, v0), (t0 + fam.T, x1, v1)))
         endpoint_err = max(
             endpoint_err,
-            float(np.linalg.norm(g0.x - x0) + np.linalg.norm(g0.v - v0)),
-            float(np.linalg.norm(g1.x - x1) + np.linalg.norm(g1.v - v1)),
+            float(abs(g0.x[0] - x0) + abs(g0.v[0] - v0)),
+            float(abs(g1.x[0] - x1) + abs(g1.v[0] - v1)),
         )
 
     # kinetic relation, two ways: pointwise central differences and
@@ -320,17 +297,17 @@ def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) ->
     interior = r_grid[r_grid < 1]
     h = np.minimum(np.minimum(np.cbrt(eps * interior), 0.5 * interior), 0.5 * (1.0 - interior))
     mid = 0.5 * (r_grid[:-1] + r_grid[1:])
-    width = (r_grid[1:] - r_grid[:-1])[:, None]
+    width = r_grid[1:] - r_grid[:-1]
     for (x0, v0), (x1, v1) in pairs[:3]:
         xp, _ = _gamma_xv(fam, interior + h, x0, v0, x1, v1)
         xm, _ = _gamma_xv(fam, interior - h, x0, v0, x1, v1)
         _, vc = _gamma_xv(fam, interior, x0, v0, x1, v1)
-        resid = np.linalg.norm((xp - xm) / (2 * h[:, None]) - fam.T * vc, axis=-1)
+        resid = np.abs((xp - xm) / (2 * h) - fam.T * vc)
         kin = max(kin, float(resid.max(initial=0.0)))
         gx, gv = _gamma_xv(fam, r_grid, x0, v0, x1, v1)
         _, vm = _gamma_xv(fam, mid, x0, v0, x1, v1)
         quad = width / 6.0 * (gv[:-1] + 4.0 * vm + gv[1:])
-        resid = np.linalg.norm(gx[1:] - gx[:-1] - fam.T * quad, axis=-1)
+        resid = np.abs(gx[1:] - gx[:-1] - fam.T * quad)
         kin_int = max(kin_int, float(resid.max()))
 
     # asymptotic slopes on r <= 1e-2
@@ -375,21 +352,19 @@ def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) ->
     absT = abs(fam.T)
     # h = 0 only at r = 1, where vp - vm is exactly 0
     h = np.minimum(np.minimum(1e-5, 0.5 * r_grid), 0.5 * (1.0 - r_grid))
-    h_div = np.where(h > 0, h, 1.0)[:, None]
+    h_div = np.where(h > 0, h, 1.0)
     root = np.sqrt(r_grid)
     # sx + sv > 0 in every pair: the first ends at v = 1 and the others are drawn
     for (x0s, v0s), (x1s, v1s) in pairs:
-        sx = float(np.linalg.norm(x0s) + np.linalg.norm(x1s))
-        sv = float(np.linalg.norm(v0s) + np.linalg.norm(v1s))
+        sx = abs(x0s) + abs(x1s)
+        sv = abs(v0s) + abs(v1s)
         gx, gv = _gamma_xv(fam, r_grid, x0s, v0s, x1s, v1s)
         _, vp = _gamma_xv(fam, r_grid + h, x0s, v0s, x1s, v1s)
         _, vm = _gamma_xv(fam, r_grid - h, x0s, v0s, x1s, v1s)
         lhs = {
-            "x_about_transport": np.linalg.norm(
-                gx - x0s - r_grid[:, None] * fam.T * v0s, axis=-1
-            ),
-            "v_about_v0": np.linalg.norm(gv - v0s, axis=-1),
-            "v_rate": np.linalg.norm((vp - vm) / (2 * h_div), axis=-1),
+            "x_about_transport": np.abs(gx - x0s - r_grid * fam.T * v0s),
+            "v_about_v0": np.abs(gv - v0s),
+            "v_rate": np.abs((vp - vm) / (2 * h_div)),
         }
         rhs = {
             "x_about_transport": sx * r_grid**1.5 + absT * r_grid**1.5 * sv,
@@ -420,10 +395,10 @@ def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) ->
         "kinetic_relation_integral": kin_int <= 1e-9,
         "A_endpoint_matrices": a_ends <= 1e-12,
         "B_endpoint_matrices": b_ends <= 1e-12,
-        "det_A_rate": abs(det_slope - 2 * d) <= 0.02,
+        "det_A_rate": abs(det_slope - 2) <= 0.02,
         "inv_column_rate": abs(inv_slope - (-0.5)) <= 0.02,
         "B_det_near_zero": b_det_min >= 0.5,
-        "jacobian_rate": (not np.isnan(jac_slope)) and abs(jac_slope - (2 + 4 * d)) <= 0.02,
+        "jacobian_rate": (not np.isnan(jac_slope)) and abs(jac_slope - 6) <= 0.02,
         "property4": all(np.isfinite(sups[n]) and margin_slopes[n] >= -0.05 for n in names),
         "slope_stable": abs(det_lo - det_hi) <= 0.05 and abs(inv_lo - inv_hi) <= 0.05,
     }
@@ -432,12 +407,12 @@ def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) ->
     return PropertyReport(
         family=fam.name,
         T=fam.T,
-        d=d,
+        d=1,
         kinetic_residual=kin,
         kinetic_residual_integral=kin_int,
         endpoint_errors=endpoint_err,
         det_A_exponent=det_slope,
-        det_A_target=float(2 * d),
+        det_A_target=2.0,
         inv_column_exponent=inv_slope,
         inv_column_target=-0.5,
         B_det_near_zero=b_det_min,
@@ -445,7 +420,7 @@ def check_properties(fam: TrajectoryFamily, r_grid: np.ndarray | None = None) ->
             n: {"constant": sups[n], "small_r_slope": margin_slopes[n]} for n in names
         },
         jacobian_exponent=jac_slope,
-        jacobian_target=float(2 + 4 * d),
+        jacobian_target=6.0,
         pass_flags=flags,
         slope_halves={
             "det_A": (det_lo, det_hi),

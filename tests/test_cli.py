@@ -216,7 +216,8 @@ class TestConfigErrors:
             ("chain", {"Xbar": [0.0], "Vbar": [1.0], "samples_per_step": True}, "samples_per_step"),
             ("trajectories", {"family": "straight", "T": "one"}, "'T'"),
             ("trajectories", {"family": "straight", "d": "two"}, "'d'"),
-            ("trajectories", {"family": "straight", "d": 0}, "dimension d"),
+            ("trajectories", {"family": "straight", "d": 0}, "'d' must be 1"),
+            ("trajectories", {"family": "straight", "d": 2}, "'d' must be 1"),
             ("trajectories", {"family": "straight", "d": True}, "'d'"),
             ("simulate", {"mass_drift_tol": "tight"}, "'mass_drift_tol'"),
             ("simulate", {"oracle_tol": "loose"}, "'oracle_tol'"),
@@ -308,6 +309,7 @@ class TestConfigErrors:
             "trajectories-T-string",
             "trajectories-d-string",
             "trajectories-d-0",
+            "trajectories-d-2",
             "trajectories-d-bool",
             "simulate-mass_drift_tol-string",
             "simulate-oracle_tol-string",
@@ -560,6 +562,26 @@ class TestTrajectoriesCommand:
         code, _ = run(tmp_path, "trajectories", {"family": "bezier"})
         assert code == 2
         assert "family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, want, nulls",
+        [
+            ({"family": "log-oscillatory", "kappa": 1e300}, 1, ["det_A_exponent", "B_det_near_zero"]),
+            ({"family": "straight", "r_min": 1e-320}, 0, ["jacobian_exponent"]),
+        ],
+        ids=["kappa-huge", "r_min-subnormal"],
+    )
+    def test_non_finite_values_are_written_as_null(self, tmp_path, cfg, want, nulls):
+        # RFC 8259 has no NaN or Infinity token, so a strict reader must load both files
+        def no_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        code, outdir = run(tmp_path, "trajectories", cfg)
+        assert code == want
+        report = json.loads((outdir / "property_report.json").read_text(), parse_constant=no_constant)
+        summary = json.loads((outdir / "summary.json").read_text(), parse_constant=no_constant)
+        assert summary["summary"]["report"] == report
+        assert all(report[k] is None for k in nulls)
 
 
 class TestAdjointCommand:

@@ -61,35 +61,34 @@ class TestEvalTrajectory:
 
 
 FAMILIES = {
-    "straight": lambda T, d, beta, kappa: straight_family(T, d),
-    "log-oscillatory": lambda T, d, beta, kappa: log_oscillatory_family(T, d, beta, kappa),
+    "straight": lambda T, beta, kappa: straight_family(T),
+    "log-oscillatory": lambda T, beta, kappa: log_oscillatory_family(T, beta=beta, kappa=kappa),
 }
 
 
 class TestArrayContract:
     @settings(max_examples=40, deadline=None)
     @given(
-        d=st.sampled_from([1, 2, 3]),
         T=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
         beta=st.floats(0.1, 8.0) | st.floats(-8.0, -0.1),
         kappa=st.floats(-2.0, 2.0),
         inner=st.lists(st.floats(0.0, 1.0), max_size=12),
     )
-    def test_stack_is_kron_of_scalar_matrices(self, d, T, beta, kappa, inner):
+    def test_stack_matches_scalar_calls(self, T, beta, kappa, inner):
         # r-arrays always carry both ends, r = 0 and r = 1
         rs = np.array([0.0, *inner, 1.0])
         for make in FAMILIES.values():
-            fam_d, fam_1 = make(T, d, beta, kappa), make(T, 1, beta, kappa)
-            for M_d, M_1 in ((fam_d.A, fam_1.A), (fam_d.B, fam_1.B)):
-                stack = M_d(rs)
-                assert stack.shape == rs.shape + (2 * d, 2 * d)
-                assert M_d(rs.reshape(1, -1)).shape == (1, rs.size, 2 * d, 2 * d)
+            fam = make(T, beta, kappa)
+            for M in (fam.A, fam.B):
+                stack = M(rs)
+                assert stack.shape == rs.shape + (2, 2)
+                assert M(rs.reshape(1, -1)).shape == (1, rs.size, 2, 2)
                 for i, r in enumerate(rs):
-                    np.testing.assert_array_equal(stack[i], np.kron(M_1(r), np.eye(d)))
+                    np.testing.assert_array_equal(stack[i], M(r))
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_calls_do_not_grow_with_the_grid(self, name):
-        fam = FAMILIES[name](1.0, 1, 2.0, 1.0)
+        fam = FAMILIES[name](1.0, 2.0, 1.0)
         calls = []
 
         def counted(M):
@@ -109,15 +108,32 @@ class TestArrayContract:
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_curves_match_a_per_r_loop(self, name):
-        fam = FAMILIES[name](1.3, 2, 3.0, 0.5)
+        fam = FAMILIES[name](1.3, 3.0, 0.5)
         grid = default_r_grid(128)
         rep = check_properties(fam, r_grid=grid)
         det_A = [np.linalg.det(fam.A(r)) for r in grid]
         det_B = [np.linalg.det(fam.B(r)) for r in grid]
-        inv_col = [np.linalg.norm(np.linalg.inv(fam.A(r))[:, 2:]) for r in grid]
+        inv_col = [np.linalg.norm(np.linalg.inv(fam.A(r))[:, 1:]) for r in grid]
         np.testing.assert_allclose(rep.curves["det_A"], det_A, rtol=1e-13, atol=0)
         np.testing.assert_allclose(rep.curves["det_B"], det_B, rtol=1e-13, atol=0)
         np.testing.assert_allclose(rep.curves["inv_column_norm"], inv_col, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: straight_family(float("nan")), "time gap T"),
+        (lambda: straight_family(float("inf")), "time gap T"),
+        (lambda: log_oscillatory_family(1.0, beta=float("inf")), "beta"),
+        (lambda: log_oscillatory_family(1.0, beta=float("nan")), "beta"),
+        (lambda: log_oscillatory_family(1.0, kappa=float("nan")), "kappa"),
+    ],
+    ids=["straight-T-nan", "straight-T-inf", "osc-beta-inf", "osc-beta-nan", "osc-kappa-nan"],
+)
+def test_non_finite_parameter_rejected(make, named):
+    # before check_properties, which would die in PhasePoint on a NaN
+    with pytest.raises(ValueError, match=named):
+        make()
 
 
 class TestStraightFamily:
@@ -174,6 +190,11 @@ class TestLogOscillatoryFamily:
             log_oscillatory_family(0.0)
         with pytest.raises(ValueError):
             log_oscillatory_family(1.0, beta=0.0)
+
+    def test_beta_and_kappa_are_keyword_only(self):
+        # so a call that passes a dimension as the second argument fails instead of setting beta
+        with pytest.raises(TypeError):
+            log_oscillatory_family(1.0, 2.0)
 
     def test_endpoint_matrices(self):
         assert np.allclose(OSC.A(1.0), np.eye(2), atol=1e-12)
@@ -247,7 +268,6 @@ class TestCheckPlumbing:
         dead = TrajectoryFamily(
             name="dead",
             T=1.0,
-            d=1,
             A=lambda r: np.zeros((2, 2)),
             B=lambda r: np.eye(2),
         )
