@@ -53,6 +53,8 @@ class NearDiagonalParams:
     def __post_init__(self):
         if not (0.0 < self.rho0 <= 1.0):
             raise ValueError(f"rho0 must lie in (0, 1], got {self.rho0}")
+        if self.rho0**2 == 0.0:  # default_k0 divides by it
+            raise ValueError(f"rho0 = {self.rho0} is so small that rho0^2 underflows to 0")
         if not (0.0 < self.c0 < np.inf):  # NaN fails it too
             raise ValueError(f"c0 must be positive and finite, got {self.c0}")
 

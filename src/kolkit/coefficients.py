@@ -25,15 +25,25 @@ _KINDS = ("constant", "checkerboard", "oscillatory", "random-piecewise")
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+# the hash's constants as numpy scalars, made once: making a numpy scalar costs about half of
+# a ufunc call on the few hundred entries that a factor build samples
+_U_GOLDEN, _U_M1, _U_M2 = np.uint64(_GOLDEN), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U_11, _U_27, _U_30, _U_31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    # stateless integer hash; lets piecewise-random fields be evaluated at
-    # arbitrary points without carrying RNG state
-    z = (z + np.uint64(_GOLDEN)).astype(np.uint64, copy=False)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _splitmix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # stateless integer hash, in place on the uint64 array z with tmp a scratch array of its shape;
+    # lets piecewise-random fields be evaluated at arbitrary points without carrying RNG state
+    z += _U_GOLDEN
+    np.right_shift(z, _U_30, tmp)
+    z ^= tmp
+    z *= _U_M1
+    np.right_shift(z, _U_27, tmp)
+    z ^= tmp
+    z *= _U_M2
+    np.right_shift(z, _U_31, tmp)
+    z ^= tmp
+    return z
 
 
 def _splitmix64_int(z: int) -> int:
@@ -44,20 +54,39 @@ def _splitmix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _time_round(seed: int, it) -> int:
+    # the round on a 0-d time index (a whole time slice), in Python ints: cheaper than numpy scalars
+    return _splitmix64_int((seed & _MASK64) ^ int(it) * _GOLDEN)
+
+
+def _golden(idx) -> np.ndarray:
+    # a round's input from a cell index: the index as uint64 times _GOLDEN, mod 2^64
+    return idx.astype(np.int64).astype(np.uint64) * _U_GOLDEN
+
+
+def _round(h, g, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # one hash round, out = splitmix64(h ^ g), with out and tmp of the broadcast shape
+    np.bitwise_xor(h, g, out)
+    return _splitmix64(out, tmp)
+
+
+def _unit(h, tmp=None, out=None):
+    # the top 53 bits of each hash as a float in [0, 1)
+    return np.divide(np.right_shift(h, _U_11, tmp), float(1 << 53), out)
+
+
 def _cell_uniform(seed: int, it, ix, iv) -> np.ndarray:
-    # one uniform in [0, 1) per lattice cell, mixing the seed with the indices as h broadcasts;
-    # a 0-d time index (a whole time slice) is mixed in Python ints, cheaper than numpy scalars
-    h = seed & _MASK64
-    rounds = (it, ix, iv)
+    # one uniform in [0, 1) per lattice cell, mixing the seed with the indices as h broadcasts
+    h, rounds = seed & _MASK64, (it, ix, iv)
     if np.ndim(it) == 0:
-        h = _splitmix64_int(h ^ int(it) * _GOLDEN)
-        rounds = (ix, iv)
+        h, rounds = _time_round(seed, it), (ix, iv)
     h = np.uint64(h)
     with np.errstate(over="ignore"):
         for idx in rounds:
-            u = idx.astype(np.int64).astype(np.uint64)
-            h = _splitmix64(h ^ (u * np.uint64(_GOLDEN)))
-    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+            g = _golden(idx)
+            shape = np.broadcast_shapes(np.shape(h), np.shape(g))
+            h = _round(h, g, np.empty(shape, np.uint64), np.empty(shape, np.uint64))
+    return _unit(h)
 
 
 def _classes(kx: np.ndarray, kv: np.ndarray) -> tuple:
@@ -80,18 +109,19 @@ class CoefficientField:
     coefficient (the d x d matrix is value * I).  time_key(t) is a hashable
     identifying a(t, ., .) as a function of (x, v) (None when every t is
     distinct), which lets a solver run reuse one factorization per time
-    slice for piecewise-in-time fields.  classes(x, v) groups the points of
-    two finite 1-d axes on which the field takes the same value at every t,
-    which lets a solver evaluate and factor one grid row per class.
+    slice for piecewise-in-time fields.  bind(x, v) groups the points of
+    two finite 1-d axes on which the field takes the same value at every t
+    and returns a sampler of the field on one point per class, which lets a
+    solver evaluate and factor one grid row per class.
     """
 
-    def __init__(self, kind, params, seed, evaluator, time_key, classes):
+    def __init__(self, kind, params, seed, evaluator, time_key, bind):
         self.kind = kind
         self.params = dict(params)
         self.seed = int(seed)
         self._evaluator = evaluator
         self._time_key = time_key
-        self._classes = classes
+        self._bind = bind
 
     def value(self, t, x, v):
         return np.asarray(self._evaluator(t, x, v), dtype=float)
@@ -99,10 +129,17 @@ class CoefficientField:
     def time_key(self, t):
         return self._time_key(t)
 
-    def classes(self, x, v) -> tuple:
-        """Index arrays (rx, jx, rv, jv) with value(t, x[rx][jx], v[rv][jv]) == value(t, x, v)
-        bit for bit at every t: rx picks one point of each class of x, jx is each point's class."""
-        return self._classes(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    def bind(self, x, v) -> tuple:
+        """(rx, jx, rv, jv, at) for two finite 1-d axes x and v.
+
+        rx picks one point of each class of x and jx is each point's class (rv,
+        jv likewise for v), so value(t, x[rx][jx], v[rv][jv]) == value(t, x, v)
+        bit for bit at every t.  at(t), for a scalar t, is value(t,
+        x[rx][:, None], v[rv][None, :]) bit for bit, shape (rx.size, rv.size):
+        what does not depend on t is computed here, once, and at(t) returns an
+        array of the binding that the caller reads before its next call.
+        """
+        return self._bind(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
     def descriptor(self) -> dict:
         # every field is a coefficient of the d = 1 solver
@@ -164,10 +201,12 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
         def evaluator(t, x, v, a0=a0):
             return np.broadcast_to(a0, np.broadcast(np.asarray(t), np.asarray(x), np.asarray(v)).shape).copy()
 
-        def classes(x, v):
-            return _classes(np.zeros(x.size), np.zeros(v.size))
+        def bind(x, v):
+            rx, jx, rv, jv = _classes(np.zeros(x.size), np.zeros(v.size))
+            a = evaluator(0.0, x[rx][:, None], v[rv][None, :])
+            return rx, jx, rv, jv, lambda t: a
 
-        return CoefficientField(kind, params, seed, evaluator, lambda t: 0, classes)
+        return CoefficientField(kind, params, seed, evaluator, lambda t: 0, bind)
 
     if kind == "oscillatory":
         base = _param(params, "base", 1.0)
@@ -179,20 +218,27 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
             raise ValueError(f"oscillatory field loses ellipticity: base {base}, amplitude {amp}")
         params = {"base": base, "amplitude": amp, "freq_x": fx, "freq_v": fv, "freq_t": ft}
 
-        def evaluator(t, x, v, base=base, amp=amp, fx=fx, fv=fv, ft=ft):
-            mod = np.sin(2 * np.pi * fx * np.asarray(x, dtype=float)) * np.sin(
-                2 * np.pi * fv * np.asarray(v, dtype=float)
-            )
-            if ft != 0.0:
-                mod = mod * np.cos(2 * np.pi * ft * np.asarray(t, dtype=float))
-            return base + amp * mod
+        def wave(u, f):
+            return np.sin(2 * np.pi * f * np.asarray(u, dtype=float))
 
-        def classes(x, v):
+        def modulated(mod, t, out=None):
+            # base + amp mod cos(2 pi ft t), into out when given
+            if ft != 0.0:
+                mod = np.multiply(mod, np.cos(2 * np.pi * ft * np.asarray(t, dtype=float)), out=out)
+            return np.add(base, np.multiply(amp, mod, out=out), out=out)
+
+        def evaluator(t, x, v):
+            return modulated(wave(x, fx) * wave(v, fv), t)
+
+        def bind(x, v):
             # sin(2 pi 0 u) is +-0, so a zero frequency leaves a value that its axis cannot change
-            return _classes(np.arange(x.size) * (fx != 0.0), np.arange(v.size) * (fv != 0.0))
+            rx, jx, rv, jv = _classes(np.arange(x.size) * (fx != 0.0), np.arange(v.size) * (fv != 0.0))
+            mod = wave(x[rx][:, None], fx) * wave(v[rv][None, :], fv)
+            out = np.empty_like(mod)
+            return rx, jx, rv, jv, lambda t: modulated(mod, t, out)
 
         time_key = (lambda t: None) if ft != 0.0 else (lambda t: 0)
-        return CoefficientField(kind, params, seed, evaluator, time_key, classes)
+        return CoefficientField(kind, params, seed, evaluator, time_key, bind)
 
     cells = _param(params, "cells", (0.25, 0.25, 0.25), 3)
     if any(c <= 0 for c in cells):
@@ -217,16 +263,22 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
             raise ValueError(f"checkerboard values must satisfy 0 < lo <= hi, got ({lo}, {hi})")
         params = {"values": [lo, hi], "cells": list(cells), "origin": list(origin)}
 
-        def evaluator(t, x, v, lo=lo, hi=hi):
+        def pick(total):
+            return np.where((total & 1) == 0, lo, hi).astype(float)
+
+        def evaluator(t, x, v):
             it, ix, iv = cell_index(t, x, v)
-            parity = (it + ix + iv) & 1
-            return np.where(parity == 0, lo, hi).astype(float)
+            return pick(it + ix + iv)
 
-        def classes(x, v):
+        def bind(x, v):
             # the value depends on each index through its parity only
-            return _classes(index(x, ox, cx) & 1, index(v, ov, cv) & 1)
+            kx, kv = index(x, ox, cx), index(v, ov, cv)
+            rx, jx, rv, jv = _classes(kx & 1, kv & 1)
+            total = kx[rx][:, None] + kv[rv][None, :]
+            slices = pick(total), pick(total + 1)  # at an even and an odd time index
+            return rx, jx, rv, jv, lambda t: slices[index(t, ot, ct) & 1]
 
-        return CoefficientField(kind, params, seed, evaluator, time_key, classes)
+        return CoefficientField(kind, params, seed, evaluator, time_key, bind)
 
     # random-piecewise
     vmin, vmax = _param(params, "values_range", (0.5, 2.0), 2)
@@ -234,19 +286,34 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
         raise ValueError(f"values_range must satisfy 0 < vmin <= vmax, got ({vmin}, {vmax})")
     params = {"values_range": [vmin, vmax], "cells": list(cells), "origin": list(origin)}
 
-    def evaluator(t, x, v, vmin=vmin, vmax=vmax, seed=seed):
-        it, ix, iv = cell_index(t, x, v)
-        u = _cell_uniform(seed, it, ix, iv)
-        return vmin + (vmax - vmin) * u
+    def scaled(u, out=None):
+        # vmin + (vmax - vmin) u, into out when given
+        return np.add(vmin, np.multiply(vmax - vmin, u, out), out)
 
-    def classes(x, v):
-        return _classes(index(x, ox, cx), index(v, ov, cv))
+    def evaluator(t, x, v):
+        return scaled(_cell_uniform(seed, *cell_index(t, x, v)))
 
-    return CoefficientField(kind, params, seed, evaluator, time_key, classes)
+    def bind(x, v):
+        # the x and v rounds' inputs once; at(t) runs the time round and the two array rounds
+        # in place, on arrays made here
+        kx, kv = index(x, ox, cx), index(v, ov, cv)
+        rx, jx, rv, jv = _classes(kx, kv)
+        gx, gv = _golden(kx[rx])[:, None], _golden(kv[rv])[None, :]
+        hx, tx = np.empty_like(gx), np.empty_like(gx)
+        h, tmp = np.empty((rx.size, rv.size), np.uint64), np.empty((rx.size, rv.size), np.uint64)
+        out = np.empty(h.shape)
+
+        def at(t):
+            _round(np.uint64(_time_round(seed, index(t, ot, ct))), gx, hx, tx)
+            return scaled(_unit(_round(hx, gv, h, tmp), tmp, out), out)
+
+        return rx, jx, rv, jv, at
+
+    return CoefficientField(kind, params, seed, evaluator, time_key, bind)
 
 
 def _mapped_field(kind, params, base, t_map, sx, sv) -> CoefficientField:
-    # base at (t_map(t), sx x, sv v): one map for the evaluator, the time key and the classes;
+    # base at (t_map(t), sx x, sv v): one map for the evaluator, the time key and the binding;
     # a time key is the base's, as a Stepper only compares keys of its own field
     def evaluator(t, x, v):
         return base.value(
@@ -256,10 +323,11 @@ def _mapped_field(kind, params, base, t_map, sx, sv) -> CoefficientField:
     def time_key(t):
         return base.time_key(t_map(float(t)))
 
-    def classes(x, v):
-        return base.classes(sx * x, sv * v)
+    def bind(x, v):
+        rx, jx, rv, jv, at = base.bind(sx * x, sv * v)
+        return rx, jx, rv, jv, lambda t: at(t_map(t))
 
-    return CoefficientField(kind, {**params, "base": base.descriptor()}, base.seed, evaluator, time_key, classes)
+    return CoefficientField(kind, {**params, "base": base.descriptor()}, base.seed, evaluator, time_key, bind)
 
 
 def dilated_field(base: CoefficientField, r: float) -> CoefficientField:

@@ -45,7 +45,7 @@ class GWeight:
     def __post_init__(self):
         if not (0.0 < self.R < np.inf):  # NaN fails it too
             raise ValueError(f"truncation radius must be positive and finite, got {self.R}")
-        tail = np.exp(-np.pi * self.R**2)
+        tail = np.exp(-np.pi * self.R * self.R)  # R * R reads inf where R**2 raises OverflowError
         if tail > 1e-10:
             raise ValueError(f"truncation radius {self.R} leaves a weight tail of {tail:.2e}")
 
@@ -58,7 +58,7 @@ class GWeight:
         X, V = grid.meshes()
         r2 = X**2 + V**2
         w = np.exp(-np.pi * r2)
-        w[r2 > self.R**2] = 0.0
+        w[r2 > self.R * self.R] = 0.0
         return w
 
 

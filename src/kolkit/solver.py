@@ -35,11 +35,14 @@ the sweep's courant row and scratch arrays, once per run.  A step writes into
 one fresh array of its own, so a returned Field never aliases that scratch.
 
 A factor build costs per distinct x-row of the coefficient, not per grid
-row.  The constructor takes the field's classes on the grid axes
-(`CoefficientField.classes`) once; each build evaluates the field at one
-point per class, factors one row per x-class as one system (the v-walls
-decouple the x-rows, so each row's factor depends on its own coefficients
-only), and copies each class's factor row to the grid rows of that class.
+row.  The constructor binds the field to the grid axes
+(`CoefficientField.bind`) once, which groups each axis into classes and
+does the sampling work that does not depend on t; each build samples the
+field at one point per class with the binding's `at(t)`, factors one row
+per x-class as one system (the v-walls decouple the x-rows, so each row's
+factor depends on its own coefficients only), and copies each class's
+factor row to the grid rows of that class.  The binding belongs to the
+stepper, never to the field.
 
 With record_every=k a run also keeps its space-time history, one
 `SpaceTimeField` (`EvolveResult.history`, `KernelEstimate.history`) holding
@@ -455,10 +458,9 @@ class Stepper:
         # read through the module: the first stepper of a process loads LAPACK, and a patched routine is used
         self.pttrf, self.pttrs = (getattr(sys.modules[__name__], n) for n in ("dpttrf", "dpttrs"))
         self._key = self._ld = None
-        # the coefficient's classes on the grid axes: a build evaluates it at one point per
-        # class and factors one x-row per x-class, the class's representative row
-        self.rx, self.jx, rv, self.jv = field.classes(grid.x_centers, grid.v_centers)
-        self.xr, self.vr = grid.x_centers[self.rx][:, None], grid.v_centers[rv][None, :]
+        # the coefficient bound to the grid axes: a build samples it at one point per class
+        # and factors one x-row per x-class, the class's representative row
+        self.rx, self.jx, _, self.jv, self.at = field.bind(grid.x_centers, grid.v_centers)
         # on the representative rows, x-major: the interface harmonic means (zero at the
         # v-walls), pttrf's diagonal, and its off-diagonal with one spare entry; then the
         # factor of every row, with one spare entry in e
@@ -477,12 +479,11 @@ class Stepper:
         """
         grid, ah, diag, off = self.grid, self.ah, self.diag, self.off
         rows = (self.rx.size, grid.Nv)
-        a = self.field.value(t_sub, self.xr, self.vr)
+        a = self.at(t_sub)
         if (a <= 0).any():
             raise SolverError(f"coefficient is not positive on the grid at t={t_sub}")
         # the representative rows at full width, held in off until off is written
-        a = np.broadcast_to(a, (rows[0], self.vr.size))
-        np.take(a, self.jv, axis=1, out=off.reshape(rows), mode="clip")
+        a.take(self.jv, axis=1, out=off.reshape(rows), mode="clip")
         a = off
         # ah = 2 al ar / (al + ar) in flat order, sum held in diag; pairs across x-rows are walls
         al, ar, hm = a[:-1], a[1:], ah[1:-1]
@@ -504,8 +505,8 @@ class Stepper:
             raise SolverError(f"diffusion matrix is not positive definite at t={t_sub} (info={info})")
         # each row is its class's row; off's spare entry is the last row's wall, -0.0
         full = (grid.Nx, grid.Nv)
-        np.take(diag.reshape(rows), self.jx, axis=0, out=self.d.reshape(full), mode="clip")
-        np.take(off.reshape(rows), self.jx, axis=0, out=self.e.reshape(full), mode="clip")
+        diag.reshape(rows).take(self.jx, axis=0, out=self.d.reshape(full), mode="clip")
+        off.reshape(rows).take(self.jx, axis=0, out=self.e.reshape(full), mode="clip")
         return self.d, self.e[:-1]
 
     def solve(self, t_sub: float, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -572,6 +573,8 @@ def evolve(
     span = t_final - state.t
     if not (0 <= span < np.inf):
         raise ConfigError(f"t_final={t_final} is before state time {state.t} or not finite")
+    if not (span / config.dt < np.inf):  # round would raise OverflowError
+        raise ConfigError(f"dt={config.dt} is too small for the time span {span}: span / dt is not finite")
     n = int(round(span / config.dt))
     if abs(n * config.dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ConfigError(f"dt={config.dt} does not divide the time span {span}")

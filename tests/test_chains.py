@@ -161,6 +161,12 @@ class TestParams:
         with pytest.raises(ValueError):
             NearDiagonalParams(c0=-1.0)
 
+    @pytest.mark.parametrize("rho0", [5e-324, 1e-300])
+    def test_rho0_whose_square_underflows(self, rho0):
+        # default_k0 divides by rho0^2
+        with pytest.raises(ValueError, match="rho0"):
+            NearDiagonalParams(rho0=rho0)
+
     @pytest.mark.parametrize("c0", [np.nan, np.inf])
     def test_c0_must_be_positive_and_finite(self, c0):
         with pytest.raises(ValueError, match="c0"):

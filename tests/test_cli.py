@@ -113,10 +113,16 @@ class TestSimulate:
 
 
 # values that pass their field's type and are rejected by the first run that
-# takes them: record_every by the first kernel run
+# takes them: record_every and a dt too small for the span by the first kernel run
 CHECKED_BY_FIRST_RUN = {
     "level-set-record_every-0",
     "level-set-record_every-negative",
+    "simulate-dt-subnormal",
+    "simulate-t_final-huge",
+    "verify-bounds-dt-subnormal",
+    "g-bound-dt-subnormal",
+    "level-set-dt-subnormal",
+    "adjoint-dt-subnormal",
 }
 
 
@@ -292,6 +298,15 @@ class TestConfigErrors:
             ("adjoint", {"field": {"kind": "constant", "d": 2}}, "field: config field 'd' must be 1"),
             ("g-bound", {"ensemble": [{"kind": "constant"}, {"kind": "constant", "d": 2}]}, "ensemble[1]: config"),
             ("level-set", {"ensemble": {"kind": "constant", "seeds": [1, 2], "d": 3}}, "ensemble(seed=1): config"),
+            ("simulate", {"solver": {**BASE_SOLVER, "dt": 5e-324}}, "dt=5e-324"),
+            ("simulate", {"t_final": 1e308}, "time span 1e+308"),
+            ("verify-bounds", {"solver": {**BASE_SOLVER, "dt": 5e-324}}, "dt=5e-324"),
+            ("g-bound", {"solver": {**BASE_SOLVER, "dt": 5e-324}}, "dt=5e-324"),
+            ("level-set", {"solver": {**BASE_SOLVER, "dt": 5e-324}}, "dt=5e-324"),
+            ("adjoint", {"solver": {**BASE_SOLVER, "dt": 5e-324}}, "dt=5e-324"),
+            ("chain", {"Xbar": [0.0], "Vbar": [1.0], "rho0": 5e-324}, "rho0"),
+            ("chain", {"Xbar": [0.0], "Vbar": [1.0], "rho0": 1e-300}, "rho0"),
+            ("g-bound", {"weight_radius": 1e300}, "weight ball of radius 1e+300"),
         ],
         ids=[
             "g-bound",
@@ -384,6 +399,15 @@ class TestConfigErrors:
             "adjoint-field-d-2",
             "g-bound-ensemble-entry-d-2",
             "level-set-ensemble-base-d-3",
+            "simulate-dt-subnormal",
+            "simulate-t_final-huge",
+            "verify-bounds-dt-subnormal",
+            "g-bound-dt-subnormal",
+            "level-set-dt-subnormal",
+            "adjoint-dt-subnormal",
+            "chain-rho0-subnormal",
+            "chain-rho0-underflowing-square",
+            "g-bound-weight_radius-huge",
         ],
     )
     def test_out_of_range_value_is_config_error(

@@ -259,13 +259,41 @@ class TestPerShapeEvaluation:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
         if case == "meshes":
-            # one evaluation per class of each grid axis, gathered back to the grid, is the
-            # grid's evaluation; a constant takes one class and a checkerboard two per axis
-            rx, jx, rv, jv = f.classes(x[:, 0], v[0])
-            rep = np.broadcast_to(f.value(t, x[rx], v[:, rv]), (rx.size, rv.size))
+            # the binding's sample at one point per class of each grid axis is the evaluation
+            # there, and gathered back to the grid it is the grid's evaluation; a constant takes
+            # one class and a checkerboard two per axis
+            rx, jx, rv, jv, at = f.bind(x[:, 0], v[0])
+            rep, at_reps = at(t), f.value(t, x[rx], v[:, rv])
+            assert rep.shape == at_reps.shape == (rx.size, rv.size)
+            assert rep.dtype == at_reps.dtype and rep.tobytes() == at_reps.tobytes()
             assert np.array_equal(rep[jx][:, jv], np.broadcast_to(want, (x.size, v.size)))
             most = {"constant": 1, "checkerboard": 2}.get(kind, max(x.size, v.size))
             assert rx.size <= most and rv.size <= most
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["constant", "checkerboard", "oscillatory", "random-piecewise"]),
+        wrap=st.sampled_from(["direct", "dilated", "reversed"]),
+        cells=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+        times=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        n=st.integers(0, 9),
+        m=st.integers(0, 9),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_a_binding_samples_as_a_fresh_one(self, kind, wrap, cells, times, n, m, seed):
+        # a sample overwrites the binding's arrays; the next one must not read what it left
+        params = {"oscillatory": {"freq_t": 1.0}}.get(kind, {"cells": cells, "random_origin": True})
+        f = make_field(kind, params, seed=seed)
+        if wrap == "dilated":
+            f = dilated_field(f, 1.7)
+        elif wrap == "reversed":
+            f = reversed_flipped_field(f, 2.0)
+        grid = Grid(Lx=4.0, Lv=3.0, Nx=16 + n, Nv=16 + m)
+        at = f.bind(grid.x_centers, grid.v_centers)[-1]
+        t1, t2 = times
+        for t in (t1, t2, t1):
+            got = at(t).tobytes()
+            assert got == f.bind(grid.x_centers, grid.v_centers)[-1](t).tobytes()
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)

@@ -64,6 +64,12 @@ class TestGWeight:
         small = Grid(Lx=3.0, Lv=5.0, Nx=32, Nv=32)
         with pytest.raises(DomainError):
             GWeight().values(small)
+        # R^2 overflows; neither the tail check nor the truncation may raise OverflowError
+        with pytest.raises(DomainError):
+            GWeight(R=1e300).values(GRID)
+        huge = Grid(Lx=1e300, Lv=1e300, Nx=16, Nv=16)
+        with np.errstate(over="ignore"):  # X^2 + V^2 reads inf on every cell of this box
+            assert not GWeight(R=1e200).values(huge).any()
 
 
 class TestGFunctional:

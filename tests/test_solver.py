@@ -167,6 +167,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match="t_final"):
                 evolve(f, CONST, SolverConfig(dt=0.01), t_final)
 
+    @pytest.mark.parametrize("dt, t_final", [(5e-324, 0.5), (0.01, 1e308)], ids=["dt-subnormal", "t_final-huge"])
+    def test_step_count_that_is_not_finite_is_config_error(self, dt, t_final):
+        # span / dt overflows to inf, which round() cannot take
+        f = init_delta((0.0, 0.0), 0.3, Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64))
+        with pytest.raises(ConfigError, match=f"dt={dt}"):
+            evolve(f, CONST, SolverConfig(dt=dt), t_final)
+
     def test_cfl_enforced_at_step(self):
         g = Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64)
         f = init_delta((0.0, 0.0), 0.3, g)
@@ -327,17 +334,23 @@ class TestFactorCache:
         rough = make_field(kind, {"cells": cells, "random_origin": True}, seed=seed)
         state = init_delta((0.0, 0.0), (2 * grid.dx, 2 * grid.dv), grid)
 
+        # every build samples the run's binding once
         builds = 0
-        value = rough.value
+        bind = rough.bind
 
-        def counting_value(*args):
-            nonlocal builds
-            builds += 1
-            return value(*args)
+        def counting_bind(x, v):
+            *classes, at = bind(x, v)
 
-        rough.value = counting_value
+            def counting_at(t):
+                nonlocal builds
+                builds += 1
+                return at(t)
+
+            return *classes, counting_at
+
+        rough.bind = counting_bind
         res = evolve(state, rough, config, n_steps * config.dt)
-        rough.value = value
+        del rough.bind
 
         loop = state
         for _ in range(n_steps):
@@ -654,7 +667,7 @@ class TestStepper:
         config = SolverConfig(dt=0.02)
         want = Stepper(rough, grid, config).solve(good, rhs)
 
-        builds, failing, real_dpttrf, value = [], [], solver_module.dpttrf, rough.value
+        builds, failing, real_dpttrf, bind = [], [], solver_module.dpttrf, rough.bind
 
         def dpttrf(d, e, **kw):
             # the real factorization, in place, reported as failed while failing is set
@@ -664,7 +677,12 @@ class TestStepper:
 
         monkeypatch.setattr(solver_module, "dpttrf", dpttrf)
         if failure == "nonpositive coefficient":
-            monkeypatch.setattr(rough, "value", lambda t, x, v: value(t, x, v) * (-1.0 if t == bad else 1.0))
+
+            def negated_at_bad(x, v):
+                *classes, at = bind(x, v)
+                return *classes, lambda t: at(t) * (-1.0 if t == bad else 1.0)
+
+            monkeypatch.setattr(rough, "bind", negated_at_bad)
 
         stepper = Stepper(rough, grid, config)
         assert stepper.solve(good, rhs).tobytes() == want.tobytes()
