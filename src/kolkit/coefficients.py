@@ -130,15 +130,10 @@ class CoefficientField:
         return self._time_key(t)
 
     def bind(self, x, v) -> tuple:
-        """(rx, jx, rv, jv, at) for two finite 1-d axes x and v.
-
-        rx picks one point of each class of x and jx is each point's class (rv,
-        jv likewise for v), so value(t, x[rx][jx], v[rv][jv]) == value(t, x, v)
-        bit for bit at every t.  at(t), for a scalar t, is value(t,
-        x[rx][:, None], v[rv][None, :]) bit for bit, shape (rx.size, rv.size):
-        what does not depend on t is computed here, once, and at(t) returns an
-        array of the binding that the caller reads before its next call.
-        """
+        """(rx, jx, rv, jv, at) for finite 1-d axes: x[rx] has one point per class of x and jx
+        is each point's class (v likewise), so value(t, x[rx][jx], v[rv][jv]) == value(t, x, v)
+        at every t; at(t), bit for bit, is value(t, x[rx][:, None], v[rv][None, :]) from work
+        done here once, in an array that a later call may overwrite."""
         return self._bind(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
     def descriptor(self) -> dict:
