@@ -25,6 +25,13 @@ no pivoting.  Rounding lies outside this argument: a negative value or a
 -0.0 made by a step would show in the tests' min >= 0 and sign-bit checks,
 not be hidden.
 
+A step runs only the x-rows [lo, Nx - lo), lo = min(first, Nx - 1 - last) - 3
+for its input's first and last nonzero rows (all rows if lo < 3, off the
+periodic seam): the PPM stencil reaches 3 rows, and the sweep loads v < 0
+mirrored.  For an input without a -0.0 (no step makes one) that is the full
+grid's result bit for bit: a zero row solves to +0.0, the walls' -0.0
+couplings keep rows apart in pttrs, and an all-zero stencil sweeps to +0.0.
+
 dpttrf/dpttrs come from scipy's compiled `_flapack` module, which the first
 `Stepper` of a process loads, without `scipy.linalg`'s package init; a
 process that never steps never imports scipy.
@@ -140,6 +147,11 @@ class Grid:
             raise ConfigError(f"box half-widths must be positive and finite, got ({self.Lx}, {self.Lv})")
         if self.Nx < 16 or self.Nv < 16:
             raise ConfigError(f"need at least 16 cells per axis, got ({self.Nx}, {self.Nv})")
+        # the diffusion factor divides by dv^2 and the closed-form kernel squares dx;
+        # a normal square also makes the width itself normal
+        for name, h in (("dx", self.dx), ("dv", self.dv)):
+            if not (np.finfo(float).tiny <= h * h < np.inf):
+                raise ConfigError(f"cell width {name}={h} has a square that is not a normal float")
 
     @property
     def dx(self) -> float:
@@ -332,7 +344,9 @@ class _Sweep:
     every column moves right with c = |courant|, and those columns go back
     through out[::-1] (only zeros of -0.0 input can change sign).  Rows go
     in blocks of about _SWEEP_CELLS cells; the pad, the block-sized scratch
-    and the per-block views are made once.  out (fresh when None) may be f.
+    and the full grid's per-block views are made once; lo > 0 sweeps the rows
+    [lo, Nx - lo) in blocks cut per call (f is zero off [lo + 3, Nx - lo - 3)).
+    out (fresh when None) may be f.
     """
 
     def __init__(self, courant: np.ndarray, shape: tuple):
@@ -343,26 +357,35 @@ class _Sweep:
         self.half, self.shape = 0.5 * self.c, 1.0 - (2.0 / 3.0) * self.c
         # the mirrored input, 3 periodic ghost rows before and 2 after: row r holds cell r - 3
         self.pad = np.empty((nx + 5, nv))
-        n = -(-nx // -(-nx * nv // _SWEEP_CELLS))  # rows per block
+        self.n = -(-nx // -(-nx * nv // _SWEEP_CELLS))  # rows per block
         # separate arrays: freeing one stacked ~1 MB array would raise glibc's mmap threshold and
         # speed up the 128 KiB temporaries of the kernel that perfbench's norm_wall_s divides by
-        self.scratch = [np.empty((n + 2, nv), dtype=t) for t in [float] * 7 + [bool] * 2]
-        self.blocks = []
-        for a in range(0, nx, n):
-            # block [a, a + m) reads pad rows a .. a + m + 4 (cells a - 3 .. a + m + 1); e, lo, hi
-            # hold the faces a - 3/2 .. a + m - 1/2, the rest the cells a - 1 .. a + m - 1
-            m, p = min(n, nx - a), self.pad[a : a + n + 5]
-            e, lo, hi = (u[: m + 2] for u in self.scratch[:3])
-            cells = [u[: m + 1] for u in self.scratch[1:]]
-            views = (p[2:-2], p[3:-2], e[: m + 1], lo[:m], p[:-3], p[1:-2], p[2:-1], p[3:])
-            self.blocks.append((a, a + m, *views, e, lo, hi, *cells))
+        self.scratch = [np.empty((self.n + 2, nv), dtype=t) for t in [float] * 7 + [bool] * 2]
+        self.blocks = self._cut(0, nx)
 
-    def _load(self, f: np.ndarray, out) -> np.ndarray:
-        # columns [:k] reversed in x, then the periodic ghost rows
-        p, k = self.pad, self.k
-        p[3:-2, k:], p[3:-2, :k] = f[:, k:], f[::-1, :k]
-        p[:3], p[-2:] = p[-5:-2], p[3:5]
-        return np.empty_like(f) if out is None else out
+    def _cut(self, lo: int, hi: int) -> list:
+        """The row blocks of the cells [lo, hi), as views of the pad and the scratch."""
+        blocks = []
+        for a in range(lo, hi, self.n):
+            # block [a, a + m) reads pad rows a .. a + m + 4 (cells a - 3 .. a + m + 1); e, emin and
+            # emax hold the faces a - 3/2 .. a + m - 1/2, the rest the cells a - 1 .. a + m - 1
+            m = min(self.n, hi - a)
+            p = self.pad[a : a + m + 5]
+            e, emin, emax = (u[: m + 2] for u in self.scratch[:3])
+            cells = [u[: m + 1] for u in self.scratch[1:]]
+            views = (p[2:-2], p[3:-2], e[: m + 1], emin[:m], p[:-3], p[1:-2], p[2:-1], p[3:])
+            blocks.append((a, a + m, *views, e, emin, emax, *cells))
+        return blocks
+
+    def _load(self, f: np.ndarray, out, lo: int) -> tuple:
+        # the cells lo - 3 .. Nx - lo + 1 that the window's blocks read, columns [:k] reversed
+        # in x; the full grid (lo = 0) reads 3 periodic ghost rows before it and 2 after
+        p, k, nx = self.pad, self.k, len(f)
+        a, b = (3, nx + 3) if lo == 0 else (lo, nx - lo + 5)
+        p[a:b, k:], p[a:b, :k] = f[a - 3 : b - 3, k:], f[::-1][a - 3 : b - 3, :k]
+        if lo == 0:
+            p[:3], p[-2:] = p[-5:-2], p[3:5]
+        return np.zeros_like(f) if out is None else out, self.blocks if lo == 0 else self._cut(lo, nx - lo)
 
     def _update(self, out, a, b, g, flux, t) -> None:
         # g - c (F_{i+1/2} - F_{i-1/2}) on the cells a .. b - 1; columns [:k] go back mirrored
@@ -372,29 +395,29 @@ class _Sweep:
         np.subtract(g[:, k:], t[:, k:], out=out[a:b, k:])
         np.subtract(g[:, :k], t[:, :k], out=out[::-1][a:b, :k])
 
-    def upwind(self, f: np.ndarray, out=None) -> np.ndarray:
-        out = self._load(f, out)
-        for a, b, cells, g, _, t, *_ in self.blocks:
+    def upwind(self, f: np.ndarray, out=None, lo: int = 0) -> np.ndarray:
+        out, blocks = self._load(f, out, lo)
+        for a, b, cells, g, _, t, *_ in blocks:
             self._update(out, a, b, g, cells, t)
         return out
 
-    def ppm(self, f: np.ndarray, out=None) -> np.ndarray:
-        out = self._load(f, out)
+    def ppm(self, f: np.ndarray, out=None, lo: int = 0) -> np.ndarray:
+        out, blocks = self._load(f, out, lo)
         for (a, b, f, g, flux, t, fm2, fm1, f0, fp1,
-             e, lo, hi, t1, t2, fl, fr, d, f6, m1, m2) in self.blocks:
+             e, emin, emax, t1, t2, fl, fr, d, f6, m1, m2) in blocks:
             # f holds the cells a - 1 .. b - 1; e holds their faces, then their fluxes
             # e = (7 (fm1 + f0) - (fm2 + fp1)) / 12
             np.add(fm1, f0, out=e)
             np.multiply(7.0, e, out=e)
-            np.add(fm2, fp1, out=lo)
-            np.subtract(e, lo, out=e)
+            np.add(fm2, fp1, out=emin)
+            np.subtract(e, emin, out=e)
             np.divide(e, 12.0, out=e)
             # clamping the face value into the adjacent-cell range keeps the
             # reconstruction (and hence the update) nonnegative for |c| <= 1
-            np.minimum(fm1, f0, out=lo)
-            np.maximum(fm1, f0, out=hi)
-            np.maximum(e, lo, out=e)
-            np.minimum(e, hi, out=e)
+            np.minimum(fm1, f0, out=emin)
+            np.maximum(fm1, f0, out=emax)
+            np.maximum(e, emin, out=e)
+            np.minimum(e, emax, out=e)
             fl[...], fr[...] = e[:-1], e[1:]
 
             # ext = (fr - f) (f - fl) <= 0
@@ -509,29 +532,48 @@ class Stepper:
         off.reshape(rows).take(self.jx, axis=0, out=self.e.reshape(full), mode="clip")
         return self.d, self.e[:-1]
 
-    def solve(self, t_sub: float, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Backward-Euler diffusion of rhs, coefficient frozen at t_sub; overwrite may reuse rhs."""
+    def solve(self, t_sub: float, rhs: np.ndarray, overwrite: bool = False, lo: int = 0) -> np.ndarray:
+        """Backward-Euler diffusion of rhs, coefficient frozen at t_sub; overwrite may reuse rhs.
+
+        Only the rows [lo, Nx - lo) are solved; rhs must be zero off them.
+        """
         key = self.field.time_key(t_sub)
         if key is None or key != self._key:
             self._key = None  # a build that raises leaves the slot empty, not half-overwritten
             self._ld = self._diffusion_factor(t_sub)
             self._key = key
-        x, _ = self.pttrs(*self._ld, rhs.reshape(-1, 1), overwrite_b=overwrite)
-        return x.reshape(rhs.shape)
+        nx, nv = rhs.shape
+        # pttrs solves in place only in a C-contiguous float array
+        x = np.ascontiguousarray(rhs, dtype=float) if overwrite else np.array(rhs, dtype=float, order="C")
+        # the v-walls decouple the x-rows, so the window's rows are one contiguous system
+        (d, e), a, b = self._ld, lo * nv, (nx - lo) * nv
+        self.pttrs(d[a:b], e[a : b - 1], x[lo : nx - lo].reshape(-1, 1), overwrite_b=1)
+        return x
 
     def step(self, state: Field) -> Field:
         """One Strang step of state, which must lie on the stepper's grid."""
         if state.grid != self.grid:
             raise ConfigError(f"state grid {state.grid.descriptor()} is not the stepper's grid")
         t, dt = state.t, self.config.dt
+        lo = _row_window(state.values)
         # the first solve makes the step's own array; every later stage writes into it
-        f = self.solve(t + 0.25 * dt, state.values)
-        self.transport(f, out=f)
-        f = self.solve(t + 0.75 * dt, f, overwrite=True)
+        f = self.solve(t + 0.25 * dt, state.values, lo=lo)
+        self.transport(f, out=f, lo=lo)
+        f = self.solve(t + 0.75 * dt, f, overwrite=True, lo=lo)
         try:
             return Field(f, t + dt, self.grid)
         except ValueError:
             raise SolverError(f"non-finite values after step at t={t}") from None
+
+
+def _row_window(f: np.ndarray) -> int:
+    """lo of the rows [lo, Nx - lo) that a step of f must compute; 0 is the full grid."""
+    if f[:: len(f) - 1].any():  # an edge row is nonzero: the support reaches the periodic seam
+        return 0
+    rows = np.flatnonzero(f.any(axis=1))
+    # 3 rows of stencil reach past the support on each side, kept off the seam
+    lo = min(rows[0], len(f) - 1 - rows[-1]) - 3 if rows.size else 0
+    return int(lo) if lo >= 3 else 0
 
 
 def step(state: Field, field: CoefficientField, config: SolverConfig, stepper: Stepper | None = None) -> Field:
@@ -547,6 +589,10 @@ def step(state: Field, field: CoefficientField, config: SolverConfig, stepper: S
     elif stepper.field is not field or stepper.config != config:
         raise ConfigError("the stepper was built for another coefficient field or solver config")
     return stepper.step(state)
+
+
+# the most steps one run may take
+_MAX_STEPS = 10**6
 
 
 @dataclass
@@ -573,8 +619,11 @@ def evolve(
     span = t_final - state.t
     if not (0 <= span < np.inf):
         raise ConfigError(f"t_final={t_final} is before state time {state.t} or not finite")
-    if not (span / config.dt < np.inf):  # round would raise OverflowError
-        raise ConfigError(f"dt={config.dt} is too small for the time span {span}: span / dt is not finite")
+    # the cap bounds a run's work, and keeps round() off an infinite span / dt
+    if not (span / config.dt <= _MAX_STEPS):
+        raise ConfigError(
+            f"dt={config.dt} is too small for the time span {span}: more than {_MAX_STEPS} steps"
+        )
     n = int(round(span / config.dt))
     if abs(n * config.dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ConfigError(f"dt={config.dt} does not divide the time span {span}")

@@ -76,6 +76,16 @@ def eval_trajectory(fam: TrajectoryFamily, r: float, endpoints) -> PhasePoint:
     return PhasePoint(t=t0 + fam.T * r, x=x, v=v)
 
 
+def _family(name: str, T: float, A, B) -> TrajectoryFamily:
+    """The family, once A and B are finite at r = 0 and 1 (a tiny T or beta overflows them)."""
+    ends = np.array([0.0, 1.0])
+    with np.errstate(all="ignore"):  # the overflow is what this checks for
+        finite = np.isfinite(_matrices(A, ends)).all() and np.isfinite(_matrices(B, ends)).all()
+    if not finite:
+        raise ValueError(f"{name} with T={T} has matrices A(r), B(r) that are not finite at r = 0 or 1")
+    return TrajectoryFamily(name=name, T=T, A=A, B=B)
+
+
 def _stack(m00, m01, m10, m11):
     """[[m00, m01], [m10, m11]] for every r: shape r.shape + (2, 2)."""
     return np.stack([np.stack([m00, m01], -1), np.stack([m10, m11], -1)], -2)
@@ -107,7 +117,7 @@ def straight_family(T: float) -> TrajectoryFamily:
             1 - 4 * r + 3 * r**2,
         )
 
-    return TrajectoryFamily(name="straight", T=T, A=A, B=B)
+    return _family("straight", T, A, B)
 
 
 def _osc_coeffs(beta: float, kappa: float, T: float):
@@ -167,7 +177,7 @@ def log_oscillatory_family(T: float, *, beta: float = 2.0, kappa: float = 1.0) -
         (x_x, v_x), (x_v, v_v) = entries(r, 1.0, 0.0, 0.0, 0.0), entries(r, 0.0, 1.0, 0.0, 0.0)
         return _stack(x_x, x_v, v_x, v_v)
 
-    return TrajectoryFamily(name=f"log-oscillatory(beta={beta}, kappa={kappa})", T=T, A=A, B=B)
+    return _family(f"log-oscillatory(beta={beta}, kappa={kappa})", T, A, B)
 
 
 def _check_r_grid(r_grid: np.ndarray) -> np.ndarray:
@@ -181,10 +191,14 @@ def _check_r_grid(r_grid: np.ndarray) -> np.ndarray:
     return r_grid
 
 
+# the least r_min: r^4, the straight family's det A, is normal from here up
+_R_MIN = float(np.finfo(float).tiny) ** 0.25
+
+
 def default_r_grid(n: int = 1024, r_min: float = 1e-6) -> np.ndarray:
     """n log-spaced points from r_min to 1; the slopes are fitted on r <= 1e-2."""
-    if not 0.0 < r_min < 1e-2:
-        raise ValueError(f"need r_min in (0, 1e-2), got {r_min}")
+    if not _R_MIN <= r_min < 1e-2:
+        raise ValueError(f"need r_min in [{_R_MIN:.3g}, 1e-2), where r^4 does not underflow, got {r_min}")
     return _check_r_grid(np.geomspace(r_min, 1.0, n))
 
 

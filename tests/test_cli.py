@@ -205,6 +205,20 @@ class TestConfigErrors:
         assert "config error" in err and "radius 4.0" in err
         assert not (outdir / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "level-set"])
+    def test_step_count_over_the_cap_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # 16 and 32 steps against a cap of 8; at the real cap, dt 1e-300 would take 5e299 steps
+        # (simulate ran without end, and level-set's record marks raised MemoryError)
+        monkeypatch.setattr(solver, "_MAX_STEPS", 8)
+        cfg = simulate_cfg()
+        if command == "level-set":
+            cfg = {"grid": cfg["grid"], "solver": cfg["solver"], "ensemble": [cfg["field"]]}
+        code, outdir = run(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "dt=0.03125" in err and "more than 8 steps" in err
+        assert not (outdir / "summary.json").exists()
+
     @pytest.mark.parametrize(
         "command, cfg, named",
         [
@@ -307,6 +321,11 @@ class TestConfigErrors:
             ("chain", {"Xbar": [0.0], "Vbar": [1.0], "rho0": 5e-324}, "rho0"),
             ("chain", {"Xbar": [0.0], "Vbar": [1.0], "rho0": 1e-300}, "rho0"),
             ("g-bound", {"weight_radius": 1e300}, "weight ball of radius 1e+300"),
+            ("simulate", {"grid": {**BASE_GRID, "Lv": 1e-300}}, "grid: cell width dv="),
+            ("simulate", {"grid": {**BASE_GRID, "Lx": 1e300}}, "grid: cell width dx="),
+            ("trajectories", {"family": "straight", "T": 5e-324}, "T=5e-324"),
+            ("trajectories", {"family": "log-oscillatory", "beta": 5e-324}, "beta=5e-324"),
+            ("trajectories", {"family": "straight", "r_min": 1e-320}, "r_min"),
         ],
         ids=[
             "g-bound",
@@ -408,6 +427,11 @@ class TestConfigErrors:
             "chain-rho0-subnormal",
             "chain-rho0-underflowing-square",
             "g-bound-weight_radius-huge",
+            "simulate-Lv-underflowing-square",
+            "simulate-Lx-overflowing-square",
+            "trajectories-T-subnormal",
+            "trajectories-beta-subnormal",
+            "trajectories-r_min-subnormal",
         ],
     )
     def test_out_of_range_value_is_config_error(
@@ -591,9 +615,8 @@ class TestTrajectoriesCommand:
         "cfg, want, nulls",
         [
             ({"family": "log-oscillatory", "kappa": 1e300}, 1, ["det_A_exponent", "B_det_near_zero"]),
-            ({"family": "straight", "r_min": 1e-320}, 0, ["jacobian_exponent"]),
         ],
-        ids=["kappa-huge", "r_min-subnormal"],
+        ids=["kappa-huge"],
     )
     def test_non_finite_values_are_written_as_null(self, tmp_path, cfg, want, nulls):
         # RFC 8259 has no NaN or Infinity token, so a strict reader must load both files

@@ -67,9 +67,10 @@ class TestGWeight:
         # R^2 overflows; neither the tail check nor the truncation may raise OverflowError
         with pytest.raises(DomainError):
             GWeight(R=1e300).values(GRID)
-        huge = Grid(Lx=1e300, Lv=1e300, Nx=16, Nv=16)
-        with np.errstate(over="ignore"):  # X^2 + V^2 reads inf on every cell of this box
-            assert not GWeight(R=1e200).values(huge).any()
+        # about the widest box whose dx^2 is finite, and a ball in it whose R^2 is not
+        huge = Grid(Lx=1e155, Lv=1e155, Nx=16, Nv=16)
+        with np.errstate(over="ignore"):  # X^2 + V^2 reads inf on the outer cells of this box
+            assert not GWeight(R=1e155).values(huge).any()
 
 
 class TestGFunctional:

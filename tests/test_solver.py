@@ -133,6 +133,12 @@ class TestGrid:
         with pytest.raises(ConfigError, match="positive and finite"):
             Grid(Lx=3.0, Lv=float("inf"), Nx=64, Nv=64)
 
+    @pytest.mark.parametrize("Lx, Lv, named", [(1e300, 6.0, "dx="), (3.0, 1e-300, "dv="), (1e-160, 6.0, "dx=")])
+    def test_rejects_widths_whose_squares_are_not_normal(self, Lx, Lv, named):
+        # the diffusion factor divides by dv^2 and the closed-form kernel squares dx
+        with pytest.raises(ConfigError, match=named):
+            Grid(Lx=Lx, Lv=Lv, Nx=64, Nv=64)
+
 
 class TestConfig:
     def test_validation(self):
@@ -173,6 +179,16 @@ class TestConfig:
         f = init_delta((0.0, 0.0), 0.3, Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64))
         with pytest.raises(ConfigError, match=f"dt={dt}"):
             evolve(f, CONST, SolverConfig(dt=dt), t_final)
+
+    def test_step_count_is_capped(self, monkeypatch):
+        # at the real cap, dt = 1e-300 would ask for 5e299 steps over this span
+        monkeypatch.setattr(solver_module, "_MAX_STEPS", 8)
+        f = init_delta((0.0, 0.0), 0.3, Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64))
+        config = SolverConfig(dt=1.0 / 128)
+        assert evolve(f, CONST, config, 8 * config.dt).field.t == pytest.approx(8 * config.dt)
+        for dt, t_final in [(1.0 / 128, 9.0 / 128), (1e-300, 0.5)]:
+            with pytest.raises(ConfigError, match=f"dt={dt}.*more than 8 steps"):
+                evolve(f, CONST, SolverConfig(dt=dt), t_final)
 
     def test_cfl_enforced_at_step(self):
         g = Grid(Lx=3.0, Lv=6.0, Nx=64, Nv=64)
@@ -453,6 +469,45 @@ class TestInvariants:
                 assert np.array_equal(got, want)
             else:
                 assert got.tobytes() == want.tobytes()
+
+    WINDOW_FIELDS = {
+        "constant": {},
+        "checkerboard": {"random_origin": True},
+        "random-piecewise": {"cells": (0.05, 0.3, 0.3), "random_origin": True},
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.integers(16, 64),
+        nv=st.integers(16, 40),
+        kind=st.sampled_from(sorted(WINDOW_FIELDS)),
+        seed=st.integers(0, 2**31 - 1),
+        order=st.sampled_from([1, 3]),
+        cfl=st.floats(0.1, 1.0),
+        bumps=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 8)), min_size=1, max_size=2),
+        n_steps=st.integers(1, 6),
+    )
+    def test_step_is_the_full_grid_composition(self, nx, nv, kind, seed, order, cfl, bumps, n_steps):
+        # bumps of 2 h + 1 rows anywhere on the grid: off centre, two apart, touching an edge
+        # or wrapping across the periodic seam, so the row window is any size or the full grid;
+        # the composition runs on a stepper of its own, so a window block that reads a pad or
+        # scratch row it never wrote reads another step's data (or, fresh, malloc's garbage)
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
+        config = SolverConfig(dt=cfl * grid.dx / grid.Lv, transport_order=order)
+        field = make_field(kind, self.WINDOW_FIELDS[kind], seed=seed)
+        rng = np.random.default_rng(seed)
+        f = np.zeros((nx, nv))
+        for centre, h in bumps:
+            rows = np.arange(-h, h + 1) + int(centre * nx)
+            f[rows % nx, nv // 4 : -(nv // 4)] += rng.random((rows.size, nv - 2 * (nv // 4)))
+        state = Field(f, 0.0, grid)
+        stepper, full = Stepper(field, grid, config), Stepper(field, grid, config)
+        sweep = full.sweep.ppm if order == 3 else full.sweep.upwind
+        for _ in range(n_steps):
+            t, dt = state.t, config.dt
+            want = full.solve(t + 0.75 * dt, sweep(full.solve(t + 0.25 * dt, state.values)))
+            state = stepper.step(state)
+            assert state.values.tobytes() == want.tobytes()
 
     def test_indefinite_diffusion_matrix_is_solver_error(self, monkeypatch):
         # pttrf handed a negated diagonal (the matrix of a negative half step, which

@@ -127,8 +127,21 @@ class TestArrayContract:
         (lambda: log_oscillatory_family(1.0, beta=float("inf")), "beta"),
         (lambda: log_oscillatory_family(1.0, beta=float("nan")), "beta"),
         (lambda: log_oscillatory_family(1.0, kappa=float("nan")), "kappa"),
+        # 6 / T, 1 / T and 1 / Im(1 / (3/2 + i beta)) overflow, so the matrices are not finite
+        (lambda: straight_family(5e-324), "T=5e-324"),
+        (lambda: log_oscillatory_family(5e-324), "T=5e-324"),
+        (lambda: log_oscillatory_family(1.0, beta=5e-324), "beta=5e-324"),
     ],
-    ids=["straight-T-nan", "straight-T-inf", "osc-beta-inf", "osc-beta-nan", "osc-kappa-nan"],
+    ids=[
+        "straight-T-nan",
+        "straight-T-inf",
+        "osc-beta-inf",
+        "osc-beta-nan",
+        "osc-kappa-nan",
+        "straight-T-subnormal",
+        "osc-T-subnormal",
+        "osc-beta-subnormal",
+    ],
 )
 def test_non_finite_parameter_rejected(make, named):
     # before check_properties, which would die in PhasePoint on a NaN
@@ -241,13 +254,15 @@ class TestCheckPlumbing:
         assert g[0] == pytest.approx(1e-6)
         assert g[-1] == 1.0
         assert np.all(np.diff(g) > 0)
+        # the least r_min, where r^4 (det A of the straight family) is the least normal float
+        assert default_r_grid(r_min=1.2213386697554620e-77)[0] ** 4 >= np.finfo(float).tiny
 
     @pytest.mark.parametrize(
-        "n, r_min", [(32, 1e-6), (64, 0.0), (64, 0.05), (64, 2.0), (64, 0.009)]
+        "n, r_min", [(32, 1e-6), (64, 0.0), (64, 0.05), (64, 2.0), (64, 0.009), (1024, 1e-78), (1024, 1e-320)]
     )
     def test_default_r_grid_rejects_out_of_range(self, n, r_min):
         # r_min >= 1e-2 would leave the slope fits without points, and
-        # (64, 0.009) leaves them 2
+        # (64, 0.009) leaves them 2; below 1.2e-77 r^4 underflows
         with pytest.raises(ValueError, match="r_min"):
             default_r_grid(n, r_min)
 
