@@ -25,15 +25,14 @@ _KINDS = ("constant", "checkerboard", "oscillatory", "random-piecewise")
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-# the hash's constants as numpy scalars, made once: making a numpy scalar costs about half of
-# a ufunc call on the few hundred entries that a factor build samples
+# the hash's constants as numpy scalars made once: making one costs half a small ufunc call
 _U_GOLDEN, _U_M1, _U_M2 = np.uint64(_GOLDEN), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _U_11, _U_27, _U_30, _U_31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _splitmix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    # stateless integer hash, in place on the uint64 array z with tmp a scratch array of its shape;
-    # lets piecewise-random fields be evaluated at arbitrary points without carrying RNG state
+    # stateless integer hash, in place on uint64 z with tmp of its shape: piecewise-random
+    # fields are evaluated at any point without RNG state
     z += _U_GOLDEN
     np.right_shift(z, _U_30, tmp)
     z ^= tmp
@@ -55,7 +54,7 @@ def _splitmix64_int(z: int) -> int:
 
 
 def _time_round(seed: int, it) -> int:
-    # the round on a 0-d time index (a whole time slice), in Python ints: cheaper than numpy scalars
+    # the round of a 0-d time index, in Python ints: cheaper than numpy scalars
     return _splitmix64_int((seed & _MASK64) ^ int(it) * _GOLDEN)
 
 
@@ -89,6 +88,18 @@ def _cell_uniform(seed: int, it, ix, iv) -> np.ndarray:
     return _unit(h)
 
 
+def _slices(*specs):
+    # n -> views of n slices of one array per (slice shape, dtype), remade only for a larger n
+    held = [np.empty((0, *shape), dtype) for shape, dtype in specs]
+
+    def take(n):
+        if len(held[0]) < n:
+            held[:] = [np.empty((n, *a.shape[1:]), a.dtype) for a in held]
+        return [a[:n] for a in held]
+
+    return take
+
+
 def _classes(kx: np.ndarray, kv: np.ndarray) -> tuple:
     # (rx, jx, rv, jv) of the distinct keys of two 1-d arrays: kx[rx][jx] == kx, kv[rv][jv] == kv;
     # a dict of first positions, as np.unique's sort would add its code pages to a run's peak RSS
@@ -105,14 +116,10 @@ def _classes(kx: np.ndarray, kv: np.ndarray) -> tuple:
 class CoefficientField:
     """A named coefficient field with a vectorized scalar evaluator.
 
-    value(t, x, v) broadcasts over array arguments and returns the scalar
-    coefficient (the d x d matrix is value * I).  time_key(t) is a hashable
-    identifying a(t, ., .) as a function of (x, v) (None when every t is
-    distinct), which lets a solver run reuse one factorization per time
-    slice for piecewise-in-time fields.  bind(x, v) groups the points of
-    two finite 1-d axes on which the field takes the same value at every t
-    and returns a sampler of the field on one point per class, which lets a
-    solver evaluate and factor one grid row per class.
+    value(t, x, v) broadcasts and returns the scalar coefficient (the d x d
+    matrix is value * I).  time_key(t) is a hashable naming a(t, ., .) (None
+    when every t is distinct), so a solver reuses one factor per time slice.
+    bind(x, v) lets a solver sample and factor one grid row per class.
     """
 
     def __init__(self, kind, params, seed, evaluator, time_key, bind):
@@ -130,10 +137,9 @@ class CoefficientField:
         return self._time_key(t)
 
     def bind(self, x, v) -> tuple:
-        """(rx, jx, rv, jv, at) for finite 1-d axes: x[rx] has one point per class of x and jx
-        is each point's class (v likewise), so value(t, x[rx][jx], v[rv][jv]) == value(t, x, v)
-        at every t; at(t), bit for bit, is value(t, x[rx][:, None], v[rv][None, :]) from work
-        done here once, in an array that a later call may overwrite."""
+        """(rx, jx, rv, jv, at) for finite 1-d axes: x[rx] has one point per class of x on which
+        the field is equal at every t, jx each point's class (v likewise); at(ts)[i] is, bit for
+        bit, value(ts[i], x[rx][:, None], v[rv][None, :]), in an array a later call may reuse."""
         return self._bind(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
     def descriptor(self) -> dict:
@@ -199,7 +205,7 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
         def bind(x, v):
             rx, jx, rv, jv = _classes(np.zeros(x.size), np.zeros(v.size))
             a = evaluator(0.0, x[rx][:, None], v[rv][None, :])
-            return rx, jx, rv, jv, lambda t: a
+            return rx, jx, rv, jv, lambda ts: np.broadcast_to(a, (len(ts), *a.shape))
 
         return CoefficientField(kind, params, seed, evaluator, lambda t: 0, bind)
 
@@ -229,8 +235,15 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
             # sin(2 pi 0 u) is +-0, so a zero frequency leaves a value that its axis cannot change
             rx, jx, rv, jv = _classes(np.arange(x.size) * (fx != 0.0), np.arange(v.size) * (fv != 0.0))
             mod = wave(x[rx][:, None], fx) * wave(v[rv][None, :], fv)
-            out = np.empty_like(mod)
-            return rx, jx, rv, jv, lambda t: modulated(mod, t, out)
+            slices = _slices((mod.shape, float))
+
+            def at(ts):
+                (out,) = slices(len(ts))
+                for t, a in zip(ts, out):
+                    modulated(mod, t, a)
+                return out
+
+            return rx, jx, rv, jv, at
 
         time_key = (lambda t: None) if ft != 0.0 else (lambda t: 0)
         return CoefficientField(kind, params, seed, evaluator, time_key, bind)
@@ -239,6 +252,9 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
     if any(c <= 0 for c in cells):
         raise ValueError(f"cell sizes must be positive, got {cells}")
     origin = _origin(params, rng, cells)
+    # time_key's math.floor raises on an infinite cell index
+    if not all(1.0 / c < np.inf and abs(o / c) < np.inf for o, c in zip(origin, cells)):
+        raise ValueError(f"cells {cells} and origin {origin} make a cell index overflow the float range")
     ct, cx, cv = cells
     ot, ox, ov = origin
 
@@ -270,8 +286,8 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
             kx, kv = index(x, ox, cx), index(v, ov, cv)
             rx, jx, rv, jv = _classes(kx & 1, kv & 1)
             total = kx[rx][:, None] + kv[rv][None, :]
-            slices = pick(total), pick(total + 1)  # at an even and an odd time index
-            return rx, jx, rv, jv, lambda t: slices[index(t, ot, ct) & 1]
+            pair = np.stack([pick(total), pick(total + 1)])  # at an even and an odd time index
+            return rx, jx, rv, jv, lambda ts: pair[index(ts, ot, ct) & 1]
 
         return CoefficientField(kind, params, seed, evaluator, time_key, bind)
 
@@ -289,17 +305,17 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
         return scaled(_cell_uniform(seed, *cell_index(t, x, v)))
 
     def bind(x, v):
-        # the x and v rounds' inputs once; at(t) runs the time round and the two array rounds
-        # in place, on arrays made here
+        # the x and v rounds' inputs once; at(ts) runs each time's round, then the array rounds
         kx, kv = index(x, ox, cx), index(v, ov, cv)
         rx, jx, rv, jv = _classes(kx, kv)
         gx, gv = _golden(kx[rx])[:, None], _golden(kv[rv])[None, :]
-        hx, tx = np.empty_like(gx), np.empty_like(gx)
-        h, tmp = np.empty((rx.size, rv.size), np.uint64), np.empty((rx.size, rv.size), np.uint64)
-        out = np.empty(h.shape)
+        shape = (rx.size, rv.size)
+        slices = _slices(*[(gx.shape, np.uint64)] * 2, *[(shape, np.uint64)] * 2, (shape, float))
 
-        def at(t):
-            _round(np.uint64(_time_round(seed, index(t, ot, ct))), gx, hx, tx)
+        def at(ts):
+            hx, tx, h, tmp, out = slices(len(ts))
+            rounds = [_time_round(seed, it) for it in index(ts, ot, ct).tolist()]
+            _round(np.array(rounds, np.uint64)[:, None, None], gx, hx, tx)
             return scaled(_unit(_round(hx, gv, h, tmp), tmp, out), out)
 
         return rx, jx, rv, jv, at
@@ -320,7 +336,7 @@ def _mapped_field(kind, params, base, t_map, sx, sv) -> CoefficientField:
 
     def bind(x, v):
         rx, jx, rv, jv, at = base.bind(sx * x, sv * v)
-        return rx, jx, rv, jv, lambda t: at(t_map(t))
+        return rx, jx, rv, jv, lambda ts: at(t_map(np.asarray(ts, dtype=float)))
 
     return CoefficientField(kind, {**params, "base": base.descriptor()}, base.seed, evaluator, time_key, bind)
 

@@ -37,19 +37,18 @@ dpttrf/dpttrs come from scipy's compiled `_flapack` module, which the first
 process that never steps never imports scipy.
 
 Each run owns one `Stepper`, made by `evolve`: its constructor checks the
-CFL bound, binds the transport sweep and makes the diffusion-factor slot and
-the sweep's courant row and scratch arrays, once per run.  A step writes into
-one fresh array of its own, so a returned Field never aliases that scratch.
+CFL bound, binds the transport sweep and the coefficient
+(`CoefficientField.bind`) and makes the factor-batch arrays and the sweep's
+courant row and scratch arrays, once per run.  A step writes into one fresh
+array of its own, so a returned Field never aliases that scratch.
 
 A factor build costs per distinct x-row of the coefficient, not per grid
-row.  The constructor binds the field to the grid axes
-(`CoefficientField.bind`) once, which groups each axis into classes and
-does the sampling work that does not depend on t; each build samples the
-field at one point per class with the binding's `at(t)`, factors one row
-per x-class as one system (the v-walls decouple the x-rows, so each row's
-factor depends on its own coefficients only), and copies each class's
-factor row to the grid rows of that class.  The binding belongs to the
-stepper, never to the field.
+row, and covers a batch of half steps: a half step whose time key is not in
+the factor table samples the midpoints t_sub + j dt/2, j < batch, that open
+a new key with one `at` call, factors their class rows with one pttrf call
+(the walls' -0.0 couplings keep rows and slices apart, so each keeps its
+bits) and tables them by key, cut before a slice that cannot be factored.
+A key's first half step copies its class rows to the grid rows.
 
 With record_every=k a run also keeps its space-time history, one
 `SpaceTimeField` (`EvolveResult.history`, `KernelEstimate.history`) holding
@@ -461,13 +460,15 @@ def _parabola(f, fl, fr, d, f6) -> None:
     np.multiply(6.0, f6, out=f6)
 
 
+# a batch's half steps and class-row cells: 64 KiB arrays, below glibc's mmap threshold
+_BATCH_STEPS, _BATCH_CELLS = 8, 2**13
+
+
 class Stepper:
     """The Strang step of one run, whose field, grid and config are fixed.
 
-    The constructor checks the CFL bound, binds the transport sweep and
-    makes the factor-build arrays and the sweep's scratch, once for the run.
-    The factor slot holds the diffusion factor of the last time slice seen,
-    named by field.time_key (None, every t distinct, always rebuilds).
+    The factor table names each slice of the last batch by field.time_key
+    (None, every t distinct, always rebuilds).
     """
 
     def __init__(self, field: CoefficientField, grid: Grid, config: SolverConfig):
@@ -480,57 +481,58 @@ class Stepper:
         self.field, self.grid, self.config = field, grid, config
         # read through the module: the first stepper of a process loads LAPACK, and a patched routine is used
         self.pttrf, self.pttrs = (getattr(sys.modules[__name__], n) for n in ("dpttrf", "dpttrs"))
-        self._key = self._ld = None
-        # the coefficient bound to the grid axes: a build samples it at one point per class
-        # and factors one x-row per x-class, the class's representative row
+        self._key, self._ld, self._table = None, None, {}
         self.rx, self.jx, _, self.jv, self.at = field.bind(grid.x_centers, grid.v_centers)
-        # on the representative rows, x-major: the interface harmonic means (zero at the
-        # v-walls), pttrf's diagonal, and its off-diagonal with one spare entry; then the
-        # factor of every row, with one spare entry in e
-        m, n = self.rx.size * grid.Nv, grid.Nx * grid.Nv
-        self.ah, self.diag, self.off = np.zeros(m + 1), np.empty(m), np.empty(m)
-        self.d, self.e = np.empty(n), np.empty(n)
+        # per slice of a batch, the class rows x-major: the interface harmonic means (zero at the
+        # v-walls), pttrf's diagonal and off-diagonal (one spare entry); then every row's factor
+        m = self.rx.size * grid.Nv
+        self.batch = max(1, min(_BATCH_STEPS, _BATCH_CELLS // m))
+        self.ah = np.empty(self.batch * m + 1)
+        self.diag, self.off = (np.empty((self.batch, self.rx.size, grid.Nv)) for _ in range(2))
+        self.d, self.e = np.empty(grid.Nx * grid.Nv), np.empty(grid.Nx * grid.Nv)
         self.sweep = _Sweep((grid.v_centers * (dt / grid.dx))[None, :], (grid.Nx, grid.Nv))
         self.transport = self.sweep.ppm if config.transport_order == 3 else self.sweep.upwind
 
-    def _diffusion_factor(self, t_sub: float) -> tuple:
-        """pttrf factor (d, e) of the x-major flattened system.
-
-        The v-walls decouple its x-rows, and a row's factor depends on its own
-        coefficients only, so the representative rows are factored as one
-        system and each row of (d, e) is a copy of its class's row.
-        """
-        grid, ah, diag, off = self.grid, self.ah, self.diag, self.off
-        rows = (self.rx.size, grid.Nv)
-        a = self.at(t_sub)
+    def _factor_batch(self, t_sub: float, key) -> dict:
+        """The table {time key: slice} of the batch from t_sub; SolverError if t_sub's fails."""
+        times, keys = [t_sub], [key]
+        for j in range(1, self.batch if key is not None else 1):
+            t = t_sub + j * (0.5 * self.config.dt)
+            k = self.field.time_key(t)
+            if k != keys[-1]:
+                times.append(t)
+                keys.append(k)
+        a = self.at(np.array(times))
+        n = len(times)
         if (a <= 0).any():
-            raise SolverError(f"coefficient is not positive on the grid at t={t_sub}")
+            n = int((a <= 0).any(axis=(1, 2)).argmax())
+            if n == 0:
+                raise SolverError(f"coefficient is not positive on the grid at t={t_sub}")
         # the representative rows at full width, held in off until off is written
-        a.take(self.jv, axis=1, out=off.reshape(rows), mode="clip")
-        a = off
+        a[:n].take(self.jv, axis=2, out=self.off[:n], mode="clip")
+        a = o = self.off[:n].reshape(-1)
+        d, h = self.diag[:n].reshape(-1), self.ah[: a.size + 1]
         # ah = 2 al ar / (al + ar) in flat order, sum held in diag; pairs across x-rows are walls
-        al, ar, hm = a[:-1], a[1:], ah[1:-1]
-        np.add(al, ar, out=diag[:-1])
+        al, ar, hm = a[:-1], a[1:], h[1:-1]
+        np.add(al, ar, out=d[:-1])
         np.multiply(2.0, al, out=hm)
         np.multiply(hm, ar, out=hm)
-        np.divide(hm, diag[:-1], out=hm)
-        ah[grid.Nv :: grid.Nv] = 0.0
+        np.divide(hm, d[:-1], out=hm)
+        h[:: self.grid.Nv] = 0.0
         # diag = 1 + mu ahl + mu ahr, mu ahr held in off; then off = -mu ahr (-0.0 at the walls)
-        mu = 0.5 * self.config.dt / grid.dv**2
-        np.multiply(mu, ah[:-1], out=diag)
-        np.add(1.0, diag, out=diag)
-        np.multiply(mu, ah[1:], out=off)
-        np.add(diag, off, out=diag)
-        np.multiply(-mu, ah[1:], out=off)
-        # pttrf factors the contiguous diag and off[:-1] in place
-        _, _, info = self.pttrf(diag, off[:-1], overwrite_d=1, overwrite_e=1)
+        mu = 0.5 * self.config.dt / self.grid.dv**2
+        np.multiply(mu, h[:-1], out=d)
+        np.add(1.0, d, out=d)
+        np.multiply(mu, h[1:], out=o)
+        np.add(d, o, out=d)
+        np.multiply(-mu, h[1:], out=o)
+        # pttrf factors in place, up to a failed pivot
+        _, _, info = self.pttrf(d, o[:-1], overwrite_d=1, overwrite_e=1)
         if info != 0:
-            raise SolverError(f"diffusion matrix is not positive definite at t={t_sub} (info={info})")
-        # each row is its class's row; off's spare entry is the last row's wall, -0.0
-        full = (grid.Nx, grid.Nv)
-        diag.reshape(rows).take(self.jx, axis=0, out=self.d.reshape(full), mode="clip")
-        off.reshape(rows).take(self.jx, axis=0, out=self.e.reshape(full), mode="clip")
-        return self.d, self.e[:-1]
+            n = (info - 1) // self.off[0].size
+            if n < 1:
+                raise SolverError(f"diffusion matrix is not positive definite at t={t_sub} (info={info})")
+        return dict(zip(keys[:n], range(n)))
 
     def solve(self, t_sub: float, rhs: np.ndarray, overwrite: bool = False, lo: int = 0) -> np.ndarray:
         """Backward-Euler diffusion of rhs, coefficient frozen at t_sub; overwrite may reuse rhs.
@@ -539,9 +541,15 @@ class Stepper:
         """
         key = self.field.time_key(t_sub)
         if key is None or key != self._key:
-            self._key = None  # a build that raises leaves the slot empty, not half-overwritten
-            self._ld = self._diffusion_factor(t_sub)
-            self._key = key
+            j = None if key is None else self._table.get(key)
+            if j is None:  # a build that raises leaves the table empty
+                self._key, self._table = None, {}
+                self._table, j = self._factor_batch(t_sub, key), 0
+            # each row's factor is its class's row of slice j
+            full = (self.grid.Nx, self.grid.Nv)
+            self.diag[j].take(self.jx, axis=0, out=self.d.reshape(full), mode="clip")
+            self.off[j].take(self.jx, axis=0, out=self.e.reshape(full), mode="clip")
+            self._ld, self._key = (self.d, self.e[:-1]), key
         nx, nv = rhs.shape
         # pttrs solves in place only in a C-contiguous float array
         x = np.ascontiguousarray(rhs, dtype=float) if overwrite else np.array(rhs, dtype=float, order="C")

@@ -1,10 +1,13 @@
 """End-to-end command driver tests, all in-process through main(argv)."""
 
+import contextlib
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kolkit import chains, nash_g, profiles, solver, trajectories
 from kolkit.cli import main
@@ -326,6 +329,10 @@ class TestConfigErrors:
             ("trajectories", {"family": "straight", "T": 5e-324}, "T=5e-324"),
             ("trajectories", {"family": "log-oscillatory", "beta": 5e-324}, "beta=5e-324"),
             ("trajectories", {"family": "straight", "r_min": 1e-320}, "r_min"),
+            ("level-set", {"ensemble": {"kind": "random-piecewise", "params": {"cells": [5e-324, 0.5, 0.5]},
+                                        "seeds": [1]}}, "ensemble(seed=1): cells (5e-324"),
+            ("g-bound", {"ensemble": [{"kind": "checkerboard", "params": {"origin": [1e308, 0.0, 0.0]}}]},
+             "ensemble[0]: cells (0.25, 0.25, 0.25) and origin (1e+308"),
         ],
         ids=[
             "g-bound",
@@ -432,6 +439,8 @@ class TestConfigErrors:
             "trajectories-T-subnormal",
             "trajectories-beta-subnormal",
             "trajectories-r_min-subnormal",
+            "level-set-cells-subnormal",
+            "g-bound-origin-huge",
         ],
     )
     def test_out_of_range_value_is_config_error(
@@ -499,6 +508,88 @@ class TestNumericalErrors:
         }
         code, outdir = run(tmp_path, "verify-bounds", cfg)
         self.check_numerical_error(outdir, capsys, code, "FitError", "degenerate design")
+
+
+# one config per command that exits 0, with every numeric field it reads written out, on a
+# grid of 32^2 that the fuzz runs in a few milliseconds a command
+FUZZ_FIELD = {"values_range": [0.5, 2.0], "cells": [0.25, 0.5, 0.5], "origin": [0.0, 0.0, 0.0]}
+FUZZ_CONFIGS = {
+    "simulate": {
+        **simulate_cfg(mass_drift_tol=1e-6),
+        "solver": {**BASE_SOLVER, "transport_order": 3},
+        "field": {"kind": "constant", "params": {"value": 1.0}, "seed": 0, "d": 1},
+    },
+    "verify-bounds": {
+        "grid": BASE_GRID, "solver": BASE_SOLVER, "taus": [0.5, 1.0], "d": 1, "E_max": 8.0, "sample_stride": 1,
+        "field": {"kind": "oscillatory", "params": {"base": 1.0, "amplitude": 0.5, "freq_x": 1.0,
+                                                    "freq_v": 1.0, "freq_t": 1.0}},
+    },
+    "g-bound": {
+        "grid": BASE_GRID, "solver": BASE_SOLVER, "floor": 1e-30, "floor_delta_tol": 1e-3,
+        "weight_radius": 4.0, "source_seed": 0,
+        "ensemble": [{"kind": "checkerboard", "params": {"values": [0.5, 2.0], "cells": [0.25, 0.5, 0.5],
+                                                         "origin": [0.0, 0.0, 0.0]}, "seed": 1}],
+    },
+    "level-set": {
+        "grid": BASE_GRID, "solver": BASE_SOLVER, "floor": 1e-30, "weight_radius": 4.0,
+        "E": [[-2.0, 2.0], [-2.0, 2.0]], "record_every": 4,
+        "ensemble": {"kind": "random-piecewise", "params": FUZZ_FIELD, "seeds": [1, 2]},
+    },
+    "chain": {"Xbar": [1.0], "Vbar": [0.5], "k0": 4096.0, "samples_per_step": 0, "rho0": 0.25, "c0": 0.05},
+    "trajectories": {"family": "log-oscillatory", "T": 1.0, "beta": 2.0, "kappa": 1.0, "r_points": 64,
+                     "r_min": 1e-3, "d": 1},
+    "adjoint": {
+        "grid": BASE_GRID, "solver": {**BASE_SOLVER, "transport_order": 1}, "points": [[0.3, -0.4]],
+        "eval_point": [0.0, 0.0], "t0": 1.0, "t1": 2.0, "tolerance": 0.05,
+        "field": {"kind": "random-piecewise", "params": FUZZ_FIELD, "seed": 3},
+    },
+}
+
+
+def numeric_paths(cfg, path=()):
+    """The path of every number in cfg, through its objects and lists."""
+    if isinstance(cfg, (dict, list)):
+        items = cfg.items() if isinstance(cfg, dict) else enumerate(cfg)
+        return [p for k, v in items for p in numeric_paths(v, (*path, k))]
+    return [path] if isinstance(cfg, (int, float)) and not isinstance(cfg, bool) else []
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
+    def test_unfuzzed_configs_pass(self, tmp_path, command):
+        assert run(tmp_path, command, FUZZ_CONFIGS[command])[0] == 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=st.sampled_from([(c, p) for c, cfg in FUZZ_CONFIGS.items() for p in numeric_paths(cfg)]),
+        value=st.one_of(
+            st.sampled_from([0, -0.0, -1, 5e-324, 1e-300, 1e300, -1e300, 1e308]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_numeric_fields_keep_the_exit_code_contract(self, tmp_path_factory, case, value):
+        # any number in any numeric field exits 0-3 without a traceback, writes no summary on a
+        # config error and writes only standard JSON; the smaller step cap keeps each run short
+        command, path = case
+        cfg = json.loads(json.dumps(FUZZ_CONFIGS[command]))
+        node = cfg
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        tmp = tmp_path_factory.mktemp("fuzz")
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            mp.setattr(solver, "_MAX_STEPS", 64)
+            code, outdir = run(tmp, command, cfg)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert code != 2 or not (outdir / "summary.json").exists()
+
+        def no_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        for doc in outdir.glob("*.json"):
+            json.loads(doc.read_text(), parse_constant=no_constant)
 
 
 class TestChainCommand:

@@ -105,6 +105,20 @@ class TestMakeField:
         with pytest.raises(ValueError, match=re.escape(f"field parameter {message}")):
             make_field(kind, params)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("random-piecewise", {"cells": (5e-324, 0.5, 0.5)}),
+            ("checkerboard", {"cells": (0.5, 0.5, 5e-324)}),
+            ("random-piecewise", {"origin": (1e308, 0.0, 0.0)}),
+            ("checkerboard", {"cells": (0.5, 0.25, 0.5), "origin": (0.0, -1e308, 0.0)}),
+        ],
+    )
+    def test_cell_index_that_overflows_is_rejected(self, kind, params):
+        # the time key floors (t - ot) / ct in Python, which raised OverflowError on an infinity
+        with pytest.raises(ValueError, match="make a cell index overflow the float range"):
+            make_field(kind, params)
+
     def test_checkerboard_values_and_parity(self):
         f = make_field("checkerboard", {"values": (0.5, 2.0), "cells": (0.25, 0.25, 0.25)})
         t, x, v = random_pts()
@@ -259,14 +273,19 @@ class TestPerShapeEvaluation:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
         if case == "meshes":
-            # the binding's sample at one point per class of each grid axis is the evaluation
-            # there, and gathered back to the grid it is the grid's evaluation; a constant takes
-            # one class and a checkerboard two per axis
+            # each slice of the binding's sample at one point per class of each grid axis is the
+            # evaluation there at its time, and gathered back to the grid it is the grid's
+            # evaluation; a constant takes one class and a checkerboard two per axis
             rx, jx, rv, jv, at = f.bind(x[:, 0], v[0])
-            rep, at_reps = at(t), f.value(t, x[rx], v[:, rv])
-            assert rep.shape == at_reps.shape == (rx.size, rv.size)
-            assert rep.dtype == at_reps.dtype and rep.tobytes() == at_reps.tobytes()
-            assert np.array_equal(rep[jx][:, jv], np.broadcast_to(want, (x.size, v.size)))
+            times = np.array([t, -t, 2.0 * t, t])
+            reps = at(times)
+            assert reps.shape == (times.size, rx.size, rv.size)
+            for u, rep in zip(times, reps):
+                at_reps = f.value(u, x[rx], v[:, rv])
+                assert rep.shape == at_reps.shape and rep.dtype == at_reps.dtype
+                assert rep.tobytes() == at_reps.tobytes()
+                full = reference_value(f.descriptor(), u, x, v)
+                assert np.array_equal(rep[jx][:, jv], np.broadcast_to(full, (x.size, v.size)))
             most = {"constant": 1, "checkerboard": 2}.get(kind, max(x.size, v.size))
             assert rx.size <= most and rv.size <= most
 
@@ -291,9 +310,10 @@ class TestPerShapeEvaluation:
         grid = Grid(Lx=4.0, Lv=3.0, Nx=16 + n, Nv=16 + m)
         at = f.bind(grid.x_centers, grid.v_centers)[-1]
         t1, t2 = times
-        for t in (t1, t2, t1):
-            got = at(t).tobytes()
-            assert got == f.bind(grid.x_centers, grid.v_centers)[-1](t).tobytes()
+        fresh = [f.bind(grid.x_centers, grid.v_centers)[-1](np.array([t]))[0].tobytes() for t in (t1, t2, t1)]
+        # in one call, then across calls of one time each
+        assert [a.tobytes() for a in at(np.array([t1, t2, t1]))] == fresh
+        assert [at(np.array([t]))[0].tobytes() for t in (t1, t2, t1)] == fresh
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)

@@ -350,17 +350,16 @@ class TestFactorCache:
         rough = make_field(kind, {"cells": cells, "random_origin": True}, seed=seed)
         state = init_delta((0.0, 0.0), (2 * grid.dx, 2 * grid.dv), grid)
 
-        # every build samples the run's binding once
-        builds = 0
+        # every slice a batch factors is one time of one call of the run's binding
+        sampled = []
         bind = rough.bind
 
         def counting_bind(x, v):
             *classes, at = bind(x, v)
 
-            def counting_at(t):
-                nonlocal builds
-                builds += 1
-                return at(t)
+            def counting_at(ts):
+                sampled.extend(rough.time_key(t) for t in ts)
+                return at(ts)
 
             return *classes, counting_at
 
@@ -374,13 +373,72 @@ class TestFactorCache:
         assert res.field.t == loop.t
         assert res.field.values.tobytes() == loop.values.tobytes()
 
-        # one build per change of time slice over the half-step midpoints
-        keys, t = [], state.t
+        # each time slice over the half-step midpoints is factored once; the last batch may
+        # factor the slices of fewer than a batch of half steps past the run's end
+        keys, t = set(), state.t
         for _ in range(n_steps):
-            keys += [rough.time_key(t + 0.25 * config.dt), rough.time_key(t + 0.75 * config.dt)]
+            keys |= {rough.time_key(t + 0.25 * config.dt), rough.time_key(t + 0.75 * config.dt)}
             t = t + config.dt
-        changes = sum(i == 0 or k != keys[i - 1] for i, k in enumerate(keys))
-        assert builds == changes
+        assert all(sampled.count(k) == 1 for k in keys)
+        assert len(sampled) - len(keys) < Stepper(rough, grid, config).batch
+
+    # time cells of 0.2 to 4 half steps, seen in the run's own time: the dilation maps t to
+    # r^2 t, so its base's cells are r^2 times longer
+    BATCH_FIELDS = {
+        "constant": lambda cells, seed: make_field("constant", {"value": 1.5}),
+        "checkerboard": lambda cells, seed: make_field(
+            "checkerboard", {"cells": cells, "random_origin": True}, seed=seed
+        ),
+        "oscillatory": lambda cells, seed: make_field("oscillatory", {"freq_t": float(seed % 2)}),
+        "random-piecewise": lambda cells, seed: make_field(
+            "random-piecewise", {"cells": cells, "random_origin": True}, seed=seed
+        ),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.integers(16, 48),
+        nv=st.integers(16, 48),
+        kind=st.sampled_from(sorted(BATCH_FIELDS)),
+        wrap=st.sampled_from(["direct", "dilated", "reversed"]),
+        seed=st.integers(0, 2**31 - 1),
+        halves=st.floats(0.2, 4.0),
+        cells=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+        order=st.sampled_from([1, 3]),
+        cfl=st.floats(0.1, 1.0),
+        budget=st.sampled_from([1, 2**10, 2**13]),
+        n_steps=st.integers(1, 12),
+    )
+    def test_batched_factors_match_the_reference(
+        self, nx, nv, kind, wrap, seed, halves, cells, order, cfl, budget, n_steps
+    ):
+        # every step of a run, against one whose two solves factor the coefficient at their own
+        # midpoints with the allocating reference build; a budget of 1 cell makes batches of
+        # one slice, and the reversed field's time keys decrease
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
+        config = SolverConfig(dt=cfl * grid.dx / grid.Lv, transport_order=order)
+        r = 1.3 if wrap == "dilated" else 1.0
+        field = self.BATCH_FIELDS[kind]((halves * 0.5 * config.dt * r * r, *cells), seed)
+        if wrap == "dilated":
+            field = dilated_field(field, r)
+        elif wrap == "reversed":
+            field = reversed_flipped_field(field, 0.7)
+        state = init_delta((0.0, 0.0), (2 * grid.dx, 2 * grid.dv), grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_BATCH_CELLS", budget)
+            history = evolve(state, field, config, n_steps * config.dt, record_every=1).history
+        sweep = Stepper(field, grid, config).sweep
+        transport = sweep.ppm if order == 3 else sweep.upwind
+
+        def solve(t, rhs):
+            d, e = reference_factor(field, t, grid, 0.5 * config.dt)
+            x, info = lapack.dpttrs(d, e, rhs.reshape(-1, 1))
+            assert info == 0
+            return x.reshape(rhs.shape)
+
+        for t, prev, now in zip(history.times, history.values, history.values[1:]):
+            want = solve(t + 0.75 * config.dt, transport(solve(t + 0.25 * config.dt, prev)))
+            assert now.tobytes() == want.tobytes()
 
 
 class TestInvariants:
@@ -679,6 +737,9 @@ class TestStepper:
         "random-piecewise, wide cells": lambda seed: make_field(
             "random-piecewise", {"cells": (0.5, 5.0, 0.25), "random_origin": True}, seed=seed
         ),
+        "random-piecewise, short time cells": lambda seed: make_field(
+            "random-piecewise", {"cells": (0.01, 5.0, 0.25), "random_origin": True}, seed=seed
+        ),
         "oscillatory": lambda seed: make_field("oscillatory", {"freq_t": 1.0}),
         "oscillatory, freq_x 0": lambda seed: make_field("oscillatory", {"freq_x": 0.0, "freq_t": 1.0}),
         "dilated": lambda seed: dilated_field(
@@ -699,54 +760,77 @@ class TestStepper:
         t_sub=st.floats(-2.0, 2.0),
     )
     def test_factor_matches_allocating_reference(self, nx, nv, case, seed, dt_half, t_sub):
-        # every entry, down to the -0.0 coupling across each v-wall, over two builds in one stepper;
-        # the box is wide enough that dt = 0.2 on 48 cells meets the CFL bound
+        # every entry of every slice of a batch, down to the -0.0 coupling across each v-wall,
+        # over two batches in one stepper; the box is wide enough that dt = 0.2 on 48 cells
+        # meets the CFL bound
         grid = Grid(Lx=16.0, Lv=3.0, Nx=nx, Nv=nv)
         field = self.FACTOR_FIELDS[case](seed)
         stepper = Stepper(field, grid, SolverConfig(dt=2.0 * dt_half))
         if case not in ("oscillatory", "random-piecewise, narrow cells", "reversed"):
             assert stepper.rx.size < nx  # the build factors fewer rows than the grid has
+        sampled, at = [], stepper.at
+        stepper.at = lambda ts: sampled.append(ts.copy()) or at(ts)
+        rhs = np.zeros((nx, nv))
         for t in (t_sub, t_sub + 1.0):
-            got, want = stepper._diffusion_factor(t), reference_factor(field, t, grid, dt_half)
-            assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
-            assert np.signbit(got[1][nv - 1 :: nv]).all()
+            table = stepper._factor_batch(t, field.time_key(t))
+            times = sampled[-1]
+            assert times[0] == t and len(times) <= stepper.batch
+            assert table == {field.time_key(u): j for j, u in enumerate(times)}
+            # a solve at each slice's time expands that slice (a None key builds it again)
+            stepper._key, stepper._table = None, table
+            for u in times:
+                stepper.solve(u, rhs)
+                got, want = stepper._ld, reference_factor(field, u, grid, dt_half)
+                assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+                assert np.signbit(got[1][nv - 1 :: nv]).all()
 
     @pytest.mark.parametrize("failure", ["nonpositive coefficient", "pttrf"])
     def test_failed_build_empties_the_slot(self, monkeypatch, failure):
-        # a build that raises may have overwritten the factor arrays in part,
-        # so the stepper must rebuild even for the slice it held before
+        # the bad slice lies inside the batch that the good solve builds, which is cut before
+        # it, so the good solve keeps its bytes and the run raises only on reaching the bad
+        # slice; a build that raises may have overwritten the factor arrays in part, so the
+        # stepper must rebuild even for the slice it held before
         grid = Grid(Lx=2.0, Lv=3.0, Nx=24, Nv=20)
-        rough = make_field("random-piecewise", {"cells": (0.5, 0.3, 0.3)}, seed=5)
-        good, bad = 0.25, 0.75  # two time slices
+        rough = make_field("random-piecewise", {"cells": (1.0 / 64, 1.0, 0.3)}, seed=5)
+        # time slices 16 and 18 of a half step each: the batch at good samples bad at j = 2
+        good, bad = 0.25, 0.28125
         rhs = np.random.default_rng(1).random((grid.Nx, grid.Nv))
-        config = SolverConfig(dt=0.02)
+        config = SolverConfig(dt=1.0 / 32)
         want = Stepper(rough, grid, config).solve(good, rhs)
 
-        builds, failing, real_dpttrf, bind = [], [], solver_module.dpttrf, rough.bind
+        builds, bad_slice, real_dpttrf, bind = [], [], solver_module.dpttrf, rough.bind
 
         def dpttrf(d, e, **kw):
-            # the real factorization, in place, reported as failed while failing is set
+            # the real factorization, in place, with the bad slice's first pivot negated
             builds.append(1)
-            d, e, info = real_dpttrf(d, e, **kw)
-            return d, e, 1 if failing else info
+            if failure == "pttrf" and bad_slice:
+                d[bad_slice[0] * stepper.rx.size * grid.Nv] *= -1.0
+            return real_dpttrf(d, e, **kw)
+
+        def negated_at_bad(x, v):
+            *classes, at = bind(x, v)
+
+            def at_bad(ts):
+                # the index of the slice whose time is bad, and, for a nonpositive coefficient,
+                # that slice negated
+                a = at(ts)
+                bad_slice[:] = np.flatnonzero(ts == bad)
+                if failure == "nonpositive coefficient":
+                    a[bad_slice] *= -1.0
+                return a
+
+            return *classes, at_bad
 
         monkeypatch.setattr(solver_module, "dpttrf", dpttrf)
-        if failure == "nonpositive coefficient":
-
-            def negated_at_bad(x, v):
-                *classes, at = bind(x, v)
-                return *classes, lambda t: at(t) * (-1.0 if t == bad else 1.0)
-
-            monkeypatch.setattr(rough, "bind", negated_at_bad)
-
+        monkeypatch.setattr(rough, "bind", negated_at_bad)
         stepper = Stepper(rough, grid, config)
         assert stepper.solve(good, rhs).tobytes() == want.tobytes()
-        if failure == "pttrf":
-            failing.append(True)
-        with pytest.raises(SolverError):
+        assert bad_slice == [2] and stepper._table == {16: 0, 17: 1}
+        message = {"nonpositive coefficient": r"coefficient is not positive on the grid at t=0\.28125$",
+                   "pttrf": r"not positive definite at t=0\.28125 \(info=1\)$"}[failure]
+        with pytest.raises(SolverError, match=message):
             stepper.solve(bad, rhs)
-        failing.clear()
-        assert stepper._key is None
+        assert stepper._key is None and stepper._table == {}
         n = len(builds)
         assert stepper.solve(good, rhs).tobytes() == want.tobytes()
         assert len(builds) == n + 1
