@@ -23,6 +23,10 @@ __all__ = [
 _KINDS = ("constant", "checkerboard", "oscillatory", "random-piecewise")
 
 
+class ConfigError(ValueError):
+    """Invalid grid/config combination (CFL, divisibility, widths, a field's cell indices)."""
+
+
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 # the hash's constants as numpy scalars made once: making one costs half a small ufunc call
@@ -260,7 +264,11 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
 
     def index(u, o, c):
         # half-open boxes [o + i*c, o + (i+1)*c); the index keeps its argument's shape
-        return np.floor((np.asarray(u, dtype=float) - o) / c).astype(np.int64)
+        i = np.floor((np.asarray(u, dtype=float) - o) / c)
+        # the int64 cast of an index outside [-2^63, 2^63) is undefined; min and max make no temporary
+        if i.min(initial=0.0) < -(2.0**63) or i.max(initial=0.0) >= 2.0**63:
+            raise ConfigError(f"cells {cells} and origin {origin} put a cell index beyond the int64 range")
+        return i.astype(np.int64)
 
     def cell_index(t, x, v):
         return index(t, ot, ct), index(x, ox, cx), index(v, ov, cv)

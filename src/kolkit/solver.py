@@ -3,25 +3,30 @@
 Strang splitting: half-step implicit diffusion in v, full conservative
 transport in x, half-step diffusion.  Transport uses a flux-form piecewise
 parabolic reconstruction with the classic monotonicity limiter (Colella &
-Woodward 1984), so mass is conserved to rounding; it runs the right-moving
-branch only, on the v < 0 columns mirrored in x, a cache-sized block of rows
-at a time.  Diffusion is backward Euler in flux form with harmonic-mean
-interface coefficients (the standard choice for discontinuous a).  The
-tridiagonal system is symmetric and strictly diagonally dominant with a
-positive diagonal, hence positive definite, and the solve keeps column sums.
-x is periodic, v has zero-flux walls.
+Woodward 1984) in closed form (`_Sweep`), so mass is conserved to
+rounding; it runs the right-moving branch only, on the v < 0 columns
+mirrored in x, a cache-sized block of rows at a time.  Diffusion is
+backward Euler in flux form with harmonic-mean interface coefficients (the
+standard choice for discontinuous a).  The tridiagonal system is symmetric
+and strictly diagonally dominant with a positive diagonal, hence positive
+definite, and the solve keeps column sums.  x is periodic, v has zero-flux
+walls.
 
 A step maps a nonnegative density to a nonnegative one in exact
-arithmetic, and no clamp follows it.  The face clamp, the extremum
-flattening and the overshoot fixes leave each cell's parabola monotone
-between two nonnegative face values, so it is nonnegative on its cell.
-Under the CFL bound dt <= dx / Lv each courant number c is at most 1, so a
-cell's outflow, the integral of its parabola over the fraction c of the
-cell, is at most its mass, and its inflow is nonnegative (the upwind sweep
-is the convex mix (1 - c) f_i + c f_{i-1}).  LAPACK pttrf factors the
-diffusion matrix as L D L^T with d > 0 and off-diagonals of L <= 0, so the
-forward and back substitutions and the division by d keep the sign, with
-no pivoting.  Rounding lies outside this argument: a negative value or a
+arithmetic, and no clamp follows it.  The face clamp keeps each face
+between its two cells, so fl = f - dl >= 0 and fr = f + dr >= 0; the
+limited slopes share a sign, |dl'| <= min(|dl|, 2 |dr|) and
+|dr'| <= min(|dr|, 2 |dl|).  Under the CFL bound dt <= dx / Lv each
+courant number c is at most 1, and a cell's right-face flux F (see
+`_Sweep`) has 0 <= c F <= f.  Where dl', dr' >= 0, F >= f and, as
+dl' <= f and dr' <= 2 f, c F <= (1 - (1 - c)^3) f.  Where dl', dr' <= 0,
+c F <= c f and, as |dr'| <= f and |dl'| <= 2 f,
+F >= (1 - (1 - c)^2 - 2 c (1 - c)) f = c^2 f.  So a cell's outflow c F is
+at most its mass and its inflow is nonnegative (the upwind sweep is the
+convex mix (1 - c) f_i + c f_{i-1}).  LAPACK pttrf factors the diffusion
+matrix as L D L^T with d > 0 and off-diagonals of L <= 0, so the forward
+and back substitutions and the division by d keep the sign, with no
+pivoting.  Rounding lies outside this argument: a negative value or a
 -0.0 made by a step would show in the tests' min >= 0 and sign-bit checks,
 not be hidden.
 
@@ -73,7 +78,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coefficients import CoefficientField, dilated_field
+from .coefficients import CoefficientField, ConfigError, dilated_field
 
 
 def _load_flapack():
@@ -118,10 +123,6 @@ __all__ = [
     "chapman_kolmogorov_residual",
     "scaling_identity_residual",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid grid/config combination (CFL, divisibility, widths)."""
 
 
 class SolverError(RuntimeError):
@@ -336,16 +337,25 @@ _SWEEP_CELLS = 2**14
 class _Sweep:
     """Conservative x-transport of (Nx, Nv) arrays by one fixed courant row.
 
-    The scheme is mirror-symmetric in x bit for bit: the face value, its
-    clamp and the extremum test are symmetric; the two overshoot tests swap
-    but never fire on one cell; the flux and the update only change sign,
-    which is exact.  So the columns [:k] (v < 0) are loaded reversed in x,
-    every column moves right with c = |courant|, and those columns go back
-    through out[::-1] (only zeros of -0.0 input can change sign).  Rows go
-    in blocks of about _SWEEP_CELLS cells; the pad, the block-sized scratch
-    and the full grid's per-block views are made once; lo > 0 sweeps the rows
-    [lo, Nx - lo) in blocks cut per call (f is zero off [lo + 3, Nx - lo - 3)).
-    out (fresh when None) may be f.
+    With a cell f's clamped faces fl, fr, dl = f - fl and dr = fr - f; where
+    dl dr > 0 (an underflowed product is an extremum) the limited slopes are
+    dl' = copysign(min(|dl|, 2 |dr|), dl), dr' = copysign(min(|dr|, 2 |dl|), dr),
+    elsewhere 0, and the right-face flux is F = f + ((1 - c)^2 dr' + c (1 - c) dl').
+    This is Colella & Woodward's limiter: with d = dl + dr, f6 = 3 (dl - dr),
+    the test d f6 > d^2 is |dl| > 2 |dr|, whose fix fl <- 3 f - 2 fr gives
+    dl' = 2 dr (mirrored for the other), and fr - (c/2) (d - (1 - 2c/3) f6)
+    expands to F.  dl' and dr' share a sign, so the sweep copies dr's sign
+    onto the flux's sum of magnitudes, which is exact.
+
+    Mirroring in x swaps a cell's faces, whose values and clamps are
+    symmetric, so dl <-> -dr, dl dr is kept and dl' <-> -dr' exactly; the
+    flux and the update only change sign.  So the columns [:k] (v < 0) are
+    loaded reversed in x, every column moves right with c = |courant|, and
+    those columns go back through out[::-1] (only zeros of -0.0 input can
+    change sign).  Rows go in blocks of about _SWEEP_CELLS cells; the pad,
+    the block-sized scratch and the full grid's per-block views are made
+    once; lo > 0 sweeps the rows [lo, Nx - lo) in blocks cut per call (f is
+    zero off [lo + 3, Nx - lo - 3)).  out (fresh when None) may be f.
     """
 
     def __init__(self, courant: np.ndarray, shape: tuple):
@@ -353,27 +363,28 @@ class _Sweep:
         # v_centers ascend, so only columns [:k] move left
         self.k = int(np.searchsorted(courant[0], 0.0))
         self.c = np.abs(courant)
-        self.half, self.shape = 0.5 * self.c, 1.0 - (2.0 / 3.0) * self.c
+        # the weights of dr' and dl' in the right-face flux
+        self.wr, self.wl = (1.0 - self.c) ** 2, self.c * (1.0 - self.c)
         # the mirrored input, 3 periodic ghost rows before and 2 after: row r holds cell r - 3
         self.pad = np.empty((nx + 5, nv))
         self.n = -(-nx // -(-nx * nv // _SWEEP_CELLS))  # rows per block
         # separate arrays: freeing one stacked ~1 MB array would raise glibc's mmap threshold and
         # speed up the 128 KiB temporaries of the kernel that perfbench's norm_wall_s divides by
-        self.scratch = [np.empty((self.n + 2, nv), dtype=t) for t in [float] * 7 + [bool] * 2]
+        self.scratch = [np.empty((self.n + 2, nv)) for _ in range(5)]
         self.blocks = self._cut(0, nx)
 
     def _cut(self, lo: int, hi: int) -> list:
         """The row blocks of the cells [lo, hi), as views of the pad and the scratch."""
         blocks = []
         for a in range(lo, hi, self.n):
-            # block [a, a + m) reads pad rows a .. a + m + 4 (cells a - 3 .. a + m + 1); e, emin and
-            # emax hold the faces a - 3/2 .. a + m - 1/2, the rest the cells a - 1 .. a + m - 1
+            # block [a, a + m) reads pad rows a .. a + m + 4 (cells a - 3 .. a + m + 1); the face
+            # rows hold the faces a - 3/2 .. a + m - 1/2, the cell rows the cells a - 1 .. a + m - 1
             m = min(self.n, hi - a)
             p = self.pad[a : a + m + 5]
-            e, emin, emax = (u[: m + 2] for u in self.scratch[:3])
-            cells = [u[: m + 1] for u in self.scratch[1:]]
-            views = (p[2:-2], p[3:-2], e[: m + 1], emin[:m], p[:-3], p[1:-2], p[2:-1], p[3:])
-            blocks.append((a, a + m, *views, e, emin, emax, *cells))
+            faces = [u[: m + 2] for u in self.scratch[:3]]
+            cells = [u[: m + 1] for u in self.scratch]
+            views = (p[2:-2], p[3:-2], cells[0][:m], p[:-3], p[1:-2], p[2:-1], p[3:], faces[0][1:])
+            blocks.append((a, a + m, *views, *faces, *cells))
         return blocks
 
     def _load(self, f: np.ndarray, out, lo: int) -> tuple:
@@ -396,15 +407,14 @@ class _Sweep:
 
     def upwind(self, f: np.ndarray, out=None, lo: int = 0) -> np.ndarray:
         out, blocks = self._load(f, out, lo)
-        for a, b, cells, g, _, t, *_ in blocks:
+        for a, b, cells, g, t, *_ in blocks:
             self._update(out, a, b, g, cells, t)
         return out
 
     def ppm(self, f: np.ndarray, out=None, lo: int = 0) -> np.ndarray:
         out, blocks = self._load(f, out, lo)
-        for (a, b, f, g, flux, t, fm2, fm1, f0, fp1,
-             e, emin, emax, t1, t2, fl, fr, d, f6, m1, m2) in blocks:
-            # f holds the cells a - 1 .. b - 1; e holds their faces, then their fluxes
+        for a, b, f, g, t, fm2, fm1, f0, fp1, fr, e, emin, emax, fl, dl, dr, u, flux in blocks:
+            # f holds the cells a - 1 .. b - 1, e their faces
             # e = (7 (fm1 + f0) - (fm2 + fp1)) / 12
             np.add(fm1, f0, out=e)
             np.multiply(7.0, e, out=e)
@@ -417,47 +427,27 @@ class _Sweep:
             np.maximum(fm1, f0, out=emax)
             np.maximum(e, emin, out=e)
             np.minimum(e, emax, out=e)
-            fl[...], fr[...] = e[:-1], e[1:]
-
-            # ext = (fr - f) (f - fl) <= 0
-            np.subtract(fr, f, out=t1)
-            np.subtract(f, fl, out=t2)
-            np.multiply(t1, t2, out=t1)
-            np.less_equal(t1, 0.0, out=m1)
-            np.copyto(fl, f, where=m1)
-            np.copyto(fr, f, where=m1)
-            _parabola(f, fl, fr, d, f6)
-            # at an extremum fl = fr = f, so d = 0 and neither overshoot test fires:
-            # over_r = d f6 > d d, over_l = d f6 < -d d
-            np.multiply(d, f6, out=t1)
-            np.multiply(d, d, out=t2)
-            np.greater(t1, t2, out=m1)
-            np.negative(t2, out=t2)
-            np.less(t1, t2, out=m2)
-            # fl = 3 f - 2 fr where over_r, then fr = 3 f - 2 fl where over_l
-            np.multiply(3.0, f, out=t1)
-            np.multiply(2.0, fr, out=t2)
-            np.subtract(t1, t2, out=fl, where=m1)
-            np.multiply(2.0, fl, out=t2)
-            np.subtract(t1, t2, out=fr, where=m2)
-            _parabola(f, fl, fr, d, f6)
-
-            # F = fr - (c/2) (d - (1 - 2c/3) f6) at each cell's right face
-            np.multiply(self.shape, f6, out=t1)
-            np.subtract(d, t1, out=t1)
-            np.multiply(self.half, t1, out=t1)
-            np.subtract(fr, t1, out=flux)
+            np.subtract(f, fl, out=dl)
+            np.subtract(fr, f, out=dr)
+            # dr = 0 off the monotone cells (dl dr > 0) zeroes both limited slopes
+            np.multiply(dl, dr, out=u)
+            np.greater(u, 0.0, out=u)
+            np.multiply(dr, u, out=dr)
+            # flux = |dr'| = min(|dr|, 2 |dl|), dl = |dl'| = min(|dl|, 2 |dr|)
+            np.absolute(dr, out=u)
+            np.absolute(dl, out=dl)
+            np.multiply(2.0, dl, out=flux)
+            np.minimum(u, flux, out=flux)
+            np.multiply(2.0, u, out=fl)
+            np.minimum(dl, fl, out=dl)
+            # F = f + copysign((1 - c)^2 |dr'| + c (1 - c) |dl'|, dr)
+            np.multiply(self.wr, flux, out=flux)
+            np.multiply(self.wl, dl, out=dl)
+            np.add(flux, dl, out=flux)
+            np.copysign(flux, dr, out=flux)
+            np.add(f, flux, out=flux)
             self._update(out, a, b, g, flux, t)
         return out
-
-
-def _parabola(f, fl, fr, d, f6) -> None:
-    # d = fr - fl, f6 = 6 (f - (fl + fr) / 2)
-    np.subtract(fr, fl, out=d)
-    np.add(fl, fr, out=f6)
-    np.multiply(0.5, f6, out=f6)
-    np.subtract(f, f6, out=f6)
-    np.multiply(6.0, f6, out=f6)
 
 
 # a batch's half steps and class-row cells: 64 KiB arrays, below glibc's mmap threshold

@@ -559,6 +559,17 @@ class TestConfigFuzz:
     def test_unfuzzed_configs_pass(self, tmp_path, command):
         assert run(tmp_path, command, FUZZ_CONFIGS[command])[0] == 0
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_cell_index_beyond_int64_is_config_error(self, tmp_path, capsys, axis):
+        # a cell of 1e-300 passes the float-range check, but a point of order 1 lies in cell ~1e300,
+        # which no int64 holds: a silent cast would make the whole field one cell
+        cfg = json.loads(json.dumps(FUZZ_CONFIGS["level-set"]))
+        cfg["ensemble"]["params"]["cells"][axis] = 1e-300
+        code, outdir = run(tmp_path, "level-set", cfg)
+        assert code == 2
+        assert "cells (" in capsys.readouterr().err
+        assert not (outdir / "summary.json").exists()
+
     @settings(max_examples=120, deadline=None)
     @given(
         case=st.sampled_from([(c, p) for c, cfg in FUZZ_CONFIGS.items() for p in numeric_paths(cfg)]),

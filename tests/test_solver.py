@@ -44,15 +44,37 @@ from kolkit.solver import (
 CONST = make_field("constant", {"value": 1.0})
 
 
-def reference_ppm(f, courant):
-    """The two-branch PPM sweep that the one-branch sweep must reproduce bit for bit."""
+def reference_faces(f):
+    """Each cell's left-face value, clamped into the range of the two cells beside the face."""
     fm1 = np.roll(f, 1, axis=0)
     fm2 = np.roll(f, 2, axis=0)
     fp1 = np.roll(f, -1, axis=0)
     e = (7.0 * (fm1 + f) - (fm2 + fp1)) / 12.0
-    e = np.clip(e, np.minimum(fm1, f), np.maximum(fm1, f))
-    fl = e
-    fr = np.roll(e, -1, axis=0)
+    return np.clip(e, np.minimum(fm1, f), np.maximum(fm1, f))
+
+
+def reference_ppm(f, courant):
+    """The two-branch PPM sweep in closed form that the one-branch sweep must reproduce bit for bit."""
+    e = reference_faces(f)
+    dl = f - e
+    dr = np.roll(e, -1, axis=0) - f
+    mono = dl * dr > 0.0
+    dl_lim = np.where(mono, np.copysign(np.minimum(np.abs(dl), 2.0 * np.abs(dr)), dl), 0.0)
+    dr_lim = np.where(mono, np.copysign(np.minimum(np.abs(dr), 2.0 * np.abs(dl)), dr), 0.0)
+
+    cpos = np.maximum(courant, 0.0)
+    cneg = np.maximum(-courant, 0.0)
+    flux_pos = f + ((1.0 - cpos) ** 2 * dr_lim + cpos * (1.0 - cpos) * dl_lim)
+    # the left-moving flux through a cell's right face comes from the cell after it, mirrored
+    flux_neg = np.roll(f - ((1.0 - cneg) ** 2 * dl_lim + cneg * (1.0 - cneg) * dr_lim), -1, axis=0)
+    flux = np.where(courant >= 0.0, flux_pos, flux_neg)
+    return f - courant * (flux - np.roll(flux, 1, axis=0))
+
+
+def reference_ppm_cw84(f, courant):
+    """Colella & Woodward's two-branch PPM sweep: face rewrites, then the parabola's flux."""
+    fl = reference_faces(f)
+    fr = np.roll(fl, -1, axis=0)
 
     ext = (fr - f) * (f - fl) <= 0.0
     fl = np.where(ext, f, fl)
@@ -527,6 +549,40 @@ class TestInvariants:
                 assert np.array_equal(got, want)
             else:
                 assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.integers(16, 48),
+        nv=st.integers(16, 48),
+        cmax=st.floats(0.0, 1.0),
+        power=st.integers(1, 6),
+        zeros=st.floats(0.0, 0.6),
+        seed=st.integers(0, 2**31 - 1),
+        exponent=st.integers(-150, 150),
+    )
+    def test_transport_is_colella_woodward_to_rounding(self, nx, nv, cmax, power, zeros, seed, exponent):
+        # the closed form is Colella & Woodward's face rewrites in exact arithmetic; in floats the
+        # two differ by rounding, bounded by the largest |f| that a cell's update reads (rows
+        # i - 3 .. i + 3); above about 1e250 the rewrites' d f6 and d d overflow
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
+        rng = np.random.default_rng(seed)
+        f = rng.random((nx, nv)) ** power * 10.0**exponent
+        f[rng.random((nx, nv)) < zeros] = 0.0
+        courant = (grid.v_centers * (cmax / grid.Lv))[None, :]
+        got = _Sweep(courant, f.shape).ppm(f)
+        scale = np.max([np.abs(np.roll(f, s, axis=0)) for s in range(-3, 4)], axis=0)
+        assert (np.abs(got - reference_ppm_cw84(f, courant)) <= 8 * np.finfo(float).eps * scale).all()
+
+    def test_underflowed_slope_product_is_an_extremum(self):
+        # on a ramp of 1e-170 steps dl dr underflows to 0, so, as in the face rewrites' product
+        # test, every cell is flattened and each face's flux is its upwind cell: PPM is upwind
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=24, Nv=20)
+        f = 1e-170 * np.arange(1.0, 25.0)[:, None] * np.ones(20)
+        courant = (grid.v_centers * (0.7 / grid.Lv))[None, :]
+        sweep = _Sweep(courant, f.shape)
+        want = sweep.upwind(f).tobytes()
+        assert sweep.ppm(f).tobytes() == want
+        assert reference_ppm_cw84(f, courant).tobytes() == want
 
     WINDOW_FIELDS = {
         "constant": {},
