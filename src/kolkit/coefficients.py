@@ -238,6 +238,10 @@ def make_field(kind: str, params: dict | None = None, seed: int = 0) -> Coeffici
         def bind(x, v):
             # sin(2 pi 0 u) is +-0, so a zero frequency leaves a value that its axis cannot change
             rx, jx, rv, jv = _classes(np.arange(x.size) * (fx != 0.0), np.arange(v.size) * (fv != 0.0))
+            for name, f, u in (("freq_x", fx, x), ("freq_v", fv, v)):
+                # wave's 2 pi f u at the largest |u|; sin of an infinite argument is NaN
+                if not abs(2 * np.pi * f) * float(np.abs(u).max()) < np.inf:
+                    raise ConfigError(f"oscillatory field: {name}={f} times the grid's points is not finite")
             mod = wave(x[rx][:, None], fx) * wave(v[rv][None, :], fv)
             slices = _slices((mod.shape, float))
 

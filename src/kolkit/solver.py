@@ -36,6 +36,13 @@ periodic seam): the PPM stencil reaches 3 rows, and the sweep loads v < 0
 mirrored.  For an input without a -0.0 (no step makes one) that is the full
 grid's result bit for bit: a zero row solves to +0.0, the walls' -0.0
 couplings keep rows apart in pttrs, and an all-zero stencil sweeps to +0.0.
+A wider window gives the same bits, and a zero cell's flux is +0.0 in both
+sweeps, so the support grows by at most a row a side a step: `evolve`, which
+steps each result again, scans only its first input and carries lo - 1 (0
+below 3).  A step takes its checks from the window into its stepper's
+`RunStats`: NaN propagates through min and max, so they decide finiteness,
+and the grid's minimum is min(window's, 0) when lo > 0; the mass stays one
+full-grid sum, as numpy's pairwise summation order depends on the length.
 
 dpttrf/dpttrs come from scipy's compiled `_flapack` module, which the first
 `Stepper` of a process loads, without `scipy.linalg`'s package init; a
@@ -45,7 +52,9 @@ Each run owns one `Stepper`, made by `evolve`: its constructor checks the
 CFL bound, binds the transport sweep and the coefficient
 (`CoefficientField.bind`) and makes the factor-batch arrays and the sweep's
 courant row and scratch arrays, once per run.  A step writes into one fresh
-array of its own, so a returned Field never aliases that scratch.
+array of its own, so a returned Field never aliases that scratch, and adds
+what it did and cost to the `RunStats` that `EvolveResult` and
+`KernelEstimate` hold.
 
 A factor build costs per distinct x-row of the coefficient, not per grid
 row, and covers a batch of half steps: a half step whose time key is not in
@@ -71,6 +80,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,6 +121,7 @@ __all__ = [
     "SolverConfig",
     "KernelEstimate",
     "EvolveResult",
+    "RunStats",
     "ConfigError",
     "SolverError",
     "init_delta",
@@ -311,13 +322,9 @@ def init_delta(center, width, grid: Grid, t: float = 0.0) -> Field:
     if not (w0x > 0 and w0v > 0):
         raise ConfigError(f"mollification widths must be positive, got ({w0x}, {w0v})")
     if abs(w) > grid.Lv - 4 * w0v:
-        raise ConfigError(
-            f"center v={w} is within 4 widths ({4 * w0v}) of the v-boundary +-{grid.Lv}"
-        )
+        raise ConfigError(f"center v={w} is within 4 widths ({4 * w0v}) of the v-boundary +-{grid.Lv}")
     if abs(y) > grid.Lx - 4 * w0x:
-        raise ConfigError(
-            f"center x={y} is within 4 widths ({4 * w0x}) of the x-boundary +-{grid.Lx}"
-        )
+        raise ConfigError(f"center x={y} is within 4 widths ({4 * w0x}) of the x-boundary +-{grid.Lx}")
 
     X, V = grid.meshes()
     rx = (X - y) / w0x
@@ -398,12 +405,12 @@ class _Sweep:
         return np.zeros_like(f) if out is None else out, self.blocks if lo == 0 else self._cut(lo, nx - lo)
 
     def _update(self, out, a, b, g, flux, t) -> None:
-        # g - c (F_{i+1/2} - F_{i-1/2}) on the cells a .. b - 1; columns [:k] go back mirrored
+        # t = g - c (F_{i+1/2} - F_{i-1/2}) on the cells a .. b - 1, copied out by halves, [:k] mirrored
         k = self.k
         np.subtract(flux[1:], flux[:-1], out=t)
         np.multiply(self.c, t, out=t)
-        np.subtract(g[:, k:], t[:, k:], out=out[a:b, k:])
-        np.subtract(g[:, :k], t[:, :k], out=out[::-1][a:b, :k])
+        np.subtract(g, t, out=t)
+        out[a:b, k:], out[::-1][a:b, :k] = t[:, k:], t[:, :k]
 
     def upwind(self, f: np.ndarray, out=None, lo: int = 0) -> np.ndarray:
         out, blocks = self._load(f, out, lo)
@@ -450,6 +457,28 @@ class _Sweep:
         return out
 
 
+@dataclass
+class RunStats:
+    """A run's steps, the rows of their windows, the half steps that built or reused a factor, each
+    phase's wall seconds, every state's mass range and minimum, and `estimate_kernel`'s tail ratio."""
+
+    steps: int = 0
+    rows: int = 0
+    builds: int = 0
+    hits: int = 0
+    diffusion_s: float = 0.0
+    transport_s: float = 0.0
+    mass_min: float = np.inf
+    mass_max: float = -np.inf
+    min_value: float = np.inf
+    tail_ratio: float = np.nan
+
+    def observe(self, mass: float, low: float) -> None:
+        """Take one state's mass and minimum value into the run's ranges."""
+        self.mass_min, self.mass_max = min(self.mass_min, mass), max(self.mass_max, mass)
+        self.min_value = min(self.min_value, low)
+
+
 # a batch's half steps and class-row cells: 64 KiB arrays, below glibc's mmap threshold
 _BATCH_STEPS, _BATCH_CELLS = 8, 2**13
 
@@ -465,8 +494,7 @@ class Stepper:
         dt = config.dt
         if not (dt <= grid.dx / grid.Lv * (1.0 + 1e-12)):
             raise ConfigError(
-                f"CFL violation: dt={dt} exceeds dx/Lv={grid.dx / grid.Lv:.6g} "
-                f"for grid {grid.descriptor()}"
+                f"CFL violation: dt={dt} exceeds dx/Lv={grid.dx / grid.Lv:.6g} for grid {grid.descriptor()}"
             )
         self.field, self.grid, self.config = field, grid, config
         # read through the module: the first stepper of a process loads LAPACK, and a patched routine is used
@@ -482,9 +510,10 @@ class Stepper:
         self.d, self.e = np.empty(grid.Nx * grid.Nv), np.empty(grid.Nx * grid.Nv)
         self.sweep = _Sweep((grid.v_centers * (dt / grid.dx))[None, :], (grid.Nx, grid.Nv))
         self.transport = self.sweep.ppm if config.transport_order == 3 else self.sweep.upwind
+        self.stats = RunStats()
 
     def _factor_batch(self, t_sub: float, key) -> dict:
-        """The table {time key: slice} of the batch from t_sub; SolverError if t_sub's fails."""
+        """{time key: slice} of the batch from t_sub; SolverError if t_sub's fails, ConfigError if not finite."""
         times, keys = [t_sub], [key]
         for j in range(1, self.batch if key is not None else 1):
             t = t_sub + j * (0.5 * self.config.dt)
@@ -492,10 +521,11 @@ class Stepper:
             if k != keys[-1]:
                 times.append(t)
                 keys.append(k)
-        a = self.at(np.array(times))
-        n = len(times)
-        if (a <= 0).any():
-            n = int((a <= 0).any(axis=(1, 2)).argmax())
+        a, n = self.at(np.array(times)), len(times)
+        if not (a.min() > 0 and a.max() < np.inf):  # NaN fails both
+            n = int(((a > 0) & (a < np.inf)).all(axis=(1, 2)).argmin())
+            if n == 0 and not np.isfinite(a[0]).all():
+                raise ConfigError(f"{self.field!r} is not finite on the grid at t={t_sub}")
             if n == 0:
                 raise SolverError(f"coefficient is not positive on the grid at t={t_sub}")
         # the representative rows at full width, held in off until off is written
@@ -509,13 +539,11 @@ class Stepper:
         np.multiply(hm, ar, out=hm)
         np.divide(hm, d[:-1], out=hm)
         h[:: self.grid.Nv] = 0.0
-        # diag = 1 + mu ahl + mu ahr, mu ahr held in off; then off = -mu ahr (-0.0 at the walls)
-        mu = 0.5 * self.config.dt / self.grid.dv**2
-        np.multiply(mu, h[:-1], out=d)
-        np.add(1.0, d, out=d)
-        np.multiply(mu, h[1:], out=o)
-        np.add(d, o, out=d)
-        np.multiply(-mu, h[1:], out=o)
+        # diag = 1 + mu ahl + mu ahr and off = -mu ahr (-0.0 at the walls), with mu ah formed once
+        np.multiply(0.5 * self.config.dt / self.grid.dv**2, h, out=h)
+        np.add(1.0, h[:-1], out=d)
+        np.add(d, h[1:], out=d)
+        np.negative(h[1:], out=o)
         # pttrf factors in place, up to a failed pivot
         _, _, info = self.pttrf(d, o[:-1], overwrite_d=1, overwrite_e=1)
         if info != 0:
@@ -530,13 +558,15 @@ class Stepper:
         Only the rows [lo, Nx - lo) are solved; rhs must be zero off them.
         """
         key = self.field.time_key(t_sub)
+        if key is None or key not in self._table:  # a build that raises leaves the table empty
+            self._key, self._table = None, {}
+            self._table = self._factor_batch(t_sub, key)
+            self.stats.builds += 1
+        else:
+            self.stats.hits += 1
         if key is None or key != self._key:
-            j = None if key is None else self._table.get(key)
-            if j is None:  # a build that raises leaves the table empty
-                self._key, self._table = None, {}
-                self._table, j = self._factor_batch(t_sub, key), 0
             # each row's factor is its class's row of slice j
-            full = (self.grid.Nx, self.grid.Nv)
+            j, full = self._table[key], (self.grid.Nx, self.grid.Nv)
             self.diag[j].take(self.jx, axis=0, out=self.d.reshape(full), mode="clip")
             self.off[j].take(self.jx, axis=0, out=self.e.reshape(full), mode="clip")
             self._ld, self._key = (self.d, self.e[:-1]), key
@@ -549,19 +579,44 @@ class Stepper:
         return x
 
     def step(self, state: Field) -> Field:
-        """One Strang step of state, which must lie on the stepper's grid."""
+        """One Strang step of state, which must lie on the stepper's grid, added to stats."""
+        return self._step(state, _row_window(state.values))
+
+    def _step(self, state: Field, lo: int) -> Field:
+        # the step of state on the rows [lo, Nx - lo), which must hold its support and 3 rows more
         if state.grid != self.grid:
             raise ConfigError(f"state grid {state.grid.descriptor()} is not the stepper's grid")
-        t, dt = state.t, self.config.dt
-        lo = _row_window(state.values)
+        t, dt, clock, stats = state.t, self.config.dt, time.perf_counter, self.stats
+        t0 = clock()
         # the first solve makes the step's own array; every later stage writes into it
         f = self.solve(t + 0.25 * dt, state.values, lo=lo)
+        t1 = clock()
         self.transport(f, out=f, lo=lo)
+        t2 = clock()
         f = self.solve(t + 0.75 * dt, f, overwrite=True, lo=lo)
-        try:
-            return Field(f, t + dt, self.grid)
-        except ValueError:
-            raise SolverError(f"non-finite values after step at t={t}") from None
+        stats.diffusion_s += (t1 - t0) + (clock() - t2)
+        stats.transport_s += t2 - t1
+        # NaN propagates through min and max, and the rows off the window are +0.0
+        window = f[lo : len(f) - lo]
+        low, high = float(window.min()), float(window.max())
+        if not (-np.inf < low and high < np.inf):
+            raise SolverError(f"non-finite values after step at t={t}")
+        stats.steps, stats.rows = stats.steps + 1, stats.rows + len(window)
+        stats.observe(float(f.sum() * self.grid.cell_volume), min(low, 0.0) if lo else low)
+        # a Field without __post_init__'s scan: the values are finite, C-contiguous and the grid's shape
+        out = object.__new__(Field)
+        out.values, out.t, out.grid = f, t + dt, self.grid
+        return out
+
+
+class _RunStepper(Stepper):
+    """`evolve`'s stepper: each input after the first is its own last result, so it carries lo."""
+
+    lo = None
+
+    def step(self, state: Field) -> Field:
+        self.lo = _row_window(state.values) if self.lo is None else self.lo - 1 if self.lo > 3 else 0
+        return self._step(state, self.lo)
 
 
 def _row_window(f: np.ndarray) -> int:
@@ -596,10 +651,11 @@ _MAX_STEPS = 10**6
 @dataclass
 class EvolveResult:
     field: Field
-    mass_min: float
-    mass_max: float
-    min_value: float
+    stats: RunStats
     history: SpaceTimeField | None = None
+    mass_min = property(lambda self: self.stats.mass_min)
+    mass_max = property(lambda self: self.stats.mass_max)
+    min_value = property(lambda self: self.stats.min_value)
 
 
 def evolve(
@@ -619,9 +675,7 @@ def evolve(
         raise ConfigError(f"t_final={t_final} is before state time {state.t} or not finite")
     # the cap bounds a run's work, and keeps round() off an infinite span / dt
     if not (span / config.dt <= _MAX_STEPS):
-        raise ConfigError(
-            f"dt={config.dt} is too small for the time span {span}: more than {_MAX_STEPS} steps"
-        )
+        raise ConfigError(f"dt={config.dt} is too small for the time span {span}: more than {_MAX_STEPS} steps")
     n = int(round(span / config.dt))
     if abs(n * config.dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ConfigError(f"dt={config.dt} does not divide the time span {span}")
@@ -629,28 +683,18 @@ def evolve(
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
 
     grid = state.grid
-    stepper = Stepper(field, grid, config)
+    stepper = _RunStepper(field, grid, config)
     marks = {*range(0, n, record_every), n} if record_every else set()
     rows, times = np.empty((len(marks), grid.Nx, grid.Nv)), []
-
-    def record(i: int, f: Field) -> None:
+    stepper.stats.observe(state.mass(), state.min())
+    for i in range(n + 1):
         if i in marks:
-            rows[len(times)] = f.values
-            times.append(f.t)
-
-    res = EvolveResult(state, mass_min=state.mass(), mass_max=state.mass(), min_value=state.min())
-    record(0, state)
-    for i in range(1, n + 1):
-        state = step(state, field, config, stepper)
-        m = state.mass()
-        res.mass_min = min(res.mass_min, m)
-        res.mass_max = max(res.mass_max, m)
-        res.min_value = min(res.min_value, state.min())
-        record(i, state)
-    res.field = state
-    if record_every:
-        res.history = SpaceTimeField(rows, times, grid)
-    return res
+            rows[len(times)] = state.values
+            times.append(state.t)
+        if i < n:  # through `step`, so that a wrapper of it, such as perfbench's spans, sees every step
+            state = step(state, field, config, stepper)
+    history = SpaceTimeField(rows, times, grid) if record_every else None
+    return EvolveResult(state, stepper.stats, history)
 
 
 @dataclass
@@ -664,10 +708,11 @@ class KernelEstimate:
     grid: Grid
     config: SolverConfig
     coefficient: dict
-    mass_drift: float
-    min_value: float
-    boundary_peak_ratio: float
+    stats: RunStats
     history: SpaceTimeField | None = None
+    mass_drift = property(lambda self: max(abs(self.stats.mass_min - 1.0), abs(self.stats.mass_max - 1.0)))
+    min_value = property(lambda self: self.stats.min_value)
+    boundary_peak_ratio = property(lambda self: self.stats.tail_ratio)
 
     # read-only list views of history, still read by tests/test_acceptance.py and perfbench
     @property
@@ -714,7 +759,7 @@ def estimate_kernel(
     vals = res.field.values
     peak = float(vals.max())
     edge = float(max(vals[:, 0].max(), vals[:, -1].max()))
-    ratio = edge / peak if peak > 0 else np.inf
+    res.stats.tail_ratio = ratio = edge / peak if peak > 0 else np.inf
     if ratio > config.tail_tol:
         warnings.warn(
             f"kernel tail at the v-boundary is {ratio:.2e} of the peak "
@@ -722,17 +767,8 @@ def estimate_kernel(
             stacklevel=2,
         )
     return KernelEstimate(
-        field=res.field,
-        source=(s, y, w),
-        t=t_final,
-        w0=w0,
-        grid=grid,
-        config=config,
-        coefficient=field.descriptor(),
-        mass_drift=max(abs(res.mass_min - 1.0), abs(res.mass_max - 1.0)),
-        min_value=res.min_value,
-        boundary_peak_ratio=ratio,
-        history=res.history,
+        field=res.field, source=(s, y, w), t=t_final, w0=w0, grid=grid, config=config,
+        coefficient=field.descriptor(), stats=res.stats, history=res.history
     )
 
 

@@ -182,6 +182,15 @@ class TestConfigErrors:
         assert code == 2
         assert "CFL" in capsys.readouterr().err
 
+    def test_frequency_beyond_the_float_range_is_config_error(self, tmp_path, capsys):
+        # 2 pi freq_x x overflows, so sin would make every coefficient value NaN
+        cfg = simulate_cfg(field={"kind": "oscillatory", "params": {"freq_x": 1e308}})
+        code, outdir = run(tmp_path, "simulate", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "oscillatory field: freq_x=1e+308" in err
+        assert not (outdir / "summary.json").exists()
+
     def test_unknown_field_kind(self, tmp_path, capsys):
         cfg = simulate_cfg(field={"kind": "perlin"})
         code, _ = run(tmp_path, "simulate", cfg)

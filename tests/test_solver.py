@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -941,6 +942,144 @@ class TestHistory:
         back = SpaceTimeField.from_snapshots(est._snapshots, est._snapshot_times, self.GRID)
         assert back.values.tobytes() == est.history.values.tobytes()
         assert back.times.tobytes() == est.history.times.tobytes()
+
+
+def bumps_state(grid, bumps, seed, t=0.0):
+    """Random bumps of 2 h + 1 x-rows centred at fractions of the grid, wrapping across the seam."""
+    rng = np.random.default_rng(seed)
+    nx, nv = grid.Nx, grid.Nv
+    f = np.zeros((nx, nv))
+    for centre, h in bumps:
+        rows = np.arange(-h, h + 1) + int(centre * nx)
+        f[rows % nx, nv // 4 : -(nv // 4)] += rng.random((rows.size, nv - 2 * (nv // 4)))
+    return Field(f, t, grid)
+
+
+def spy_windows(monkeypatch):
+    """The lo of every half step that a Stepper solves from now on, in order: two a step."""
+    windows, solve = [], Stepper.solve
+
+    def spy(self, t_sub, rhs, overwrite=False, lo=0):
+        windows.append(lo)
+        return solve(self, t_sub, rhs, overwrite, lo)
+
+    monkeypatch.setattr(Stepper, "solve", spy)
+    return windows
+
+
+def bits(*xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
+class TestRunStats:
+    # time keys: none (every t distinct), one per run, and one per time cell
+    FIELDS = {
+        "oscillatory, no time key": lambda seed: make_field("oscillatory", {"freq_t": 1.0}),
+        "constant": lambda seed: make_field("constant", {"value": 1.5}),
+        "random-piecewise": lambda seed: make_field(
+            "random-piecewise", {"cells": (0.05, 0.3, 0.3), "random_origin": True}, seed=seed
+        ),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.integers(16, 40),
+        nv=st.integers(16, 40),
+        kind=st.sampled_from(sorted(FIELDS)),
+        seed=st.integers(0, 2**31 - 1),
+        order=st.sampled_from([1, 3]),
+        cfl=st.floats(0.1, 1.0),
+        bumps=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 4)), min_size=1, max_size=2),
+        n_steps=st.integers(0, 12),
+        record_every=st.one_of(st.none(), st.integers(1, 5)),
+    )
+    def test_evolve_is_the_scanned_step_loop(
+        self, nx, nv, kind, seed, order, cfl, bumps, n_steps, record_every
+    ):
+        # evolve carries the row window and takes its checks from it; the reference steps
+        # with Stepper.step, which scans every input, and checks each full-grid Field
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=nx, Nv=nv)
+        config = SolverConfig(dt=cfl * grid.dx / grid.Lv, transport_order=order)
+        field = self.FIELDS[kind](seed)
+        start = bumps_state(grid, bumps, seed, t=0.125)
+        stepper, states, scanned = Stepper(field, grid, config), [start], []
+        for _ in range(n_steps):
+            scanned.append(solver_module._row_window(states[-1].values))
+            states.append(stepper.step(states[-1]))
+        masses, mins = [s.mass() for s in states], [s.min() for s in states]
+
+        with pytest.MonkeyPatch.context() as mp:
+            solves = spy_windows(mp)
+            res = evolve(start, field, config, start.t + n_steps * config.dt, record_every=record_every)
+        carried = solves[::2]
+        assert solves[1::2] == carried
+        assert res.field.values.tobytes() == states[-1].values.tobytes()
+        assert res.field.t == states[-1].t
+        assert bits(res.mass_min, res.mass_max, res.min_value) == bits(min(masses), max(masses), min(mins))
+        assert len(carried) == n_steps
+        assert all(c <= s for c, s in zip(carried, scanned))
+        if record_every is None:
+            assert res.history is None
+        else:
+            keep = [i for i in range(n_steps + 1) if i % record_every == 0 or i == n_steps]
+            assert res.history.values.tobytes() == np.stack([states[i].values for i in keep]).tobytes()
+            assert res.history.times.tolist() == [states[i].t for i in keep]
+
+    @pytest.mark.parametrize("bumps", [[(0.5, 2)], [(0.3, 1), (0.6, 3)], [(0.0, 2)]], ids=str)
+    @pytest.mark.parametrize("kind", sorted(FIELDS))
+    def test_counts_and_seconds(self, monkeypatch, kind, bumps):
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=40, Nv=24)
+        config = SolverConfig(dt=0.9 * grid.dx / grid.Lv, w0_cells=2.0, tail_tol=1.0)
+        field, n = self.FIELDS[kind](7), 20
+        start = bumps_state(grid, bumps, 7)
+        solves = spy_windows(monkeypatch)
+        clock = time.perf_counter()
+        res = evolve(start, field, config, n * config.dt)
+        wall = time.perf_counter() - clock
+        windows = solves[::2]
+        stats = res.stats
+        assert stats.steps == len(windows) == n
+        assert stats.builds + stats.hits == 2 * n
+        assert stats.builds >= 1 and (kind != "constant" or stats.builds == 1)
+        assert stats.rows == sum(grid.Nx - 2 * lo for lo in windows)
+        # a bump at 0.0 wraps across the periodic seam, so every step runs the full grid
+        assert bumps != [(0.0, 2)] or stats.rows == n * grid.Nx
+        assert bumps == [(0.0, 2)] or stats.rows < n * grid.Nx
+        assert stats.diffusion_s >= 0.0 and stats.transport_s >= 0.0
+        assert stats.diffusion_s + stats.transport_s <= wall
+        # a kernel estimate holds its run's stats, with the tail ratio it warns on
+        est = estimate_kernel((0.0, 0.0, 0.0), n * config.dt, field, grid, config)
+        assert est.stats.steps == n and est.stats.tail_ratio == est.boundary_peak_ratio
+        assert est.mass_drift == max(abs(est.stats.mass_min - 1.0), abs(est.stats.mass_max - 1.0))
+        assert est.min_value == est.stats.min_value
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coefficient_that_is_not_finite_is_config_error(self, monkeypatch, bad):
+        # a NaN passes a test of a <= 0, and +inf passes a > 0; both name the field and the time
+        # every t of a field without a time key builds, so the solve at 0.25 samples it
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=16, Nv=16)
+        field = make_field("oscillatory", {"freq_t": 1.0})
+        bind = field.bind
+
+        def bind_bad(x, v):
+            *classes, at = bind(x, v)
+            return *classes, lambda ts: np.where(ts[:, None, None] > 0.1, bad, at(ts))
+
+        monkeypatch.setattr(field, "bind", bind_bad)
+        stepper = Stepper(field, grid, SolverConfig(dt=0.02))
+        rhs = np.ones((grid.Nx, grid.Nv))
+        stepper.solve(0.05, rhs)
+        with pytest.raises(ConfigError, match=r"CoefficientField\('oscillatory'.* is not finite on the grid at t=0\.25$"):
+            stepper.solve(0.25, rhs)
+
+    def test_oscillatory_frequency_beyond_the_float_range_is_config_error(self):
+        grid = Grid(Lx=2.0, Lv=3.0, Nx=16, Nv=16)
+        for name in ("freq_x", "freq_v"):
+            field = make_field("oscillatory", {name: 1e308})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match=f"{name}=1e\\+308 times the grid's points"):
+                    Stepper(field, grid, SolverConfig(dt=0.02))
 
 
 # a source offset in cells: whole numbers land on cell centers, where the cut bites
